@@ -84,24 +84,10 @@ fn bench_group_split(c: &mut Criterion) {
 
 /// Kernel tick throughput with a realistic load (16 HPL-ish workers).
 fn bench_kernel_tick(c: &mut Criterion) {
-    use simos::kernel::ExecMode;
     let mut group = c.benchmark_group("kernel_tick");
-    let cases = [
-        ("idle", 0usize, ExecMode::Serial),
-        ("8tasks", 8, ExecMode::Serial),
-        ("24tasks", 24, ExecMode::Serial),
-        // Same load through the per-core fan-out path (threads: 0 = one
-        // per host core); ticks/sec should scale on multi-core hosts.
-        ("24tasks-par", 24, ExecMode::Parallel { threads: 0 }),
-    ];
-    for (label, ntasks, exec_mode) in cases {
-        let kernel = Kernel::boot_handle(
-            MachineSpec::raptor_lake_i7_13700(),
-            KernelConfig {
-                exec_mode,
-                ..Default::default()
-            },
-        );
+    for (label, ntasks) in [("idle", 0usize), ("8tasks", 8), ("24tasks", 24)] {
+        let kernel =
+            Kernel::boot_handle(MachineSpec::raptor_lake_i7_13700(), KernelConfig::default());
         for i in 0..ntasks {
             forever_task(&kernel, CpuMask::from_cpus([i % 24]));
         }

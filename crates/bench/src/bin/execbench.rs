@@ -19,7 +19,7 @@ use simcpu::machine::MachineSpec;
 use simcpu::phase::Phase;
 use simcpu::plan::PlanCache;
 use simcpu::types::CpuMask;
-use simos::kernel::{ExecMode, Kernel, KernelConfig};
+use simos::kernel::{Kernel, KernelConfig};
 use simos::task::Op;
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -45,13 +45,7 @@ fn ns_per_call(mut f: impl FnMut()) -> f64 {
 /// The pre-PR tickbench shape: micro-phases that complete every tick, so
 /// neither macro-ticks nor the one-deep result memo can hide model cost.
 fn per_tick_serial_tps(warmup: usize, ticks: usize) -> f64 {
-    let mut k = Kernel::boot(
-        MachineSpec::raptor_lake_i7_13700(),
-        KernelConfig {
-            exec_mode: ExecMode::Serial,
-            ..Default::default()
-        },
-    );
+    let mut k = Kernel::boot(MachineSpec::raptor_lake_i7_13700(), KernelConfig::default());
     let n = k.machine().n_cpus();
     for i in 0..n {
         k.spawn(

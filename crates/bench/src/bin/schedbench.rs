@@ -14,9 +14,8 @@
 //!   full-length thermal story).
 //!
 //! Hard gates (exit 1 on failure):
-//! * **drift == 0** — one case per scenario re-runs under
-//!   `ExecMode::Parallel` and must reproduce the Serial numbers to the
-//!   bit.
+//! * **drift == 0** — one case per scenario re-runs from the same seed
+//!   and must reproduce its numbers to the bit.
 //! * **tournament shape** — `capacity` beats `cfs` on the straggler
 //!   scenario and `thermal` beats `cfs` on the inversion scenario; the
 //!   pathologies exist and the specialists remove them.
@@ -24,7 +23,6 @@
 use std::fmt::Write as _;
 
 use bench_harness::common::header;
-use simos::kernel::ExecMode;
 use simos::SchedName;
 use workloads::tournament::{
     assert_no_drift, orangepi_scenario, raptor_scenario, run_case, Outcome, Scenario,
@@ -51,7 +49,7 @@ fn run_scenario(sc: &Scenario) -> Vec<Outcome> {
     std::thread::scope(|s| {
         let handles: Vec<_> = SchedName::ALL
             .iter()
-            .map(|&sched| s.spawn(move || run_case(sc, sched, ExecMode::Serial)))
+            .map(|&sched| s.spawn(move || run_case(sc, sched)))
             .collect();
         for h in handles {
             outcomes.push(h.join().unwrap());
@@ -99,8 +97,8 @@ fn main() {
     let raptor_out = run_scenario(&raptor);
     let opi_out = run_scenario(&opi);
 
-    // Gate 1: Serial vs Parallel drift must be exactly zero.
-    println!("\ndrift check: bit-identical Serial replay, one case per scenario");
+    // Gate 1: same-seed replay drift must be exactly zero.
+    println!("\ndrift check: bit-identical replay, one case per scenario");
     assert_no_drift(&raptor, SchedName::Capacity);
     assert_no_drift(&opi, SchedName::Thermal);
     println!("  drift == 0  PASS");

@@ -1,20 +1,17 @@
-//! Tick-throughput benchmark: serial vs parallel vs single-tick, per preset.
+//! Tick-throughput benchmark: batched vs single-tick, per preset.
 //!
 //! Emits `BENCH_tick.json` so future PRs have a perf baseline to regress
 //! against (`scripts/tier1.sh` runs this in `--quick` mode). For each
 //! machine preset it boots a fully loaded kernel (one immortal dgemm-ish
 //! worker per CPU, phases long enough to span many ticks like the paper's
 //! HPL runs) and measures ticks/second through the production pump —
-//! `tick_batch` with the default `MacroTicks::Auto` coalescing — in
-//! `ExecMode::Serial` and `ExecMode::Parallel { threads: 0 }`, plus a
-//! `MacroTicks::Off` single-tick baseline. Cross-checks: serial, parallel
-//! and single-tick runs must all retire bit-identical instruction counts
-//! (`counter_drift` and `macro_counter_drift` must be 0). The exec-plan
-//! cache hit rate and macro-tick coverage (replayed/total in the timed
-//! window) are reported per preset. The speedup column is only meaningful
-//! on a multi-core host — `host_cpus` is recorded so readers can judge (a
-//! 1-CPU CI box will honestly report ≈1× or below). The warmup rides out
-//! the DVFS slew ramp (~143 ticks), which is correctly non-coalescible.
+//! `tick_batch` with the default `MacroTicks::Auto` coalescing — plus a
+//! `MacroTicks::Off` single-tick baseline. Cross-check: both runs must
+//! retire bit-identical instruction counts (`macro_counter_drift` must be
+//! 0). The exec-plan cache hit rate and macro-tick coverage
+//! (replayed/total in the timed window) are reported per preset, with
+//! `host_cpus` recorded beside them. The warmup rides out the DVFS slew
+//! ramp (~143 ticks), which is correctly non-coalescible.
 //!
 //! Knobs: `--quick` (300 timed ticks instead of 2000), `TICKBENCH_TICKS`.
 //!
@@ -32,7 +29,7 @@ use simcpu::machine::MachineSpec;
 use simcpu::phase::Phase;
 use simcpu::types::{CpuId, CpuMask};
 use simos::faults::{FaultKind, FaultPlan, TransientErrno};
-use simos::kernel::{ExecMode, Kernel, KernelConfig, MacroTicks};
+use simos::kernel::{Kernel, KernelConfig, MacroTicks};
 use simos::task::{Op, Pid, ScriptedProgram};
 use simtrace::{EventKind, TraceConfig};
 use std::time::Instant;
@@ -155,7 +152,6 @@ fn trace_smoke() {
     let kernel = Kernel::boot_handle(
         MachineSpec::raptor_lake_i7_13700(),
         KernelConfig {
-            exec_mode: ExecMode::Serial,
             macro_ticks: MacroTicks::Auto,
             seed: 0x5eed_cafe,
             trace: TraceConfig::enabled_with_cap(1 << 16),
@@ -391,60 +387,33 @@ fn main() {
 
     println!("tickbench: {ticks} timed ticks/preset, host_cpus={host_cpus}");
     for (name, spec) in presets.iter() {
-        let cfg = |mode, macro_ticks| KernelConfig {
-            exec_mode: mode,
+        let cfg = |macro_ticks| KernelConfig {
             macro_ticks,
             ..Default::default()
         };
-        let serial = run_mode(
-            spec(),
-            cfg(ExecMode::Serial, MacroTicks::Auto),
-            warmup,
-            ticks,
-        );
-        let parallel = run_mode(
-            spec(),
-            cfg(ExecMode::Parallel { threads: 0 }, MacroTicks::Auto),
-            warmup,
-            ticks,
-        );
-        let single = run_mode(
-            spec(),
-            cfg(ExecMode::Serial, MacroTicks::Off),
-            warmup,
-            ticks,
-        );
-        let speedup = parallel.ticks_per_s / serial.ticks_per_s;
-        let drift = serial.instructions.abs_diff(parallel.instructions);
-        let macro_speedup = serial.ticks_per_s / single.ticks_per_s;
-        let macro_drift = serial.instructions.abs_diff(single.instructions);
+        let batched = run_mode(spec(), cfg(MacroTicks::Auto), warmup, ticks);
+        let single = run_mode(spec(), cfg(MacroTicks::Off), warmup, ticks);
+        let macro_speedup = batched.ticks_per_s / single.ticks_per_s;
+        let macro_drift = batched.instructions.abs_diff(single.instructions);
         println!(
-            "  {name:<22} serial {:>10.1} t/s   parallel {:>10.1} t/s   speedup {speedup:>5.2}x   drift {drift}",
-            serial.ticks_per_s, parallel.ticks_per_s
-        );
-        println!(
-            "  {:<22} 1-tick {:>10.1} t/s   macro speedup {macro_speedup:>6.2}x   drift {macro_drift}   coverage {:.1}%   plan hits {:.1}%",
-            "",
+            "  {name:<22} batched {:>10.1} t/s   1-tick {:>10.1} t/s   macro speedup {macro_speedup:>6.2}x   drift {macro_drift}   coverage {:.1}%   plan hits {:.1}%",
+            batched.ticks_per_s,
             single.ticks_per_s,
-            100.0 * serial.coverage,
-            100.0 * serial.plan_hit_rate
+            100.0 * batched.coverage,
+            100.0 * batched.plan_hit_rate
         );
-        assert_eq!(drift, 0, "{name}: parallel mode drifted from serial");
         assert_eq!(
             macro_drift, 0,
             "{name}: macro-tick run drifted from single-tick run"
         );
         w.key(name);
         w.begin_obj();
-        w.field_f64("serial_ticks_per_s", round2(serial.ticks_per_s));
-        w.field_f64("parallel_ticks_per_s", round2(parallel.ticks_per_s));
-        w.field_f64("speedup", round3(speedup));
-        w.field_u64("counter_drift", drift);
+        w.field_f64("serial_ticks_per_s", round2(batched.ticks_per_s));
         w.field_f64("single_tick_ticks_per_s", round2(single.ticks_per_s));
         w.field_f64("macro_speedup", round3(macro_speedup));
-        w.field_f64("macro_coverage", round4(serial.coverage));
+        w.field_f64("macro_coverage", round4(batched.coverage));
         w.field_u64("macro_counter_drift", macro_drift);
-        w.field_f64("plan_hit_rate", round4(serial.plan_hit_rate));
+        w.field_f64("plan_hit_rate", round4(batched.plan_hit_rate));
         w.end_obj();
     }
     w.end_obj();

@@ -2,7 +2,7 @@
 
 use simcpu::machine::MachineSpec;
 use simcpu::types::{CoreType, CpuMask};
-use simos::kernel::{ExecMode, Kernel, KernelConfig, KernelHandle};
+use simos::kernel::{Kernel, KernelConfig, KernelHandle};
 use telemetry::{average_runs, monitored_hpl_runs, DriverConfig, MonitoredRun};
 use workloads::hpl::{HplConfig, HplVariant};
 
@@ -22,9 +22,6 @@ pub fn tick_ns() -> u64 {
 fn kernel_config() -> KernelConfig {
     KernelConfig {
         tick_ns: tick_ns(),
-        // `SIM_EXEC_MODE=parallel[:N]` fans per-core execution out across
-        // host threads; counters are bit-identical either way (DESIGN.md §7).
-        exec_mode: ExecMode::from_env(),
         ..Default::default()
     }
 }

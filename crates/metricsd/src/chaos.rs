@@ -32,7 +32,7 @@
 //! per-frame deterministic, but wall-clock timing can reorder which
 //! frame meets which draw; use the pipe when bit-replayability matters.
 //!
-//! Env knobs (strict, like `SIM_EXEC_MODE` / `SIM_TRACE`): `SIM_CHAOS`
+//! Env knobs (strict, like `SIM_SCHED` / `SIM_TRACE`): `SIM_CHAOS`
 //! selects a preset by name, `SIM_CHAOS_SEED` sets the base seed.
 //! Unknown values panic — a typo'd knob silently injecting nothing is
 //! how "survived chaos" claims go wrong.

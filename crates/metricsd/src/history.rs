@@ -16,9 +16,8 @@
 //! thread, histograms merge bucket-wise, and the breach exemplar is the
 //! max by `(latency, trace_id)` — all order-free reductions — so with
 //! the virtual serve-cost model disabled (`serve_ns = 0`) the history
-//! and every query reply are bit-identical across Serial/Parallel
-//! execution, Force/Off macro-ticks, and 1/4/8 shards (asserted in
-//! `tests/history.rs`).
+//! and every query reply are bit-identical across Auto/Off macro-ticks
+//! and 1/4/8 shards (asserted in `tests/history.rs`).
 //!
 //! The **SLO watchdog** evaluates declarative [`SloSpec`] targets over
 //! a trailing window of tier-0 frames after every push. A breached

@@ -503,9 +503,9 @@ mod tests {
             let mut c = Collector::new(kernel);
             (0..40).map(|_| c.advance(10)).collect::<Vec<_>>()
         };
-        let forced = run(MacroTicks::Force);
+        let coalesced = run(MacroTicks::Auto);
         let off = run(MacroTicks::Off);
-        for (f, o) in forced.iter().zip(&off) {
+        for (f, o) in coalesced.iter().zip(&off) {
             assert_eq!(f.time_ns, o.time_ns);
             assert_eq!(f.temp_mc, o.temp_mc, "pump {}", f.tick);
             assert_eq!(f.energy_pkg_uj, o.energy_pkg_uj, "pump {}", f.tick);

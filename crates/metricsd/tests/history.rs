@@ -1,8 +1,8 @@
 //! History-store determinism: the rollup ring (and therefore every
 //! `QueryRange` answer and SLO verdict derived from it) must be a pure
-//! function of the seeded workload — bit-identical across execution
-//! mode (Serial vs Parallel), macro-tick coalescing (Force vs Off) and
-//! shard geometry (1/4/8), and unperturbed by turning tracing on.
+//! function of the seeded workload — bit-identical across macro-tick
+//! coalescing (Auto vs Off) and shard geometry (1/4/8), and unperturbed
+//! by turning tracing on.
 //!
 //! The one deliberate knob is `serve_ns: 0`: with a zero queueing term
 //! a read's latency depends only on snapshot age, never on its position
@@ -14,16 +14,15 @@ use metricsd::{Daemon, DaemonConfig, MetricsClient, SloSpec};
 use simcpu::machine::MachineSpec;
 use simcpu::phase::Phase;
 use simcpu::types::CpuMask;
-use simos::kernel::{ExecMode, Kernel, KernelConfig, KernelHandle, MacroTicks};
+use simos::kernel::{Kernel, KernelConfig, KernelHandle, MacroTicks};
 use simos::task::{Op, ScriptedProgram};
 use simtrace::TraceConfig;
 
-fn boot(exec_mode: ExecMode, macro_ticks: MacroTicks, traced: bool) -> KernelHandle {
+fn boot(macro_ticks: MacroTicks, traced: bool) -> KernelHandle {
     let kernel = Kernel::boot_handle(
         MachineSpec::raptor_lake_i7_13700(),
         KernelConfig {
             seed: 41,
-            exec_mode,
             macro_ticks,
             trace: if traced {
                 TraceConfig::enabled_with_cap(1 << 14)
@@ -61,14 +60,14 @@ struct RunOutcome {
 
 /// One deterministic session: subscribe, read every pump for `pumps`
 /// pumps, then interrogate the history over the wire and digest it.
-fn run(exec_mode: ExecMode, macro_ticks: MacroTicks, shards: usize, traced: bool) -> RunOutcome {
+fn run(macro_ticks: MacroTicks, shards: usize, traced: bool) -> RunOutcome {
     let trace_cfg = if traced {
         TraceConfig::enabled_with_cap(1 << 14)
     } else {
         TraceConfig::default()
     };
     let mut daemon = Daemon::new(
-        boot(exec_mode, macro_ticks, traced),
+        boot(macro_ticks, traced),
         DaemonConfig {
             shards,
             serve_ns: 0,
@@ -194,36 +193,32 @@ fn run(exec_mode: ExecMode, macro_ticks: MacroTicks, shards: usize, traced: bool
     }
 }
 
-/// The full matrix: Serial/Parallel × MacroTicks Force/Off × 1/4/8
-/// shards must produce ONE history digest, one counters digest, one
-/// p99 and one breach count.
+/// The full matrix: MacroTicks Auto/Off × 1/4/8 shards must produce ONE
+/// history digest, one counters digest, one p99 and one breach count.
 #[test]
-fn history_digest_invariant_across_exec_mode_macroticks_and_shards() {
-    let modes = [ExecMode::Serial, ExecMode::Parallel { threads: 0 }];
-    let coalescing = [MacroTicks::Force, MacroTicks::Off];
+fn history_digest_invariant_across_macroticks_and_shards() {
+    let coalescing = [MacroTicks::Auto, MacroTicks::Off];
     let shard_counts = [1usize, 4, 8];
     let mut golden: Option<RunOutcome> = None;
-    for mode in modes {
-        for mt in coalescing {
-            for shards in shard_counts {
-                let got = run(mode, mt, shards, false);
-                assert_eq!(got.wire_read_sum, 24, "{mode:?}/{mt:?}/{shards}");
-                assert!(got.wire_p99 > 0, "{mode:?}/{mt:?}/{shards}");
-                assert!(got.breaches >= 1, "impossible p99 SLO must breach");
-                match &golden {
-                    None => golden = Some(got),
-                    Some(g) => {
-                        assert_eq!(
-                            got.history_digest, g.history_digest,
-                            "history digest drifted at {mode:?}/{mt:?}/{shards} shards"
-                        );
-                        assert_eq!(
-                            got.counters_digest, g.counters_digest,
-                            "counters drifted at {mode:?}/{mt:?}/{shards} shards"
-                        );
-                        assert_eq!(got.wire_p99, g.wire_p99);
-                        assert_eq!(got.breaches, g.breaches);
-                    }
+    for mt in coalescing {
+        for shards in shard_counts {
+            let got = run(mt, shards, false);
+            assert_eq!(got.wire_read_sum, 24, "{mt:?}/{shards}");
+            assert!(got.wire_p99 > 0, "{mt:?}/{shards}");
+            assert!(got.breaches >= 1, "impossible p99 SLO must breach");
+            match &golden {
+                None => golden = Some(got),
+                Some(g) => {
+                    assert_eq!(
+                        got.history_digest, g.history_digest,
+                        "history digest drifted at {mt:?}/{shards} shards"
+                    );
+                    assert_eq!(
+                        got.counters_digest, g.counters_digest,
+                        "counters drifted at {mt:?}/{shards} shards"
+                    );
+                    assert_eq!(got.wire_p99, g.wire_p99);
+                    assert_eq!(got.breaches, g.breaches);
                 }
             }
         }
@@ -237,10 +232,7 @@ fn history_digest_invariant_across_exec_mode_macroticks_and_shards() {
 #[test]
 fn nested_traced_envelope_is_a_typed_error() {
     use metricsd::wire::{errcode, TraceCtx};
-    let mut daemon = Daemon::new(
-        boot(ExecMode::Serial, MacroTicks::Off, false),
-        DaemonConfig::default(),
-    );
+    let mut daemon = Daemon::new(boot(MacroTicks::Off, false), DaemonConfig::default());
     let connector = daemon.connector();
     let mut c = MetricsClient::new(connector.connect());
     let ctx = TraceCtx {
@@ -272,8 +264,8 @@ fn nested_traced_envelope_is_a_typed_error() {
 /// is counters, read totals, p99 and breach count.)
 #[test]
 fn tracing_does_not_perturb_counters_or_latency() {
-    let base = run(ExecMode::Serial, MacroTicks::Force, 4, false);
-    let traced = run(ExecMode::Serial, MacroTicks::Force, 4, true);
+    let base = run(MacroTicks::Auto, 4, false);
+    let traced = run(MacroTicks::Auto, 4, true);
     assert_eq!(traced.counters_digest, base.counters_digest);
     assert_eq!(traced.wire_read_sum, base.wire_read_sum);
     assert_eq!(traced.wire_p99, base.wire_p99);

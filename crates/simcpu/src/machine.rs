@@ -109,11 +109,10 @@ pub struct PowerReadings {
 /// The mutable hardware state private to one logical CPU.
 ///
 /// Everything here is touched by exactly one CPU's execution within a
-/// tick, so a caller may hand disjoint `&mut CoreSeat` slices (via
-/// [`Machine::seats_mut`] and `split_at_mut`) to worker threads and step
-/// cores in parallel. Cross-core state — the LLC analytic model, the RC
+/// tick; the kernel borrows the seat through [`Machine::seats_mut`] while
+/// it runs that CPU. Cross-core state — the LLC analytic model, the RC
 /// thermal node, RAPL, the per-cluster DVFS governors — stays behind the
-/// shared side of [`Machine`] and is only updated serially in
+/// shared side of [`Machine`] and is only updated in
 /// [`Machine::end_tick`].
 pub struct CoreSeat {
     /// This CPU's performance-monitoring hardware.
@@ -122,17 +121,15 @@ pub struct CoreSeat {
     /// tick by `end_tick`; read-only during execution).
     pub llc_share: u64,
     /// Memoized exec plans for phases recently run on this seat
-    /// (DESIGN.md §9). Fixed-size and inline: no heap, thread-confined
-    /// along with the rest of the seat.
+    /// (DESIGN.md §9). Fixed-size and inline: no heap.
     pub plan: PlanCache,
-    /// Per-CPU flight recorder (plan-cache hits/misses). Thread-confined
-    /// with the seat, so per-CPU streams are identical between serial
-    /// and parallel execution by construction.
+    /// Per-CPU flight recorder (plan-cache hits/misses).
     pub trace: TraceSink,
 }
 
-/// Hardware shared across all cores: anything one core's tick may not
-/// mutate, because another core's tick reads it concurrently.
+/// Hardware shared across all cores: anything one core's execution may not
+/// mutate, because every core's execution reads it. Only
+/// [`Machine::end_tick`] updates it.
 struct SharedHw {
     domains: Vec<FreqDomain>,
     rapl: RaplState,
@@ -335,8 +332,7 @@ impl Machine {
         &self.seats
     }
 
-    /// Mutable per-CPU seats: the parallel tick path splits this slice
-    /// with `split_at_mut` and hands disjoint chunks to worker threads.
+    /// Mutable per-CPU seats, indexed by CPU.
     pub fn seats_mut(&mut self) -> &mut [CoreSeat] {
         &mut self.seats
     }

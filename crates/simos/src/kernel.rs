@@ -44,63 +44,21 @@ pub enum Firmware {
     Acpi,
 }
 
-/// How the tick loop drives per-CPU execution.
+/// How the tick loop drives per-CPU execution. There is one path:
+/// every CPU runs in index order on the calling thread (DESIGN.md §7).
 ///
-/// Per-core work within a tick is independent until [`simcpu::Machine`]
-/// aggregates thermals/power/LLC in `end_tick`, so it can fan out across
-/// host threads. Results are reduced in fixed CPU order either way, so the
-/// two modes are bit-identical for any program whose behaviour does not
-/// depend on cross-thread timing (see DESIGN.md §7).
+/// This enum and [`KernelConfig::exec_mode`] remain only because the
+/// benchmark in `perfbench/src/hpl.rs` names `ExecMode::Serial`; remove
+/// both once that benchmark stops naming it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// Pick at boot: serial unless both the host and the simulated
-    /// machine have enough CPUs for the fan-out to pay for itself.
+    /// Execute CPUs one after another on the calling thread.
     #[default]
-    Auto,
-    /// Execute CPUs one after another on the calling thread (reference
-    /// path; allocation-free in steady state).
     Serial,
-    /// Fan per-CPU execution out over `threads` host threads via
-    /// `std::thread::scope`. `threads: 0` means "ask the host"
-    /// (`available_parallelism`).
-    Parallel { threads: usize },
-}
-
-impl ExecMode {
-    /// Parse `"auto"`, `"serial"`, `"parallel"` or `"parallel:<n>"`.
-    pub fn parse(s: &str) -> Option<ExecMode> {
-        match s.trim() {
-            "auto" => Some(ExecMode::Auto),
-            "serial" => Some(ExecMode::Serial),
-            "parallel" => Some(ExecMode::Parallel { threads: 0 }),
-            other => {
-                let n = other.strip_prefix("parallel:")?;
-                Some(ExecMode::Parallel {
-                    threads: n.parse().ok()?,
-                })
-            }
-        }
-    }
-
-    /// Read `SIM_EXEC_MODE` from the environment (default: auto).
-    ///
-    /// Panics on an unknown value — a typo'd mode silently falling back
-    /// to a default is exactly how benchmark numbers get mislabelled.
-    pub fn from_env() -> ExecMode {
-        match std::env::var("SIM_EXEC_MODE") {
-            Err(_) => ExecMode::default(),
-            Ok(v) => ExecMode::parse(&v).unwrap_or_else(|| {
-                panic!("SIM_EXEC_MODE: unknown value {v:?} (expected auto|serial|parallel|parallel:<n>)")
-            }),
-        }
-    }
 }
 
 /// Whether the tick loop may coalesce quiescent spans into macro-ticks
-/// (see [`Kernel::tick_batch`]). `Auto` and `Force` behave identically at
-/// runtime — the predicate gates every span either way — but `Force` in a
-/// test names the intent of pinning the feature on against a future Auto
-/// heuristic.
+/// (see [`Kernel::tick_batch`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MacroTicks {
     /// Never coalesce; `tick_batch` is a plain tick loop.
@@ -108,31 +66,6 @@ pub enum MacroTicks {
     /// Coalesce whenever the quiescence predicate allows (default).
     #[default]
     Auto,
-    /// As `Auto`, pinned on explicitly.
-    Force,
-}
-
-impl MacroTicks {
-    /// Parse `"off"`, `"auto"` or `"force"`.
-    pub fn parse(s: &str) -> Option<MacroTicks> {
-        match s.trim() {
-            "off" => Some(MacroTicks::Off),
-            "auto" => Some(MacroTicks::Auto),
-            "force" => Some(MacroTicks::Force),
-            _ => None,
-        }
-    }
-
-    /// Read `SIM_MACRO_TICKS` from the environment (default: auto).
-    /// Panics on an unknown value, like [`ExecMode::from_env`].
-    pub fn from_env() -> MacroTicks {
-        match std::env::var("SIM_MACRO_TICKS") {
-            Err(_) => MacroTicks::default(),
-            Ok(v) => MacroTicks::parse(&v).unwrap_or_else(|| {
-                panic!("SIM_MACRO_TICKS: unknown value {v:?} (expected off|auto|force)")
-            }),
-        }
-    }
 }
 
 /// Kernel configuration.
@@ -149,12 +82,9 @@ pub struct KernelConfig {
     pub seed: u64,
     /// ARM PMU naming style.
     pub firmware: Firmware,
-    /// Serial or parallel per-CPU execution within a tick.
+    /// Has no effect: kept only because the benchmark in
+    /// `perfbench/src/hpl.rs` names it (see [`ExecMode`]).
     pub exec_mode: ExecMode,
-    /// Memoize per-seat exec plans ([`simcpu::plan`]). Off recomputes the
-    /// miss profile / CPI / event vector from scratch every `advance` —
-    /// the reference the cached path is tested bit-identical against.
-    pub plan_cache: bool,
     /// Quiescent-span coalescing policy for [`Kernel::tick_batch`].
     pub macro_ticks: MacroTicks,
     /// Flight-recorder tracing (`SIM_TRACE` / `SIM_TRACE_CAP`; see
@@ -171,8 +101,7 @@ impl Default for KernelConfig {
             mux_interval_ns: 4_000_000,
             seed: 0x5eed,
             firmware: Firmware::DeviceTree,
-            exec_mode: ExecMode::Auto,
-            plan_cache: true,
+            exec_mode: ExecMode::Serial,
             macro_ticks: MacroTicks::Auto,
             trace: TraceConfig::from_env(),
         }
@@ -250,17 +179,17 @@ struct CpuPerfState {
 }
 
 /// A side effect of one core's execution that must be merged into shared
-/// kernel state. Workers record these per slot; the drain loop applies them
-/// in fixed CPU order, which keeps barrier queues and hook order identical
-/// between serial and parallel execution.
+/// kernel state. `exec_core` records at most one per core; the kernel
+/// applies them in ascending CPU order, which fixes barrier-queue and hook
+/// order.
 #[derive(Debug, Clone, Copy)]
 enum CtrlOp {
     Barrier(u32),
     Hook(HookId),
 }
 
-/// Everything one core needs to execute its tick, captured up front so the
-/// worker touches no shared kernel state.
+/// Everything one core needs to execute its tick, captured up front so
+/// `exec_core` touches no shared kernel state.
 #[derive(Debug, Clone)]
 struct CoreWork {
     pid: Pid,
@@ -271,8 +200,10 @@ struct CoreWork {
     /// Plan-cache invalidation epoch (the kernel's fault epoch); the seat
     /// cache drops its entries when this moves.
     plan_epoch: u64,
-    /// Whether to route `advance` through the seat's plan cache.
-    use_plan: bool,
+    /// Test-only oracle: bypass the seat's plan cache and recompute every
+    /// model input from scratch.
+    #[cfg(test)]
+    uncached: bool,
 }
 
 /// Upper bound on recorded advance-iterations in a steady template. A
@@ -337,16 +268,6 @@ impl Default for CoreOut {
     }
 }
 
-/// Per-CPU staging slot for the parallel path: the task is moved out of the
-/// table into its slot, executed by whichever worker owns the slot's chunk,
-/// and moved back during the in-order drain.
-#[derive(Default)]
-struct ExecSlot {
-    task: Option<Task>,
-    work: Option<CoreWork>,
-    out: CoreOut,
-}
-
 /// Reusable per-tick buffers. Everything `tick()` used to allocate lives
 /// here, sized once at boot, so the steady-state hot loop is allocation-free.
 struct TickScratch {
@@ -355,7 +276,6 @@ struct TickScratch {
     deltas: Vec<EventCounts>,
     run_ns: Vec<u64>,
     sw_meta: Vec<SwDelta>,
-    slots: Vec<ExecSlot>,
     /// Last tick's full per-CPU outputs — the macro-tick replay templates.
     outs: Vec<CoreOut>,
 }
@@ -368,7 +288,6 @@ impl TickScratch {
             deltas: vec![EventCounts::ZERO; n],
             run_ns: vec![0; n],
             sw_meta: vec![SwDelta::default(); n],
-            slots: (0..n).map(|_| ExecSlot::default()).collect(),
             outs: vec![CoreOut::default(); n],
         }
     }
@@ -412,10 +331,8 @@ pub struct Kernel {
     online: Vec<bool>,
     /// Installed fault-injection state, if any.
     faults: Option<FaultState>,
-    /// Core type per CPU index (immutable topology, shared with workers).
+    /// Core type per CPU index (immutable topology).
     core_types: Vec<CoreType>,
-    /// Worker threads for per-CPU execution; 0 = the serial reference path.
-    exec_threads: usize,
     /// Reusable per-tick buffers.
     scratch: TickScratch,
     /// Bumped whenever a fault (or fault reversal) fires — the per-seat
@@ -434,6 +351,10 @@ pub struct Kernel {
     /// Kernel-domain flight recorder (ticks, macro spans, migrations,
     /// faults). Hardware and per-CPU events live in the machine's sinks.
     trace: TraceSink,
+    /// Test-only oracle switch: route `exec_core` through the uncached
+    /// `exec::advance` / `exec::llc_pressure` model.
+    #[cfg(test)]
+    uncached: bool,
 }
 
 impl Kernel {
@@ -451,26 +372,6 @@ impl Kernel {
             })
             .collect();
         let pmus = Self::register_pmus(&machine, cfg.firmware);
-        let host_threads = || {
-            std::thread::available_parallelism()
-                .map(|v| v.get())
-                .unwrap_or(1)
-        };
-        let exec_threads = match cfg.exec_mode {
-            ExecMode::Serial => 0,
-            // Auto: the fan-out only pays off with real host parallelism
-            // and enough simulated CPUs to amortise the thread scope.
-            ExecMode::Auto => {
-                let host = host_threads();
-                if host < 2 || n < 8 {
-                    0
-                } else {
-                    host
-                }
-            }
-            ExecMode::Parallel { threads: 0 } => host_threads(),
-            ExecMode::Parallel { threads } => threads,
-        };
         let sched_max_khz: Vec<u64> = machine
             .cpus()
             .iter()
@@ -506,13 +407,14 @@ impl Kernel {
             online: vec![true; n],
             faults: None,
             core_types: machine.cpus().iter().map(|c| c.core_type()).collect(),
-            exec_threads,
             scratch: TickScratch::new(n),
             fault_epoch: 0,
             tick_count: 0,
             replayed_ticks: 0,
             ctx_stable: false,
             trace: TraceSink::new(&cfg.trace),
+            #[cfg(test)]
+            uncached: false,
             machine,
             cfg,
         }
@@ -1368,19 +1270,13 @@ impl Kernel {
             &mut self.trace,
         );
 
-        // 2. Execute each CPU into its indexed scratch slot. Both paths
-        //    produce identical scratch contents; the parallel one merely
-        //    computes them on several host threads.
+        // 2. Execute each CPU into its indexed scratch slot.
         self.scratch.loads.fill(CpuLoad::default());
         self.scratch.deltas.fill(EventCounts::ZERO);
         self.scratch.run_ns.fill(0);
         self.scratch.sw_meta.fill(SwDelta::default());
         self.scratch.outs.fill(CoreOut::default());
-        if self.exec_threads == 0 {
-            self.exec_cores_serial(dt);
-        } else {
-            self.exec_cores_parallel(dt);
-        }
+        self.exec_cores(dt);
 
         // 3. Perf accounting.
         self.perf_tick(dt);
@@ -1651,41 +1547,15 @@ impl Kernel {
             prev: self.scratch.prev_current[cpu_idx],
             ctx: self.machine.exec_context(cpu, smt_busy),
             plan_epoch: self.fault_epoch,
-            use_plan: self.cfg.plan_cache,
+            #[cfg(test)]
+            uncached: self.uncached,
         })
     }
 
-    /// Merge one core's outputs into the shared kernel state. Called in
-    /// ascending CPU order by both execution paths.
-    fn apply_core_out(&mut self, cpu_idx: usize, pid: Pid, out: &CoreOut) {
-        self.scratch.loads[cpu_idx] = out.load;
-        self.scratch.deltas[cpu_idx] = out.delta;
-        self.scratch.run_ns[cpu_idx] = out.run_ns;
-        self.scratch.sw_meta[cpu_idx] = out.sw;
-        if out.sw.migrated {
-            // Recorded here (the in-order drain shared by the serial and
-            // parallel paths) so the kernel track is execution-mode
-            // independent.
-            self.trace.record(
-                self.time_ns,
-                EventKind::SchedMigrate,
-                cpu_idx as u32,
-                pid.0 as u64,
-                0,
-            );
-        }
-        match out.ctrl {
-            Some(CtrlOp::Barrier(id)) => {
-                self.barriers.entry(id).or_default().waiting.push(pid);
-            }
-            Some(CtrlOp::Hook(h)) => self.pending_hooks.push((pid, h)),
-            None => {}
-        }
-    }
-
-    /// The reference execution path: one CPU after another, in index order,
-    /// on the calling thread.
-    fn exec_cores_serial(&mut self, dt: Nanos) {
+    /// Execute one CPU after another, in index order, on the calling
+    /// thread, merging each core's outputs — its `CtrlOp` included — into
+    /// the shared kernel state in that order.
+    fn exec_cores(&mut self, dt: Nanos) {
         let now = self.time_ns;
         for cpu_idx in 0..self.machine.n_cpus() {
             let Some(work) = self.stage_core(cpu_idx) else {
@@ -1704,76 +1574,27 @@ impl Kernel {
                 &mut self.machine.seats_mut()[cpu_idx],
                 &mut out,
             );
-            self.apply_core_out(cpu_idx, pid, &out);
+            self.scratch.loads[cpu_idx] = out.load;
+            self.scratch.deltas[cpu_idx] = out.delta;
+            self.scratch.run_ns[cpu_idx] = out.run_ns;
+            self.scratch.sw_meta[cpu_idx] = out.sw;
             self.scratch.outs[cpu_idx] = out;
-        }
-    }
-
-    /// Fan per-CPU execution out over `exec_threads` host threads. Each
-    /// worker owns a contiguous `split_at_mut` chunk of slots and the
-    /// matching [`simcpu::machine::CoreSeat`] chunk; outputs land in indexed
-    /// slots and are reduced in ascending CPU order afterwards, so the
-    /// result is bit-identical to [`Kernel::exec_cores_serial`].
-    fn exec_cores_parallel(&mut self, dt: Nanos) {
-        let now = self.time_ns;
-        let n = self.machine.n_cpus();
-
-        // Stage: move each scheduled task out of the table into its slot.
-        let mut busy = 0usize;
-        for cpu_idx in 0..n {
-            let work = self.stage_core(cpu_idx);
-            let slot = &mut self.scratch.slots[cpu_idx];
-            slot.out = CoreOut::default();
-            slot.task = match &work {
-                Some(w) => {
-                    busy += 1;
-                    self.tasks[w.pid.0 as usize].take()
-                }
-                None => None,
-            };
-            slot.work = work;
-        }
-
-        if busy > 0 {
-            let workers = self.exec_threads.min(busy).max(1);
-            let core_types = &self.core_types;
-            let mut slots = &mut self.scratch.slots[..];
-            let mut seats = self.machine.seats_mut();
-            if workers <= 1 {
-                run_core_chunk(dt, now, core_types, slots, seats);
-            } else {
-                let per = n.div_ceil(workers);
-                std::thread::scope(|scope| {
-                    while slots.len() > per {
-                        let (slot_head, slot_tail) = slots.split_at_mut(per);
-                        let (seat_head, seat_tail) = seats.split_at_mut(per);
-                        slots = slot_tail;
-                        seats = seat_tail;
-                        if slot_head.iter().any(|s| s.work.is_some()) {
-                            scope.spawn(move || {
-                                run_core_chunk(dt, now, core_types, slot_head, seat_head)
-                            });
-                        }
-                    }
-                    run_core_chunk(dt, now, core_types, slots, seats);
-                });
+            if out.sw.migrated {
+                self.trace.record(
+                    self.time_ns,
+                    EventKind::SchedMigrate,
+                    cpu_idx as u32,
+                    pid.0 as u64,
+                    0,
+                );
             }
-        }
-
-        // Drain in ascending CPU order: tasks go back to the table and side
-        // effects merge in the same order the serial path produced them.
-        for cpu_idx in 0..n {
-            let (pid, task, out) = {
-                let slot = &mut self.scratch.slots[cpu_idx];
-                let Some(work) = slot.work.take() else {
-                    continue;
-                };
-                let task = slot.task.take().expect("staged slot kept its task");
-                (work.pid, task, slot.out)
-            };
-            self.tasks[pid.0 as usize] = Some(task);
-            self.apply_core_out(cpu_idx, pid, &out);
-            self.scratch.outs[cpu_idx] = out;
+            match out.ctrl {
+                Some(CtrlOp::Barrier(id)) => {
+                    self.barriers.entry(id).or_default().waiting.push(pid);
+                }
+                Some(CtrlOp::Hook(h)) => self.pending_hooks.push((pid, h)),
+                None => {}
+            }
         }
     }
 
@@ -1956,8 +1777,7 @@ impl Kernel {
                     Some(PmuKind::Rapl) | Some(PmuKind::Uncore) | None => {}
                 }
             }
-            // (The physical PMU slots were updated by `exec_core` — per-CPU
-            // state, so it happens on whichever thread ran the core.)
+            // (The physical PMU slots were updated by `exec_core`.)
         }
     }
 
@@ -2095,32 +1915,12 @@ impl Kernel {
     }
 }
 
-/// Execute every staged slot in a contiguous chunk, against the matching
-/// chunk of per-core hardware seats. Free function (no `&mut Kernel`) so the
-/// parallel path can run it from scoped worker threads.
-fn run_core_chunk(
-    dt: Nanos,
-    now: Nanos,
-    core_types: &[CoreType],
-    slots: &mut [ExecSlot],
-    seats: &mut [CoreSeat],
-) {
-    for (slot, seat) in slots.iter_mut().zip(seats.iter_mut()) {
-        let Some(work) = slot.work.as_ref() else {
-            continue;
-        };
-        let task = slot.task.as_mut().expect("staged slot has its task");
-        exec_core(dt, now, work, core_types, task, seat, &mut slot.out);
-    }
-}
-
 /// Execute one core's tick: drive the task's program through the
 /// cycle-batch engine for up to one tick's worth of cycles, accounting
 /// context switches, migrations, stats and PMU counts.
 ///
-/// This touches only the task, this core's PMU and the output slot — no
-/// shared kernel state — which is what makes the per-core fan-out safe.
-/// Both execution modes funnel through here, so they cannot diverge.
+/// This touches only the task, this core's seat and the output slot; every
+/// shared side effect goes back to the kernel as a [`CtrlOp`].
 fn exec_core(
     dt: Nanos,
     now: Nanos,
@@ -2143,9 +1943,12 @@ fn exec_core(
     let core_type = core_types[cpu.0];
     let ct_idx = core_type_index(core_type);
     seat.plan.set_epoch(work.plan_epoch);
-    // Plan-cache deltas are recorded into the seat's own sink, so this
-    // stays thread-confined (serial == parallel) and costs one branch
-    // when tracing is off.
+    #[cfg(test)]
+    let uncached = work.uncached;
+    #[cfg(not(test))]
+    let uncached = false;
+    // Plan-cache deltas are recorded into the seat's own sink, which
+    // costs one branch when tracing is off.
     let plan_stats0 = if seat.trace.enabled() {
         Some(seat.plan.stats())
     } else {
@@ -2234,10 +2037,10 @@ fn exec_core(
         }
         // Advance the current phase.
         let ph = task.current.as_mut().unwrap();
-        let res = if work.use_plan {
-            exec::advance_planned(ph, budget, ctx, &mut seat.plan)
-        } else {
+        let res = if uncached {
             exec::advance(ph, budget, ctx)
+        } else {
+            exec::advance_planned(ph, budget, ctx, &mut seat.plan)
         };
         if res.instructions == 0 {
             // Cannot fit even one instruction in the leftover budget:
@@ -2276,10 +2079,10 @@ fn exec_core(
         flops += res.flops;
         let _ = flops;
         if let Some(cur) = task.current.as_ref() {
-            pressure = if work.use_plan {
-                exec::llc_pressure_planned(cur, ctx, &mut seat.plan)
-            } else {
+            pressure = if uncached {
                 exec::llc_pressure(cur, ctx.uarch, ctx.llc_share_bytes)
+            } else {
+                exec::llc_pressure_planned(cur, ctx, &mut seat.plan)
             };
         }
     }
@@ -2352,6 +2155,7 @@ pub fn run_with_hooks(
 mod tests {
     use super::*;
     use crate::task::ScriptedProgram;
+    use proptest::prelude::*;
     use simcpu::phase::Phase;
 
     fn raptor() -> Kernel {
@@ -3527,45 +3331,8 @@ mod tests {
         assert_ne!(a.1, c.1, "different seed draws a different wrap bias");
     }
 
-    // ---- execution modes --------------------------------------------------
-
-    #[test]
-    fn exec_mode_parses() {
-        assert_eq!(ExecMode::parse("auto"), Some(ExecMode::Auto));
-        assert_eq!(ExecMode::parse("serial"), Some(ExecMode::Serial));
-        assert_eq!(
-            ExecMode::parse("parallel"),
-            Some(ExecMode::Parallel { threads: 0 })
-        );
-        assert_eq!(
-            ExecMode::parse("parallel:6"),
-            Some(ExecMode::Parallel { threads: 6 })
-        );
-        assert_eq!(ExecMode::parse("parallel:x"), None);
-        assert_eq!(ExecMode::parse("turbo"), None);
-        assert_eq!(ExecMode::default(), ExecMode::Auto);
-        // Same strictness contract as SIM_TRACE/SIM_TRACE_CAP (simtrace):
-        // whitespace is tolerated, anything else unknown is rejected so
-        // `from_env` can panic instead of silently defaulting.
-        assert_eq!(ExecMode::parse(" serial "), Some(ExecMode::Serial));
-        assert_eq!(ExecMode::parse("SERIAL"), None);
-        assert_eq!(ExecMode::parse(""), None);
-        assert_eq!(ExecMode::parse("parallel:"), None);
-    }
-
-    #[test]
-    fn macro_ticks_parses() {
-        assert_eq!(MacroTicks::parse("off"), Some(MacroTicks::Off));
-        assert_eq!(MacroTicks::parse("auto"), Some(MacroTicks::Auto));
-        assert_eq!(MacroTicks::parse("force"), Some(MacroTicks::Force));
-        assert_eq!(MacroTicks::parse("on"), None);
-        assert_eq!(MacroTicks::parse(" force "), Some(MacroTicks::Force));
-        assert_eq!(MacroTicks::parse("Force"), None);
-        assert_eq!(MacroTicks::parse(""), None);
-    }
-
-    /// `SIM_SCHED` follows the same strict-parse contract as
-    /// `SIM_EXEC_MODE` / `SIM_MACRO_TICKS`: trimmed exact names only, so
+    /// `SIM_SCHED` follows the same strict-parse contract as `SIM_TRACE`
+    /// / `SIM_TRACE_CAP`: trimmed exact names only, so
     /// `SchedName::from_env` panics rather than silently defaulting.
     #[test]
     fn sim_sched_parses_like_the_other_env_knobs() {
@@ -3609,7 +3376,6 @@ mod tests {
             let mut k = Kernel::boot(
                 MachineSpec::skylake_quad(),
                 KernelConfig {
-                    exec_mode: ExecMode::Serial,
                     macro_ticks,
                     ..Default::default()
                 },
@@ -3627,19 +3393,19 @@ mod tests {
             }
             k
         };
-        let mut forced = boot(MacroTicks::Force);
+        let mut coalesced = boot(MacroTicks::Auto);
         let mut off = boot(MacroTicks::Off);
-        forced.tick_batch(500);
+        coalesced.tick_batch(500);
         off.tick_batch(500);
-        assert_eq!(forced.time_ns(), off.time_ns());
-        assert_eq!(observe(&forced), observe(&off));
+        assert_eq!(coalesced.time_ns(), off.time_ns());
+        assert_eq!(observe(&coalesced), observe(&off));
         assert_eq!(
-            forced
+            coalesced
                 .machine()
                 .energy_uj(simcpu::power::RaplDomain::Package),
             off.machine().energy_uj(simcpu::power::RaplDomain::Package)
         );
-        let (replayed, total) = forced.macro_stats();
+        let (replayed, total) = coalesced.macro_stats();
         assert_eq!(total, 500);
         // The first ~150 ms are a DVFS ramp (a new frequency every tick,
         // so no tick is replayable); the steady region coalesces.
@@ -3647,81 +3413,140 @@ mod tests {
         assert_eq!(off.macro_stats().0, 0);
     }
 
-    /// Boot a kernel in the given mode with a mixed workload: more tasks
-    /// than big cores, mixed phase shapes, a sleeper and pinned tasks, so
-    /// scheduling, migration and context-switch paths all fire.
-    fn mixed_workload_kernel(mode: ExecMode) -> Kernel {
-        let mut k = Kernel::boot(
-            MachineSpec::raptor_lake_i7_13700(),
-            KernelConfig {
-                exec_mode: mode,
-                ..Default::default()
-            },
-        );
-        let n = k.machine().n_cpus();
-        for i in 0..(n + 4) {
-            let ops = [
-                Op::Compute(Phase::scalar(4_000_000 + i as u64 * 137_000)),
-                Op::Sleep(2_000_000),
-                Op::Compute(Phase::stream(2_000_000, 64 << 20)),
-                Op::Compute(Phase::dgemm(3_000_000, 8 << 20, 0.3)),
-                Op::Exit,
-            ];
-            let mask = if i % 3 == 0 {
-                CpuMask::from_cpus([i % n])
-            } else {
-                CpuMask::first_n(n)
-            };
-            k.spawn(
-                &format!("w{i}"),
-                Box::new(ScriptedProgram::new(ops)),
-                mask,
-                0,
-            );
-        }
-        k
-    }
-
-    /// Full observable state after a run: every task's stats, every CPU's
-    /// raw PMU registers, and the RAPL energy ledger.
-    fn observable_state(k: &Kernel) -> (Vec<TaskStats>, Vec<Vec<u64>>, Vec<u64>) {
-        let stats = (0..)
-            .map_while(|i| k.task_stats(Pid(i)))
-            .collect::<Vec<_>>();
-        let pmu = (0..k.machine().n_cpus())
-            .map(|ci| {
-                let p = k.machine().pmu(CpuId(ci));
-                (0..p.n_fixed())
-                    .map(|i| p.read_fixed(i).unwrap())
-                    .chain((0..p.n_gp()).map(|i| p.read_gp(i).unwrap()))
-                    .collect()
+    /// A random but valid compute phase.
+    fn arb_phase() -> impl Strategy<Value = Phase> {
+        (
+            1_000u64..3_000_000,
+            0.0f64..0.6,
+            10u64..34,
+            0.0f64..1.0,
+            0.0f64..1.0,
+            0.0f64..1.0,
+            0.0f64..8.0,
+            0.0f64..1.0,
+            0.0f64..0.4,
+            0.0f64..0.2,
+        )
+            .prop_map(|(inst, mem, ws_log, r1, r2, r3, fpi, vf, br, bm)| Phase {
+                instructions: inst,
+                mem_ref_rate: mem,
+                working_set: 1u64 << ws_log,
+                reuse_l1: r1,
+                reuse_l2: r2,
+                reuse_llc: r3,
+                flops_per_inst: fpi,
+                vector_frac: vf,
+                branch_rate: br,
+                branch_miss_rate: bm,
             })
-            .collect();
-        let energy = [
-            RaplDomain::Package,
-            RaplDomain::Cores,
-            RaplDomain::Dram,
-            RaplDomain::Psys,
-        ]
-        .iter()
-        .map(|&d| k.machine().energy_uj(d))
-        .collect();
-        (stats, pmu, energy)
     }
 
-    #[test]
-    fn parallel_tick_is_bit_identical_to_serial() {
-        let run = |mode: ExecMode| {
-            let mut k = mixed_workload_kernel(mode);
-            for _ in 0..120 {
-                k.tick();
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Exec-plan cache invalidation: with DVFS ramps, hotplug and every
+        /// fault kind interleaved at random times, the plan-cached kernel
+        /// must stay bit-identical to the test-only oracle that recomputes
+        /// every model input from scratch (`Kernel::uncached`). A stale
+        /// cache entry — e.g. one surviving a frequency change or an
+        /// LLC-share shift after a CPU offline — would shift CPI and show
+        /// up in the digest.
+        #[test]
+        fn plan_cache_equals_uncached(
+            phases in proptest::collection::vec(arb_phase(), 2..6),
+            fault_picks in proptest::collection::vec((0usize..7, 1u64..110), 1..8),
+            ticks in 40u64..120,
+        ) {
+            let mut plan = FaultPlan::new(0xfaceb00c);
+            for &(kind, at_ms) in &fault_picks {
+                let at = at_ms * 1_000_000;
+                plan = match kind {
+                    0 => plan.at(at, FaultKind::CpuOffline {
+                        cpu: CpuId(1),
+                        down_ns: Some(30_000_000),
+                    }),
+                    1 => plan.at(at, FaultKind::NmiWatchdog {
+                        steal: ArchEvent::Instructions,
+                        hold_ns: Some(20_000_000),
+                    }),
+                    2 => plan.at(at, FaultKind::TransientOpen {
+                        errno: TransientErrno::Ebusy,
+                        count: 1,
+                    }),
+                    3 => plan.at(at, FaultKind::TransientRead {
+                        errno: TransientErrno::Eintr,
+                        count: 2,
+                    }),
+                    4 => plan.at(at, FaultKind::CounterWrap { headroom: 1_000_000 }),
+                    5 => plan.at(at, FaultKind::RaplWrapBurst { wraps: 1, extra_uj: 5_000 }),
+                    _ => plan.at(at, FaultKind::SysfsFlaky { dur_ns: 10_000_000 }),
+                };
             }
-            observable_state(&k)
-        };
-        let serial = run(ExecMode::Serial);
-        for threads in [1, 3, 8] {
-            let par = run(ExecMode::Parallel { threads });
-            assert_eq!(serial, par, "parallel:{threads} diverged from serial");
+            let run = |uncached: bool| -> u64 {
+                let mut k = Kernel::boot(
+                    MachineSpec::skylake_quad(),
+                    KernelConfig {
+                        seed: 0x5eed_cafe,
+                        ..Default::default()
+                    },
+                );
+                k.uncached = uncached;
+                let n = k.machine().n_cpus();
+                for (i, ph) in phases.iter().enumerate() {
+                    let mask = if i % 2 == 0 {
+                        CpuMask::from_cpus([i % n])
+                    } else {
+                        CpuMask::first_n(n)
+                    };
+                    k.spawn(
+                        "w",
+                        Box::new(ScriptedProgram::new([
+                            Op::Compute(ph.clone()),
+                            Op::Compute(Phase::scalar(40_000_000)),
+                            Op::Exit,
+                        ])),
+                        mask,
+                        0,
+                    );
+                }
+                k.install_faults(&plan);
+                for _ in 0..ticks {
+                    k.tick();
+                }
+                if uncached {
+                    assert_eq!(k.plan_cache_stats(), (0, 0), "oracle probed the cache");
+                }
+                // FNV-1a over everything the exec model influences.
+                let mut h = 0xcbf2_9ce4_8422_2325u64;
+                let mut fold = |v: u64| {
+                    for b in v.to_le_bytes() {
+                        h ^= b as u64;
+                        h = h.wrapping_mul(0x100_0000_01b3);
+                    }
+                };
+                let mut pid = 0;
+                while let Some(s) = k.task_stats(Pid(pid)) {
+                    fold(s.instructions);
+                    fold(s.cycles);
+                    fold(s.runtime_ns);
+                    fold(s.flops.to_bits());
+                    pid += 1;
+                }
+                for ci in 0..n {
+                    let p = k.machine().pmu(CpuId(ci));
+                    for i in 0..p.n_fixed() {
+                        fold(p.read_fixed(i).unwrap());
+                    }
+                    for i in 0..p.n_gp() {
+                        fold(p.read_gp(i).unwrap());
+                    }
+                    fold(k.machine().freq_khz(CpuId(ci)));
+                }
+                fold(k.machine().energy_uj(RaplDomain::Package));
+                fold(k.fault_log().len() as u64);
+                h
+            };
+            prop_assert_eq!(run(false), run(true));
         }
     }
 

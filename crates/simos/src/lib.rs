@@ -37,7 +37,7 @@ pub mod sysfs;
 pub mod task;
 
 pub use faults::{FaultKind, FaultPlan, FaultRecord, TransientErrno};
-pub use kernel::{ExecMode, Kernel, KernelConfig, KernelHandle, SyscallStats};
+pub use kernel::{Kernel, KernelConfig, KernelHandle, SyscallStats};
 pub use perf::{EventFd, PerfAttr, PerfError, PmuDesc, PmuKind, ReadValue, Target};
 pub use simsched::{KernelCtx, Migration, SchedName, Scheduler, TaskView};
 pub use task::{HookId, Op, Pid, ProgCtx, Program, TaskStats};

@@ -530,8 +530,8 @@ impl SchedName {
     }
 
     /// Parse a registry name. Same strictness contract as
-    /// `SIM_EXEC_MODE`/`SIM_MACRO_TICKS`: whitespace tolerated, anything
-    /// else unknown rejected so `from_env` can panic instead of silently
+    /// `SIM_TRACE`/`SIM_TRACE_CAP`: whitespace tolerated, anything else
+    /// unknown rejected so `from_env` can panic instead of silently
     /// defaulting.
     pub fn parse(s: &str) -> Option<SchedName> {
         match s.trim() {
@@ -545,7 +545,7 @@ impl SchedName {
     }
 
     /// Read `SIM_SCHED` from the environment (default: cfs). Panics on an
-    /// unknown value, like `ExecMode::from_env`.
+    /// unknown value, like `simtrace::TraceConfig::from_env`.
     pub fn from_env() -> SchedName {
         match std::env::var("SIM_SCHED") {
             Err(_) => SchedName::default(),

@@ -23,9 +23,9 @@
 //! dump.
 //!
 //! Knobs: `SIM_TRACE` (`off`|`on`) and `SIM_TRACE_CAP` (ring capacity in
-//! events, per sink). Unknown values panic, matching `SIM_EXEC_MODE` —
-//! a typo'd knob silently tracing nothing is how overhead measurements
-//! get mislabelled.
+//! events, per sink). Unknown values panic, matching `SIM_SCHED` — a
+//! typo'd knob silently tracing nothing is how overhead measurements get
+//! mislabelled.
 
 pub mod export;
 pub mod metrics;
@@ -121,7 +121,7 @@ pub enum EventKind {
     /// The scheduler placed a queued task on a free CPU (`select_cpu`).
     /// `code` = cpu, `a` = pid. Fires only when an unplaced task lands,
     /// never for tasks staying put — steady-state ticks emit nothing, so
-    /// MacroTicks Force≡Off holds on the kernel track.
+    /// MacroTicks Auto≡Off holds on the kernel track.
     SchedDispatch,
     /// The scheduler preempted a running task (`dispatch`). `code` = cpu,
     /// `a` = winning pid, `b` = evicted pid.
@@ -250,7 +250,7 @@ impl EventKind {
     }
 
     /// Macro-tick bookkeeping emitted only by the coalescing path. A
-    /// Force-vs-Off stream comparison filters these (DESIGN.md §10): the
+    /// coalescing-vs-Off stream comparison filters these (DESIGN.md §10): the
     /// simulation they describe is identical, the summary is not.
     pub fn is_macro_summary(self) -> bool {
         matches!(
@@ -508,9 +508,10 @@ impl TraceConfig {
     /// Read `SIM_TRACE` / `SIM_TRACE_CAP` from the environment (default:
     /// off, [`DEFAULT_CAP`]).
     ///
-    /// Panics on an unknown value, like `ExecMode::from_env`: a typo'd
-    /// knob silently not tracing (or silently truncating the ring) is
-    /// exactly how overhead and coverage numbers get mislabelled.
+    /// Panics on an unknown value, like `SchedName::from_env` in `simos`:
+    /// a typo'd knob silently not tracing (or silently truncating the
+    /// ring) is exactly how overhead and coverage numbers get
+    /// mislabelled.
     pub fn from_env() -> TraceConfig {
         let enabled = match std::env::var("SIM_TRACE") {
             Err(_) => false,

@@ -27,13 +27,13 @@
 use simcpu::machine::MachineSpec;
 use simcpu::power::RaplDomain;
 use simcpu::types::{CpuId, CpuMask};
-use simos::kernel::{ExecMode, Kernel, KernelConfig};
+use simos::kernel::{Kernel, KernelConfig};
 use simos::{FaultKind, FaultPlan, SchedName, TransientErrno};
 
 use crate::hpl::{run_to_completion, spawn_hpl_free, HplConfig, HplTuning, HplVariant};
 
 /// The tournament seed: every case boots the kernel with it, so reruns
-/// (and Serial-vs-Parallel drift checks) are bit-identical.
+/// are bit-identical.
 pub const TOURNAMENT_SEED: u64 = 0x5eed_cafe;
 
 /// One tournament scenario: a machine, a worker team, and adversity.
@@ -148,12 +148,11 @@ pub fn orangepi_scenario(scale: u64) -> Scenario {
 
 /// Run one scheduler through one scenario. Fresh machine, fixed seed:
 /// same inputs → bit-identical [`Outcome`].
-pub fn run_case(sc: &Scenario, sched: SchedName, exec: ExecMode) -> Outcome {
+pub fn run_case(sc: &Scenario, sched: SchedName) -> Outcome {
     let kernel = Kernel::boot_handle(
         (sc.machine)(),
         KernelConfig {
             tick_ns: sc.tick_ns,
-            exec_mode: exec,
             sched,
             seed: TOURNAMENT_SEED,
             ..Default::default()
@@ -198,24 +197,15 @@ pub fn run_case(sc: &Scenario, sched: SchedName, exec: ExecMode) -> Outcome {
     }
 }
 
-/// Replay-drift check: the same Serial case twice must agree on
-/// *everything* to the bit — Gflops, makespan, simulated time, migration
-/// count, and integrated energy. This is the determinism contract the
-/// tournament numbers rest on.
-///
-/// Serial-vs-Parallel bit-identity is deliberately *not* checked here:
-/// HPL workers coordinate through an `Arc<Mutex<HplShared>>` (dynamic
-/// chunks, barriers, solve timestamps), and DESIGN.md §7 scopes the
-/// cross-mode guarantee to programs that are pure functions of their own
-/// task history — intra-tick lock order may re-attribute spin cycles
-/// (and hence vruntime, and hence post-fault queue order) between modes.
-/// Cross-mode identity for every scheduler is enforced on pure scripted
-/// workloads by `tests/determinism.rs::every_scheduler_is_deterministic`.
+/// Replay-drift check: the same case twice must agree on *everything* to
+/// the bit — Gflops, makespan, simulated time, migration count, and
+/// integrated energy. This is the determinism contract the tournament
+/// numbers rest on.
 ///
 /// Returns the outcome; panics on drift.
 pub fn assert_no_drift(sc: &Scenario, sched: SchedName) -> Outcome {
-    let a = run_case(sc, sched, ExecMode::Serial);
-    let a2 = run_case(sc, sched, ExecMode::Serial);
+    let a = run_case(sc, sched);
+    let a2 = run_case(sc, sched);
     assert_eq!(
         (
             a.gflops.to_bits(),
@@ -231,7 +221,7 @@ pub fn assert_no_drift(sc: &Scenario, sched: SchedName) -> Outcome {
             a2.migrations,
             a2.energy_uj.to_bits(),
         ),
-        "{}/{}: Serial replay drifted",
+        "{}/{}: replay drifted",
         sc.name,
         sched.as_str()
     );
@@ -257,8 +247,8 @@ mod tests {
     #[test]
     fn outcome_is_reproducible() {
         let sc = raptor_scenario(64);
-        let a = run_case(&sc, SchedName::Vtime, ExecMode::Serial);
-        let b = run_case(&sc, SchedName::Vtime, ExecMode::Serial);
+        let a = run_case(&sc, SchedName::Vtime);
+        let b = run_case(&sc, SchedName::Vtime);
         assert_eq!(a.gflops.to_bits(), b.gflops.to_bits());
         assert_eq!(a.migrations, b.migrations);
         assert_eq!(a.energy_uj.to_bits(), b.energy_uj.to_bits());

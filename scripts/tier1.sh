@@ -71,10 +71,10 @@ echo "== bench (compile only) =="
 cargo bench --offline --workspace --no-run
 
 echo "== tick throughput (quick, emits BENCH_tick.json) =="
-# Perf *baseline*, not a gate: ticks/sec and serial-vs-parallel speedup per
-# preset land in BENCH_tick.json for future PRs to diff. The only hard
-# assertion inside is counter_drift == 0 (parallel must match serial
-# bit-for-bit); speedup depends on host_cpus and is judged by the reader.
+# Perf *baseline*, not a gate: batched and single-tick ticks/sec per preset
+# (with host_cpus) land in BENCH_tick.json for future PRs to diff. The only
+# hard assertion inside is macro_counter_drift == 0 (the macro-tick run must
+# match the single-tick run bit-for-bit).
 cargo run --offline --release -p bench-harness --bin tickbench -- --quick
 
 echo "== exec hot path (quick, emits BENCH_exec.json) =="

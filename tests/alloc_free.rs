@@ -10,7 +10,7 @@
 use simcpu::machine::MachineSpec;
 use simcpu::phase::Phase;
 use simcpu::types::CpuMask;
-use simos::kernel::{ExecMode, Kernel, KernelConfig};
+use simos::kernel::{Kernel, KernelConfig};
 use simos::task::Op;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -42,12 +42,7 @@ static MEASURE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 #[test]
 fn steady_state_tick_is_allocation_free() {
-    // Serial explicitly: `ExecMode::Auto` may pick the parallel path on a
-    // multicore host, and `thread::scope` allocates per tick by design.
-    measure_steady_state(KernelConfig {
-        exec_mode: ExecMode::Serial,
-        ..Default::default()
-    });
+    measure_steady_state(KernelConfig::default());
 }
 
 /// The flight recorder must keep the guarantee when enabled: the ring is
@@ -56,7 +51,6 @@ fn steady_state_tick_is_allocation_free() {
 #[test]
 fn steady_state_tick_is_allocation_free_with_tracing() {
     measure_steady_state(KernelConfig {
-        exec_mode: ExecMode::Serial,
         trace: simtrace::TraceConfig::enabled_with_cap(4096),
         ..Default::default()
     });

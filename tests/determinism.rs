@@ -1,13 +1,13 @@
 //! Golden determinism conformance suite.
 //!
-//! The parallel tick path (DESIGN.md §7) promises: same seed, same machine,
-//! same workload ⇒ **bit-identical** observable state at any thread count,
-//! including under fault injection. This suite runs a seeded mixed workload
-//! with a full `FaultPlan` on every machine preset, folds *everything*
-//! observable (perf reads, raw PMU registers, RAPL energy, the fault log,
-//! task stats, DVFS frequencies) into one FNV-1a hash, and asserts the hash
-//! is identical across `ExecMode::Serial`, `parallel:1`, `parallel:3`,
-//! `parallel:8`, and two back-to-back same-seed serial runs.
+//! The tick loop (DESIGN.md §7) promises: same seed, same machine, same
+//! workload ⇒ **bit-identical** observable state, including under fault
+//! injection. This suite runs a seeded mixed workload with a full
+//! `FaultPlan` on every machine preset, folds *everything* observable
+//! (perf reads, raw PMU registers, RAPL energy, the fault log, task stats,
+//! DVFS frequencies) into one FNV-1a hash, and asserts the hash is
+//! identical across two back-to-back same-seed runs and across per-tick
+//! and batched (macro-tick on and off) tick loops.
 
 use simcpu::events::ArchEvent;
 use simcpu::machine::MachineSpec;
@@ -15,7 +15,7 @@ use simcpu::phase::Phase;
 use simcpu::power::RaplDomain;
 use simcpu::types::{CpuId, CpuMask};
 use simos::faults::{FaultKind, FaultPlan, TransientErrno};
-use simos::kernel::{ExecMode, Kernel, KernelConfig, MacroTicks};
+use simos::kernel::{Kernel, KernelConfig, MacroTicks};
 use simos::perf::{EventConfig, EventFd, PerfAttr, PmuKind, RaplConfig, Target, UncoreConfig};
 use simos::simsched::SchedName;
 use simos::task::{Op, Pid, ScriptedProgram};
@@ -265,11 +265,10 @@ fn mid_open(k: &mut Kernel, fds: &mut Vec<EventFd>, h: &mut Fnv) {
 }
 
 /// Run the scenario for 400 ticks and fold all observable state into a hash.
-fn run_case(spec: MachineSpec, mode: ExecMode) -> u64 {
+fn run_case(spec: MachineSpec) -> u64 {
     run_case_cfg(
         spec,
         KernelConfig {
-            exec_mode: mode,
             seed: 0x5eed_cafe,
             ..Default::default()
         },
@@ -368,35 +367,24 @@ fn digest(k: &mut Kernel, fds: &[EventFd], h: &mut Fnv) {
 }
 
 fn conformance(name: &str, spec: fn() -> MachineSpec) {
-    let golden = run_case(spec(), ExecMode::Serial);
-    let replay = run_case(spec(), ExecMode::Serial);
-    assert_eq!(
-        golden, replay,
-        "{name}: serial replay with the same seed diverged"
-    );
-    for threads in [1usize, 3, 8] {
-        let par = run_case(spec(), ExecMode::Parallel { threads });
-        assert_eq!(
-            golden, par,
-            "{name}: parallel:{threads} diverged from serial"
-        );
-    }
+    let golden = run_case(spec());
+    let replay = run_case(spec());
+    assert_eq!(golden, replay, "{name}: replay with the same seed diverged");
     macro_conformance(name, spec, golden);
     region_conformance(name, spec);
 }
 
 /// Marker-region conformance: a full `Regions` measurement (hybrid
 /// hardware presets per core type + the software presets, region hooks,
-/// report rendering) folded into a digest must replay bit-identically
-/// and match across exec modes on every preset.
+/// report rendering) folded into a digest must replay bit-identically on
+/// every preset.
 fn region_conformance(name: &str, spec: fn() -> MachineSpec) {
     use perftool::regions::{begin_hook, end_hook, RegionConfig, RegionId, Regions};
     use workloads::micro::Analytic;
-    let run = |mode: ExecMode| -> u64 {
+    let run = || -> u64 {
         let kernel = Kernel::boot_handle(
             spec(),
             KernelConfig {
-                exec_mode: mode,
                 seed: 0x5eed_cafe,
                 ..Default::default()
             },
@@ -432,28 +420,17 @@ fn region_conformance(name: &str, spec: fn() -> MachineSpec) {
         h.str(&report.render());
         h.0
     };
-    let golden = run(ExecMode::Serial);
-    assert_eq!(
-        golden,
-        run(ExecMode::Serial),
-        "{name}: marker-region serial replay diverged"
-    );
-    assert_eq!(
-        golden,
-        run(ExecMode::Parallel { threads: 3 }),
-        "{name}: marker-region parallel run diverged from serial"
-    );
+    assert_eq!(run(), run(), "{name}: marker-region replay diverged");
 }
 
-/// Macro-tick conformance: `tick_batch` with quiescent coalescing forced on
-/// and forced off must both reproduce the per-tick serial golden hash, even
-/// with the full fault plan and the mid-run open in play.
+/// Macro-tick conformance: `tick_batch` with quiescent coalescing on and
+/// off must both reproduce the per-tick golden hash, even with the full
+/// fault plan and the mid-run open in play.
 fn macro_conformance(name: &str, spec: fn() -> MachineSpec, golden: u64) {
-    for macro_ticks in [MacroTicks::Force, MacroTicks::Off] {
+    for macro_ticks in [MacroTicks::Auto, MacroTicks::Off] {
         let h = run_case_cfg(
             spec(),
             KernelConfig {
-                exec_mode: ExecMode::Serial,
                 seed: 0x5eed_cafe,
                 macro_ticks,
                 ..Default::default()
@@ -462,7 +439,7 @@ fn macro_conformance(name: &str, spec: fn() -> MachineSpec, golden: u64) {
         );
         assert_eq!(
             golden, h,
-            "{name}: batched run with macro_ticks={macro_ticks:?} diverged from per-tick serial"
+            "{name}: batched run with macro_ticks={macro_ticks:?} diverged from per-tick run"
         );
     }
 }
@@ -476,7 +453,6 @@ fn macro_ticks_coalesce_and_match() {
         let mut k = Kernel::boot(
             MachineSpec::skylake_quad(),
             KernelConfig {
-                exec_mode: ExecMode::Serial,
                 seed: 0x5eed_cafe,
                 macro_ticks,
                 ..Default::default()
@@ -498,9 +474,12 @@ fn macro_ticks_coalesce_and_match() {
         digest(&mut k, &[], &mut h);
         (h.0, k.macro_stats())
     };
-    let (forced, (replayed, total)) = run(MacroTicks::Force);
+    let (coalesced, (replayed, total)) = run(MacroTicks::Auto);
     let (off, (off_replayed, _)) = run(MacroTicks::Off);
-    assert_eq!(forced, off, "macro-tick digest diverged from per-tick run");
+    assert_eq!(
+        coalesced, off,
+        "macro-tick digest diverged from per-tick run"
+    );
     assert_eq!(total, 500);
     assert_eq!(off_replayed, 0, "MacroTicks::Off must never coalesce");
     // The DVFS slew ramp (~143 ticks on skylake_quad) is correctly
@@ -513,26 +492,23 @@ fn macro_ticks_coalesce_and_match() {
 
 /// The flight recorder is a pure observer: running the full conformance
 /// scenario with tracing on (big enough rings that nothing drops) must
-/// reproduce the untraced serial golden digest bit-for-bit.
+/// reproduce the untraced golden digest bit-for-bit.
 #[test]
 fn tracing_does_not_perturb_the_golden_digest() {
-    let golden = run_case(MachineSpec::skylake_quad(), ExecMode::Serial);
-    for exec_mode in [ExecMode::Serial, ExecMode::Parallel { threads: 3 }] {
-        let traced = run_case_cfg(
-            MachineSpec::skylake_quad(),
-            KernelConfig {
-                exec_mode,
-                seed: 0x5eed_cafe,
-                trace: TraceConfig::enabled_with_cap(1 << 15),
-                ..Default::default()
-            },
-            false,
-        );
-        assert_eq!(
-            golden, traced,
-            "skylake_quad: traced {exec_mode:?} run diverged from untraced serial"
-        );
-    }
+    let golden = run_case(MachineSpec::skylake_quad());
+    let traced = run_case_cfg(
+        MachineSpec::skylake_quad(),
+        KernelConfig {
+            seed: 0x5eed_cafe,
+            trace: TraceConfig::enabled_with_cap(1 << 15),
+            ..Default::default()
+        },
+        false,
+    );
+    assert_eq!(
+        golden, traced,
+        "skylake_quad: traced run diverged from untraced run"
+    );
 }
 
 #[test]
@@ -588,7 +564,6 @@ fn cfs_like_matches_pre_simsched_goldens() {
         let h = run_case_cfg(
             spec(),
             KernelConfig {
-                exec_mode: ExecMode::Serial,
                 seed: 0x5eed_cafe,
                 sched: SchedName::Cfs,
                 ..Default::default()
@@ -602,10 +577,59 @@ fn cfs_like_matches_pre_simsched_goldens() {
     }
 }
 
+/// The paper's C2 measurement must repeat: HPL on raptor's P+E set under
+/// `KernelConfig::default()` reproduces the Gflops and per-core-type
+/// instruction split recorded from serial execution, bit for bit. HPL
+/// workers claim chunks and meet at barriers through run state they share
+/// from inside execution, so any per-CPU execution order that depends on
+/// host timing moves both numbers.
+#[test]
+fn default_config_hpl_matches_serial_golden() {
+    use telemetry::{monitored_hpl_run, DriverConfig};
+    use workloads::hpl::{HplConfig, HplVariant};
+    // (variant, Gflops bits, instructions per core type [P, E, Mid, Uniform])
+    let goldens: [(HplVariant, u64, [u64; 4]); 2] = [
+        // 255.92570542372883 Gflops
+        (
+            HplVariant::IntelMkl,
+            4643208601810965669,
+            [7_499_492_336, 3_022_106_416, 0, 0],
+        ),
+        // 188.74520775 Gflops
+        (
+            HplVariant::OpenBlas,
+            4640844898183700281,
+            [19_767_189_168, 7_645_189_168, 0, 0],
+        ),
+    ];
+    for (variant, gflops_bits, by_type) in goldens {
+        let kernel =
+            Kernel::boot_handle(MachineSpec::raptor_lake_i7_13700(), KernelConfig::default());
+        let run = monitored_hpl_run(
+            &kernel,
+            &HplConfig::scaled(16),
+            variant,
+            CpuMask::parse_cpulist("0,2,4,6,8,10,12,14,16-23").unwrap(),
+            &DriverConfig {
+                n_runs: 1,
+                ..Default::default()
+            },
+            0,
+        );
+        let gflops = run.gflops.expect("HPL finishes");
+        assert_eq!(
+            (gflops.to_bits(), run.instructions_by_type),
+            (gflops_bits, by_type),
+            "{}: {gflops} Gflops diverged from the serial golden",
+            variant.name()
+        );
+    }
+}
+
 /// Every registered scheduler honours the determinism contract on the full
 /// conformance scenario (all 7 fault kinds, mid-run open): same seed ⇒
-/// bit-identical digests across Serial vs Parallel execution and across
-/// per-tick vs batched (`MacroTicks::Force`/`Off`) tick loops.
+/// bit-identical digests across per-tick vs batched (`MacroTicks::Auto`/
+/// `Off`) tick loops.
 #[test]
 fn every_scheduler_is_deterministic() {
     let presets: [(&str, SpecFn); 2] = [
@@ -614,27 +638,15 @@ fn every_scheduler_is_deterministic() {
     ];
     for sched in SchedName::ALL {
         for (name, spec) in presets {
-            let cfg = |exec_mode, macro_ticks| KernelConfig {
-                exec_mode,
+            let cfg = |macro_ticks| KernelConfig {
                 macro_ticks,
                 seed: 0x5eed_cafe,
                 sched,
                 ..Default::default()
             };
-            let golden = run_case_cfg(spec(), cfg(ExecMode::Serial, MacroTicks::Auto), false);
-            let par = run_case_cfg(
-                spec(),
-                cfg(ExecMode::Parallel { threads: 3 }, MacroTicks::Auto),
-                false,
-            );
-            assert_eq!(
-                golden,
-                par,
-                "{}/{name}: parallel diverged from serial",
-                sched.as_str()
-            );
-            for macro_ticks in [MacroTicks::Force, MacroTicks::Off] {
-                let batched = run_case_cfg(spec(), cfg(ExecMode::Serial, macro_ticks), true);
+            let golden = run_case_cfg(spec(), cfg(MacroTicks::Auto), false);
+            for macro_ticks in [MacroTicks::Auto, MacroTicks::Off] {
+                let batched = run_case_cfg(spec(), cfg(macro_ticks), true);
                 assert_eq!(
                     golden,
                     batched,

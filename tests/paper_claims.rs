@@ -278,13 +278,12 @@ fn legacy_vs_patched_matrix() {
 /// to BENCH_sched.json, at smoke scale.
 #[test]
 fn sched_tournament_capacity_kills_the_table2_straggler() {
-    use simos::kernel::ExecMode;
     use simos::SchedName;
     use workloads::tournament::{raptor_scenario, run_case};
 
     let sc = raptor_scenario(64);
-    let cfs = run_case(&sc, SchedName::Cfs, ExecMode::Serial);
-    let cap = run_case(&sc, SchedName::Capacity, ExecMode::Serial);
+    let cfs = run_case(&sc, SchedName::Cfs);
+    let cap = run_case(&sc, SchedName::Capacity);
 
     // CfsLike reproduces the pathology: a meaningful slice of the team's
     // instructions retire on E cores, and the solve pays for it.
@@ -315,13 +314,12 @@ fn sched_tournament_capacity_kills_the_table2_straggler() {
 /// decision.
 #[test]
 fn sched_tournament_thermal_steer_avoids_the_table4_inversion() {
-    use simos::kernel::ExecMode;
     use simos::SchedName;
     use workloads::tournament::{orangepi_scenario, run_case};
 
     let sc = orangepi_scenario(4);
-    let cfs = run_case(&sc, SchedName::Cfs, ExecMode::Serial);
-    let thm = run_case(&sc, SchedName::Thermal, ExecMode::Serial);
+    let cfs = run_case(&sc, SchedName::Cfs);
+    let thm = run_case(&sc, SchedName::Thermal);
 
     // CfsLike reproduces the pathology: the big cores do most of the
     // work and drag the package over the A53 trip point.

@@ -9,10 +9,10 @@ use simcpu::phase::Phase;
 use simcpu::power::energy_delta_uj;
 use simcpu::types::{CpuId, CpuMask};
 use simos::faults::{FaultKind, FaultPlan, TransientErrno};
-use simos::kernel::{ExecMode, Kernel, KernelConfig, MacroTicks};
+use simos::kernel::{Kernel, KernelConfig, MacroTicks};
 use simos::perf::{PerfAttr, Target};
 use simos::simsched::SchedName;
-use simos::task::{Op, Pid, ScriptedProgram};
+use simos::task::{Op, ScriptedProgram};
 use simtrace::TraceConfig;
 
 /// A random but valid compute phase.
@@ -262,7 +262,6 @@ proptest! {
         let mut k = Kernel::boot(
             MachineSpec::skylake_quad(),
             KernelConfig {
-                exec_mode: ExecMode::Serial,
                 seed: 0x5eed_cafe,
                 sched,
                 ..Default::default()
@@ -345,85 +344,11 @@ proptest! {
         }
     }
 
-    /// Differential check behind DESIGN.md §7: whatever random programs,
-    /// affinity masks, tick counts and worker counts are thrown at the
-    /// kernel, the parallel tick path produces *exactly* the counters of
-    /// the serial reference path — event counts, migrations and
-    /// context-switch stats included.
-    #[test]
-    fn parallel_tick_equals_serial(
-        progs in proptest::collection::vec(
-            (
-                proptest::collection::vec(arb_phase(), 1..4),
-                0u64..4_000_000,                                 // sleep ns
-                proptest::collection::vec(0usize..24, 1..4),     // affinity
-            ),
-            1..8,
-        ),
-        ticks in 1usize..150,
-        threads in 1usize..5,
-    ) {
-        let boot = |mode| {
-            let mut k = Kernel::boot(
-                MachineSpec::raptor_lake_i7_13700(),
-                KernelConfig { exec_mode: mode, ..Default::default() },
-            );
-            let sw = k.pmu_by_name("software").unwrap().id;
-            let mut fds = Vec::new();
-            for (phases, sleep_ns, cpus) in &progs {
-                let mut ops: Vec<Op> = Vec::new();
-                for (i, ph) in phases.iter().enumerate() {
-                    ops.push(Op::Compute(ph.clone()));
-                    if i == 0 && *sleep_ns > 0 {
-                        ops.push(Op::Sleep(*sleep_ns));
-                    }
-                }
-                ops.push(Op::Exit);
-                let pid = k.spawn(
-                    "w",
-                    Box::new(ScriptedProgram::new(ops)),
-                    CpuMask::from_cpus(cpus.iter().copied()),
-                    0,
-                );
-                for cfg in [
-                    simos::perf::EventConfig::SwContextSwitches,
-                    simos::perf::EventConfig::SwCpuMigrations,
-                ] {
-                    let attr = simos::perf::PerfAttr {
-                        pmu_type: sw,
-                        config: cfg,
-                        disabled: true,
-                        sample_period: 0,
-                        pinned: false,
-                    };
-                    fds.push(k.perf_event_open(attr, Target::Thread(pid), None).unwrap());
-                }
-            }
-            for &fd in &fds {
-                k.ioctl_enable(fd, false).unwrap();
-            }
-            for _ in 0..ticks {
-                k.tick();
-            }
-            let stats: Vec<_> = (0..progs.len())
-                .map(|i| k.task_stats(simos::task::Pid(i as u32)).unwrap())
-                .collect();
-            let reads: Vec<_> = fds
-                .into_iter()
-                .map(|fd| k.read_event(fd).unwrap())
-                .collect();
-            (stats, reads)
-        };
-        let serial = boot(simos::kernel::ExecMode::Serial);
-        let parallel = boot(simos::kernel::ExecMode::Parallel { threads });
-        prop_assert_eq!(serial, parallel);
-    }
-
     /// Software-event determinism: the kernel-side PMU (task clock,
     /// context switches, migrations, page faults) is fed from scheduler
     /// state, not hardware counters, so its reads must be bit-identical —
-    /// value and all three clocks — across the serial and parallel exec
-    /// paths and across macro-tick coalescing, for any workload shape.
+    /// value and all three clocks — across macro-tick coalescing and
+    /// batched vs per-tick loops, for any workload shape.
     #[test]
     fn software_events_mode_invariant(
         progs in proptest::collection::vec(
@@ -435,13 +360,11 @@ proptest! {
             1..6,
         ),
         ticks in 20u64..120,
-        threads in 1usize..5,
     ) {
-        let run = |mode: ExecMode, macro_ticks: MacroTicks, batched: bool| {
+        let run = |macro_ticks: MacroTicks, batched: bool| {
             let mut k = Kernel::boot(
                 MachineSpec::raptor_lake_i7_13700(),
                 KernelConfig {
-                    exec_mode: mode,
                     macro_ticks,
                     seed: 0x5eed_cafe,
                     ..Default::default()
@@ -494,125 +417,20 @@ proptest! {
                 .map(|fd| k.read_event(fd).unwrap())
                 .collect::<Vec<_>>()
         };
-        let golden = run(ExecMode::Serial, MacroTicks::Off, false);
-        let parallel = run(ExecMode::Parallel { threads }, MacroTicks::Off, false);
-        prop_assert_eq!(&golden, &parallel, "parallel diverged from serial");
-        let forced = run(ExecMode::Serial, MacroTicks::Force, true);
-        prop_assert_eq!(&golden, &forced, "macro-tick coalescing diverged");
-        let batched_off = run(ExecMode::Serial, MacroTicks::Off, true);
+        let golden = run(MacroTicks::Off, false);
+        let coalesced = run(MacroTicks::Auto, true);
+        prop_assert_eq!(&golden, &coalesced, "macro-tick coalescing diverged");
+        let batched_off = run(MacroTicks::Off, true);
         prop_assert_eq!(&golden, &batched_off, "batched per-tick run diverged");
     }
 
-    /// Exec-plan cache invalidation: with DVFS ramps, hotplug and every
-    /// fault kind interleaved at random times, a kernel with the plan cache
-    /// enabled must stay bit-identical to one that recomputes every model
-    /// input from scratch (`plan_cache: false`). A stale cache entry —
-    /// e.g. one surviving a frequency change or an LLC-share shift after a
-    /// CPU offline — would shift CPI and show up in the digest.
-    #[test]
-    fn plan_cache_equals_uncached(
-        phases in proptest::collection::vec(arb_phase(), 2..6),
-        fault_picks in proptest::collection::vec((0usize..7, 1u64..110), 1..8),
-        ticks in 40u64..120,
-    ) {
-        let mut plan = FaultPlan::new(0xfaceb00c);
-        for &(kind, at_ms) in &fault_picks {
-            let at = at_ms * 1_000_000;
-            plan = match kind {
-                0 => plan.at(at, FaultKind::CpuOffline {
-                    cpu: CpuId(1),
-                    down_ns: Some(30_000_000),
-                }),
-                1 => plan.at(at, FaultKind::NmiWatchdog {
-                    steal: ArchEvent::Instructions,
-                    hold_ns: Some(20_000_000),
-                }),
-                2 => plan.at(at, FaultKind::TransientOpen {
-                    errno: TransientErrno::Ebusy,
-                    count: 1,
-                }),
-                3 => plan.at(at, FaultKind::TransientRead {
-                    errno: TransientErrno::Eintr,
-                    count: 2,
-                }),
-                4 => plan.at(at, FaultKind::CounterWrap { headroom: 1_000_000 }),
-                5 => plan.at(at, FaultKind::RaplWrapBurst { wraps: 1, extra_uj: 5_000 }),
-                _ => plan.at(at, FaultKind::SysfsFlaky { dur_ns: 10_000_000 }),
-            };
-        }
-        let run = |plan_cache: bool| -> u64 {
-            let mut k = Kernel::boot(
-                MachineSpec::skylake_quad(),
-                KernelConfig {
-                    exec_mode: ExecMode::Serial,
-                    plan_cache,
-                    seed: 0x5eed_cafe,
-                    ..Default::default()
-                },
-            );
-            let n = k.machine().n_cpus();
-            for (i, ph) in phases.iter().enumerate() {
-                let mask = if i % 2 == 0 {
-                    CpuMask::from_cpus([i % n])
-                } else {
-                    CpuMask::first_n(n)
-                };
-                k.spawn(
-                    "w",
-                    Box::new(ScriptedProgram::new([
-                        Op::Compute(ph.clone()),
-                        Op::Compute(Phase::scalar(40_000_000)),
-                        Op::Exit,
-                    ])),
-                    mask,
-                    0,
-                );
-            }
-            k.install_faults(&plan);
-            for _ in 0..ticks {
-                k.tick();
-            }
-            // FNV-1a over everything the exec model influences.
-            let mut h = 0xcbf2_9ce4_8422_2325u64;
-            let mut fold = |v: u64| {
-                for b in v.to_le_bytes() {
-                    h ^= b as u64;
-                    h = h.wrapping_mul(0x100_0000_01b3);
-                }
-            };
-            let mut pid = 0;
-            while let Some(s) = k.task_stats(Pid(pid)) {
-                fold(s.instructions);
-                fold(s.cycles);
-                fold(s.runtime_ns);
-                fold(s.flops.to_bits());
-                pid += 1;
-            }
-            for ci in 0..n {
-                let p = k.machine().pmu(CpuId(ci));
-                for i in 0..p.n_fixed() {
-                    fold(p.read_fixed(i).unwrap());
-                }
-                for i in 0..p.n_gp() {
-                    fold(p.read_gp(i).unwrap());
-                }
-                fold(k.machine().freq_khz(CpuId(ci)));
-            }
-            fold(k.machine().energy_uj(simcpu::power::RaplDomain::Package));
-            fold(k.fault_log().len() as u64);
-            h
-        };
-        prop_assert_eq!(run(true), run(false));
-    }
-
     /// Mode-invariance of the flight recorder (DESIGN.md §10). With rings
-    /// big enough that nothing drops: (a) Serial and Parallel runs record
-    /// byte-identical event streams on *every* track; (b) a coalescing
-    /// run (`MacroTicks::Force`) matches a non-coalescing one (`Off`) on
-    /// the kernel and hw tracks once the macro-summary bookkeeping kinds
-    /// (`is_macro_summary`) are filtered out — per-CPU tracks are
-    /// excluded from (b) by design, since replayed ticks skip the exec
-    /// layer and so record no plan-cache events.
+    /// big enough that nothing drops, a coalescing run (`MacroTicks::Auto`)
+    /// matches a non-coalescing one (`Off`) on the kernel and hw tracks
+    /// once the macro-summary bookkeeping kinds (`is_macro_summary`) are
+    /// filtered out — per-CPU tracks are excluded by design, since
+    /// replayed ticks skip the exec layer and so record no plan-cache
+    /// events.
     #[test]
     fn trace_event_order_mode_invariant(
         progs in proptest::collection::vec(
@@ -623,13 +441,11 @@ proptest! {
             1..6,
         ),
         ticks in 30u64..100,
-        threads in 1usize..4,
     ) {
-        let run = |mode: ExecMode, macro_ticks: MacroTicks, batched: bool| {
+        let run = |macro_ticks: MacroTicks| {
             let mut k = Kernel::boot(
                 MachineSpec::skylake_quad(),
                 KernelConfig {
-                    exec_mode: mode,
                     macro_ticks,
                     seed: 0x5eed_cafe,
                     trace: TraceConfig::enabled_with_cap(1 << 15),
@@ -650,27 +466,11 @@ proptest! {
                     0,
                 );
             }
-            if batched {
-                k.tick_batch(ticks);
-            } else {
-                for _ in 0..ticks {
-                    k.tick();
-                }
-            }
+            k.tick_batch(ticks);
             k.trace_tracks()
         };
-        let serial = run(ExecMode::Serial, MacroTicks::Off, false);
-        let parallel = run(ExecMode::Parallel { threads }, MacroTicks::Off, false);
-        prop_assert_eq!(serial.len(), parallel.len());
-        for (s, p) in serial.iter().zip(&parallel) {
-            prop_assert_eq!(&s.name, &p.name);
-            prop_assert_eq!(
-                &s.events, &p.events,
-                "track {} diverged between serial and parallel", s.name
-            );
-        }
-        let force = run(ExecMode::Serial, MacroTicks::Force, true);
-        let off = run(ExecMode::Serial, MacroTicks::Off, true);
+        let coalesced = run(MacroTicks::Auto);
+        let off = run(MacroTicks::Off);
         for name in ["kernel", "hw"] {
             let pick = |tracks: &[simtrace::Track]| -> Vec<simtrace::TraceEvent> {
                 tracks
@@ -684,8 +484,8 @@ proptest! {
                     .collect()
             };
             prop_assert_eq!(
-                pick(&force), pick(&off),
-                "track {} diverged between MacroTicks::Force and Off", name
+                pick(&coalesced), pick(&off),
+                "track {} diverged between MacroTicks::Auto and Off", name
             );
         }
     }

@@ -15,14 +15,13 @@ use simcpu::machine::MachineSpec;
 use simcpu::phase::Phase;
 use simcpu::types::{CpuId, CpuMask};
 use simos::faults::{FaultKind, FaultPlan, TransientErrno};
-use simos::kernel::{ExecMode, Kernel, KernelConfig, KernelHandle, MacroTicks};
+use simos::kernel::{Kernel, KernelConfig, KernelHandle, MacroTicks};
 use simos::task::{Op, Pid, ScriptedProgram};
 use simtrace::{chrome_trace_json, EventKind, TraceConfig, Track};
 use std::collections::BTreeSet;
 
 fn traced_cfg() -> KernelConfig {
     KernelConfig {
-        exec_mode: ExecMode::Serial,
         macro_ticks: MacroTicks::Auto,
         seed: 0x5eed_cafe,
         trace: TraceConfig::enabled_with_cap(1 << 16),
@@ -353,7 +352,6 @@ fn disabled_tracing_records_nothing() {
     let mut k = Kernel::boot(
         MachineSpec::skylake_quad(),
         KernelConfig {
-            exec_mode: ExecMode::Serial,
             trace: TraceConfig::default(),
             ..Default::default()
         },
