@@ -198,8 +198,9 @@ pub struct Papi {
     detection: DetectionReport,
     /// Data-driven preset definitions (the PAPI_events.csv analogue).
     preset_defs: Vec<preset_table::PresetDef>,
-    /// High-water marks of consumed overflow records per (eventset, entry).
-    overflow_seen: HashMap<(usize, usize), usize>,
+    /// Per (eventset, entry): the sequence number of the next overflow
+    /// record to drain (see `simos::perf::SampleRing`).
+    overflow_seen: HashMap<(usize, usize), u64>,
     /// 48-bit unwrap state: the raw counter value observed at the last
     /// start/reset, per core-PMU fd. Counters may begin anywhere in the
     /// 48-bit range (and wrap mid-run); `(raw − base) & COUNTER_MASK`
@@ -453,15 +454,16 @@ impl Papi {
         };
         let k = self.kernel.lock();
         let samples = k.event_samples(fd)?;
-        // Return records past the high-water mark for this entry.
+        // Return the records taken since the last drain of this entry.
         let key = (id.0, entry_idx);
         let seen = self.overflow_seen.get(&key).copied().unwrap_or(0);
-        let fresh: Vec<(u64, usize, u64)> = samples[seen.min(samples.len())..]
-            .iter()
+        let fresh: Vec<(u64, usize, u64)> = samples
+            .since(seen)
             .map(|r| (r.time_ns, r.cpu.0, r.value))
             .collect();
+        let taken = samples.taken();
         drop(k);
-        self.overflow_seen.insert(key, seen + fresh.len());
+        self.overflow_seen.insert(key, taken);
         Ok(fresh)
     }
 
@@ -1585,6 +1587,54 @@ mod tests {
         // Zero threshold rejected on a fresh set.
         let es2 = papi.create_eventset();
         assert!(papi.set_overflow(es2, 0, 0).is_err());
+    }
+
+    #[test]
+    fn overflow_drain_survives_sample_ring_wrap() {
+        // 200 k overflows, three times the kernel's sample ring, drained
+        // every 5 ticks: each drain must pick up where the last one
+        // stopped even after the ring has dropped its oldest records.
+        const THRESHOLD: u64 = 1_000;
+        const INSTRUCTIONS: u64 = 200_000_000;
+        let kernel = boot(MachineSpec::raptor_lake_i7_13700());
+        let pid = spawn_loop(&kernel, CpuMask::from_cpus([0]), INSTRUCTIONS);
+        let mut papi = Papi::init_with(
+            kernel.clone(),
+            PapiConfig {
+                overhead_instructions: 0,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let es = papi.create_eventset();
+        papi.attach(es, Attach::Task(pid)).unwrap();
+        papi.add_named(es, "adl_glc::INST_RETIRED:ANY").unwrap();
+        papi.set_overflow(es, 0, THRESHOLD).unwrap();
+        papi.start(es).unwrap();
+        let mut drained = Vec::new();
+        while !kernel.lock().all_exited() {
+            for _ in 0..5 {
+                kernel.lock().tick();
+            }
+            drained.extend(papi.take_overflows(es, 0).unwrap());
+        }
+        drained.extend(papi.take_overflows(es, 0).unwrap());
+        assert_eq!(
+            drained.len() as u64,
+            INSTRUCTIONS / THRESHOLD,
+            "every overflow drained"
+        );
+        // Record i fires once the count reaches (i+1)·threshold and
+        // carries the count at the end of its tick, so a record's value
+        // is never below that, and the last record of each tick closes
+        // the count exactly: nothing dropped, nothing drained twice.
+        for (i, &(_, _, v)) in drained.iter().enumerate() {
+            let n = i as u64 + 1;
+            assert!(v >= n * THRESHOLD, "record {i} ({v}) early: duplicated");
+            if drained.get(i + 1).is_none_or(|next| next.2 > v) {
+                assert_eq!(v / THRESHOLD, n, "records lost before value {v}");
+            }
+        }
     }
 
     #[test]

@@ -164,18 +164,38 @@ struct BarrierState {
     generations: u64,
 }
 
-/// Per-CPU perf scheduling state.
+/// Per-CPU perf state: the CPU's event context and its hardware
+/// counter programming.
 #[derive(Debug, Default, Clone)]
 struct CpuPerfState {
-    /// Which event fds currently hold hardware counters.
+    /// The CPU's core PMU (index into `Kernel::pmus`), resolved at boot.
+    core_pmu: Option<usize>,
+    /// The CPU's context: open events with a `Cpu` or `ThreadOnCpu`
+    /// target on this CPU, except RAPL/uncore (package context).
+    context: Vec<EventFd>,
+    /// Which event fds currently hold hardware counters (a set).
     scheduled: Vec<EventFd>,
     /// Task the current programming was computed for.
     for_task: Option<Pid>,
     /// perf generation the programming was computed at.
     at_gen: u64,
+    /// Whether the last fit left a candidate group without counters —
+    /// only then can a rotation change the programming (Linux's
+    /// `rotate_necessary`).
+    rotate_necessary: bool,
     /// Rotation cursor for multiplexing.
     rotation: usize,
     next_rotate_ns: Nanos,
+}
+
+impl CpuPerfState {
+    /// Advance the rotation cursor if a mux interval has elapsed.
+    fn advance_rotation(&mut self, now: Nanos, interval: Nanos) {
+        if now >= self.next_rotate_ns {
+            self.rotation = self.rotation.wrapping_add(1);
+            self.next_rotate_ns = now + interval;
+        }
+    }
 }
 
 /// A side effect of one core's execution that must be merged into shared
@@ -272,11 +292,11 @@ impl Default for CoreOut {
 /// here, sized once at boot, so the steady-state hot loop is allocation-free.
 struct TickScratch {
     prev_current: Vec<Option<Pid>>,
+    /// Each CPU's `outs[ci].load`, gathered for `Machine::end_tick`.
     loads: Vec<CpuLoad>,
-    deltas: Vec<EventCounts>,
-    run_ns: Vec<u64>,
-    sw_meta: Vec<SwDelta>,
-    /// Last tick's full per-CPU outputs — the macro-tick replay templates.
+    /// This tick's per-CPU outputs (zeroed on idle CPUs), read by the
+    /// perf accounting; after a real tick, the macro-tick replay
+    /// templates.
     outs: Vec<CoreOut>,
 }
 
@@ -285,9 +305,6 @@ impl TickScratch {
         TickScratch {
             prev_current: Vec::with_capacity(n),
             loads: vec![CpuLoad::default(); n],
-            deltas: vec![EventCounts::ZERO; n],
-            run_ns: vec![0; n],
-            sw_meta: vec![SwDelta::default(); n],
             outs: vec![CoreOut::default(); n],
         }
     }
@@ -318,6 +335,11 @@ pub struct Kernel {
     pmus: Vec<PmuDesc>,
     events: Vec<Option<PerfEvent>>,
     cpu_perf: Vec<CpuPerfState>,
+    /// Per-task contexts, indexed by pid: open events with a `Thread`
+    /// target.
+    task_events: Vec<Vec<EventFd>>,
+    /// The package context: open RAPL and uncore events.
+    package_events: Vec<EventFd>,
     pending_hooks: Vec<(Pid, HookId)>,
     time_ns: Nanos,
     perf_gen: u64,
@@ -372,6 +394,16 @@ impl Kernel {
             })
             .collect();
         let pmus = Self::register_pmus(&machine, cfg.firmware);
+        let cpu_perf = machine
+            .cpus()
+            .iter()
+            .map(|c| CpuPerfState {
+                core_pmu: pmus
+                    .iter()
+                    .position(|p| p.kind == PmuKind::CoreHw && p.cpus.contains(c.cpu)),
+                ..Default::default()
+            })
+            .collect();
         let sched_max_khz: Vec<u64> = machine
             .cpus()
             .iter()
@@ -397,7 +429,9 @@ impl Kernel {
             barriers: HashMap::new(),
             pmus,
             events: Vec::new(),
-            cpu_perf: vec![CpuPerfState::default(); n],
+            cpu_perf,
+            task_events: Vec::new(),
+            package_events: Vec::new(),
             pending_hooks: Vec::new(),
             time_ns: 0,
             perf_gen: 0,
@@ -954,7 +988,7 @@ impl Kernel {
                 lfd
             }
         };
-        let mut ev = PerfEvent::new(fd, attr, target, leader);
+        let mut ev = PerfEvent::new(fd, attr, pmu.kind, target, leader);
         // Armed 48-bit wrap fault: core counting events start near the
         // hardware counter limit. The draw is logged so two same-seed
         // runs can be diffed.
@@ -974,8 +1008,26 @@ impl Kernel {
                 l.group.push(fd);
             }
         }
+        self.context_mut(pmu.kind, target).push(fd);
         self.perf_gen += 1;
         Ok(fd)
+    }
+
+    /// The context an event with this PMU kind and target is filed
+    /// under: the package for RAPL/uncore, else the CPU for `Cpu` and
+    /// `ThreadOnCpu` targets and the task for `Thread` targets.
+    fn context_mut(&mut self, kind: PmuKind, target: Target) -> &mut Vec<EventFd> {
+        match (kind, target) {
+            (PmuKind::Rapl | PmuKind::Uncore, _) => &mut self.package_events,
+            (_, Target::Cpu(c) | Target::ThreadOnCpu(_, c)) => &mut self.cpu_perf[c.0].context,
+            (_, Target::Thread(p)) => {
+                let i = p.0 as usize;
+                if self.task_events.len() <= i {
+                    self.task_events.resize_with(i + 1, Vec::new);
+                }
+                &mut self.task_events[i]
+            }
+        }
     }
 
     fn event(&self, fd: EventFd) -> Result<&PerfEvent, PerfError> {
@@ -1152,13 +1204,7 @@ impl Kernel {
         let scheduled = self.is_scheduled(fd);
         let e = self.event(fd)?;
         // Counting-mode hardware events only.
-        let hw = matches!(
-            self.pmus
-                .iter()
-                .find(|p| p.id == e.attr.pmu_type)
-                .map(|p| p.kind),
-            Some(PmuKind::CoreHw)
-        );
+        let hw = e.kind == PmuKind::CoreHw;
         let on_hw = scheduled && hw && e.enabled && e.attr.sample_period == 0;
         Ok(crate::perf::UserPage {
             lock_seq: (self.perf_gen as u32) << 1, // always an even snapshot
@@ -1175,7 +1221,7 @@ impl Kernel {
     }
 
     /// Read an event's recorded samples (sampling mode).
-    pub fn event_samples(&self, fd: EventFd) -> Result<&[crate::perf::SampleRec], PerfError> {
+    pub fn event_samples(&self, fd: EventFd) -> Result<&crate::perf::SampleRing, PerfError> {
         Ok(&self.event(fd)?.samples)
     }
 
@@ -1183,19 +1229,22 @@ impl Kernel {
     pub fn close_event(&mut self, fd: EventFd) -> Result<(), PerfError> {
         self.charge(LAT_CLOSE_NS);
         self.stats.closes += 1;
-        let fds = self.group_fds(fd, true)?;
         let e = self.event(fd)?;
-        if e.is_leader() {
-            for f in fds {
-                self.events[f.0 as usize] = None;
-            }
+        // A group shares one PMU and one target, so one context.
+        let (kind, target, leader) = (e.kind, e.target, e.leader);
+        let closed = if e.is_leader() {
+            self.group_fds(fd, true)?
         } else {
-            let leader = e.leader;
-            self.events[fd.0 as usize] = None;
-            if let Some(l) = self.events[leader.0 as usize].as_mut() {
-                l.group.retain(|&f| f != fd);
-            }
+            vec![fd]
+        };
+        for f in &closed {
+            self.events[f.0 as usize] = None;
         }
+        if let Some(l) = self.events[leader.0 as usize].as_mut() {
+            l.group.retain(|f| !closed.contains(f));
+        }
+        self.context_mut(kind, target)
+            .retain(|f| !closed.contains(f));
         self.perf_gen += 1;
         // Drop stale hardware schedules.
         for st in &mut self.cpu_perf {
@@ -1272,9 +1321,6 @@ impl Kernel {
 
         // 2. Execute each CPU into its indexed scratch slot.
         self.scratch.loads.fill(CpuLoad::default());
-        self.scratch.deltas.fill(EventCounts::ZERO);
-        self.scratch.run_ns.fill(0);
-        self.scratch.sw_meta.fill(SwDelta::default());
         self.scratch.outs.fill(CoreOut::default());
         self.exec_cores(dt);
 
@@ -1468,16 +1514,14 @@ impl Kernel {
             .record(self.time_ns, EventKind::TickBegin, 0, tick_idx, 0);
         self.trace
             .record(self.time_ns, EventKind::MacroReplay, 0, tick_idx, 0);
-        let n = self.machine.n_cpus();
-        for ci in 0..n {
-            let out = self.scratch.outs[ci];
+        // The scratch slots still hold the last real tick's outputs —
+        // the templates on busy CPUs, zeros on idle ones — which are
+        // this tick's outputs too; only their effects are re-applied.
+        for ci in 0..self.machine.n_cpus() {
             let Some(pid) = self.current[ci] else {
-                self.scratch.loads[ci] = CpuLoad::default();
-                self.scratch.deltas[ci] = EventCounts::ZERO;
-                self.scratch.run_ns[ci] = 0;
-                self.scratch.sw_meta[ci] = SwDelta::default();
                 continue;
             };
+            let out = &self.scratch.outs[ci];
             let task = self.tasks[pid.0 as usize]
                 .as_mut()
                 .expect("quiescent span: scheduled pid has a task");
@@ -1498,10 +1542,6 @@ impl Kernel {
             task.stats.runtime_ns += out.run_ns;
             task.stats.runtime_ns_by_type[ct_idx] += out.run_ns;
             task.charge_vruntime(out.run_ns);
-            self.scratch.loads[ci] = out.load;
-            self.scratch.deltas[ci] = out.delta;
-            self.scratch.run_ns[ci] = out.run_ns;
-            self.scratch.sw_meta[ci] = out.sw;
             self.machine.seats_mut()[ci].pmu.apply(&out.delta);
         }
         self.perf_tick(dt);
@@ -1562,7 +1602,7 @@ impl Kernel {
                 continue;
             };
             let pid = work.pid;
-            let mut out = CoreOut::default();
+            let out = &mut self.scratch.outs[cpu_idx];
             exec_core(
                 dt,
                 now,
@@ -1572,14 +1612,11 @@ impl Kernel {
                     .as_mut()
                     .expect("scheduled pid has a task"),
                 &mut self.machine.seats_mut()[cpu_idx],
-                &mut out,
+                out,
             );
             self.scratch.loads[cpu_idx] = out.load;
-            self.scratch.deltas[cpu_idx] = out.delta;
-            self.scratch.run_ns[cpu_idx] = out.run_ns;
-            self.scratch.sw_meta[cpu_idx] = out.sw;
-            self.scratch.outs[cpu_idx] = out;
-            if out.sw.migrated {
+            let (migrated, ctrl) = (out.sw.migrated, out.ctrl);
+            if migrated {
                 self.trace.record(
                     self.time_ns,
                     EventKind::SchedMigrate,
@@ -1588,7 +1625,7 @@ impl Kernel {
                     0,
                 );
             }
-            match out.ctrl {
+            match ctrl {
                 Some(CtrlOp::Barrier(id)) => {
                     self.barriers.entry(id).or_default().waiting.push(pid);
                 }
@@ -1619,132 +1656,96 @@ impl Kernel {
         // Package-wide uncore deltas.
         let mut llc_lookups = 0u64;
         let mut llc_misses = 0u64;
-        for d in &self.scratch.deltas {
-            llc_lookups += d.get(ArchEvent::LlcAccesses);
-            llc_misses += d.get(ArchEvent::LlcMisses);
+        for out in &self.scratch.outs {
+            llc_lookups += out.delta.get(ArchEvent::LlcAccesses);
+            llc_misses += out.delta.get(ArchEvent::LlcMisses);
         }
+        // DRAM traffic splits ~2:1 reads:writes for the modeled
+        // workloads; one CAS moves 64 bytes.
+        let cas_total = (mem_bytes / 64.0) as u64;
 
         let time_ns = self.time_ns;
-        for ev in self.events.iter_mut().flatten() {
+        for &fd in &self.package_events {
+            let Some(ev) = self.events[fd.0 as usize].as_mut() else {
+                continue;
+            };
             if !ev.enabled {
                 continue;
             }
-            let kind = self
-                .pmus
-                .iter()
-                .find(|p| p.id == ev.attr.pmu_type)
-                .map(|p| p.kind);
-            match kind {
-                Some(PmuKind::Rapl) => {
-                    ev.time_enabled += dt;
-                    ev.time_matched += dt;
-                    ev.time_running += dt;
-                    if let EventConfig::Rapl(dom) = ev.attr.config {
-                        let idx = match dom {
-                            RaplConfig::EnergyPkg => 0,
-                            RaplConfig::EnergyCores => 1,
-                            RaplConfig::EnergyRam => 2,
-                            RaplConfig::EnergyPsys => 3,
-                        };
-                        ev.add_count(rapl_delta[idx], time_ns, CpuId(0));
-                    }
-                }
-                Some(PmuKind::Uncore) => {
-                    ev.time_enabled += dt;
-                    ev.time_matched += dt;
-                    ev.time_running += dt;
-                    if let EventConfig::Uncore(u) = ev.attr.config {
-                        // DRAM traffic splits ~2:1 reads:writes for the
-                        // modeled workloads; one CAS moves 64 bytes.
-                        let cas_total = (mem_bytes / 64.0) as u64;
-                        let d = match u {
-                            UncoreConfig::LlcLookups => llc_lookups,
-                            UncoreConfig::LlcMisses => llc_misses,
-                            UncoreConfig::ImcCasReads => cas_total * 2 / 3,
-                            UncoreConfig::ImcCasWrites => cas_total / 3,
-                        };
-                        ev.add_count(d, time_ns, CpuId(0));
-                    }
-                }
-                _ => {}
-            }
+            ev.time_enabled += dt;
+            ev.time_matched += dt;
+            ev.time_running += dt;
+            let d = match ev.attr.config {
+                EventConfig::Rapl(RaplConfig::EnergyPkg) => rapl_delta[0],
+                EventConfig::Rapl(RaplConfig::EnergyCores) => rapl_delta[1],
+                EventConfig::Rapl(RaplConfig::EnergyRam) => rapl_delta[2],
+                EventConfig::Rapl(RaplConfig::EnergyPsys) => rapl_delta[3],
+                EventConfig::Uncore(UncoreConfig::LlcLookups) => llc_lookups,
+                EventConfig::Uncore(UncoreConfig::LlcMisses) => llc_misses,
+                EventConfig::Uncore(UncoreConfig::ImcCasReads) => cas_total * 2 / 3,
+                EventConfig::Uncore(UncoreConfig::ImcCasWrites) => cas_total / 3,
+                _ => 0,
+            };
+            ev.add_count(d, time_ns, CpuId(0));
         }
     }
 
-    /// Per-CPU perf bookkeeping for one tick, reading this tick's per-core
-    /// deltas out of the scratch buffers.
+    /// Per-CPU perf bookkeeping for one tick: each online CPU's context
+    /// and its running task's context, counted from this tick's per-core
+    /// outputs.
     fn perf_tick(&mut self, dt: Nanos) {
-        let n = self.machine.n_cpus();
-
-        // Recompute hardware scheduling per CPU when stale, then count.
-        for cpu_idx in 0..n {
+        for ci in 0..self.cpu_perf.len() {
             // An offline CPU's perf contexts freeze entirely: neither
             // time_enabled nor time_running advances, exactly like a
             // hot-unplugged CPU's events on Linux. Thread events are
             // untouched — they tick on whichever CPU the thread moved to.
-            if !self.online[cpu_idx] {
+            if !self.online[ci] {
                 continue;
             }
-            let cpu = CpuId(cpu_idx);
-            let running = self.current[cpu_idx];
-            let needs_resched = {
-                let st = &self.cpu_perf[cpu_idx];
-                st.for_task != running
-                    || st.at_gen != self.perf_gen
-                    || self.time_ns >= st.next_rotate_ns
-            };
-            if needs_resched {
+            let cpu = CpuId(ci);
+            let running = self.current[ci];
+            let st = &self.cpu_perf[ci];
+            if st.for_task != running
+                || st.at_gen != self.perf_gen
+                || self.time_ns >= st.next_rotate_ns
+            {
                 self.reschedule_cpu(cpu, running);
             }
 
-            let pmu_of_cpu: Option<u32> = self
-                .pmus
-                .iter()
-                .find(|p| p.kind == PmuKind::CoreHw && p.cpus.contains(cpu))
-                .map(|p| p.id);
-            let ran = self.scratch.run_ns[cpu_idx];
-
-            let scheduled = &self.cpu_perf[cpu_idx].scheduled;
-            for ev in self.events.iter_mut().flatten() {
+            let st = &self.cpu_perf[ci];
+            let pmu_of_cpu = st.core_pmu.map(|i| self.pmus[i].id);
+            let out = &self.scratch.outs[ci];
+            let task = task_context(&self.task_events, running);
+            for &fd in st.context.iter().chain(task) {
+                let Some(ev) = self.events[fd.0 as usize].as_mut() else {
+                    continue;
+                };
                 if !ev.enabled {
                     continue;
                 }
-                let matches_ctx = match ev.target {
-                    Target::Thread(p) => running == Some(p),
-                    Target::Cpu(c) => c == cpu,
-                    Target::ThreadOnCpu(p, c) => running == Some(p) && c == cpu,
+                // time_enabled advances whenever the context is active:
+                // the CPU ticked, or the thread ran here.
+                let active_ns = match ev.target {
+                    Target::Cpu(_) => dt,
+                    Target::Thread(_) => out.run_ns,
+                    Target::ThreadOnCpu(p, _) if running == Some(p) => out.run_ns,
+                    Target::ThreadOnCpu(..) => continue,
                 };
-                if !matches_ctx {
-                    continue;
-                }
-                match self
-                    .pmus
-                    .iter()
-                    .find(|p| p.id == ev.attr.pmu_type)
-                    .map(|p| p.kind)
-                {
-                    Some(PmuKind::CoreHw) => {
-                        // time_enabled advances whenever the context is
-                        // active (the thread ran / the cpu ticked).
-                        let active_ns = match ev.target {
-                            Target::Cpu(_) => dt,
-                            _ => ran,
-                        };
+                match ev.kind {
+                    PmuKind::CoreHw => {
                         if active_ns == 0 {
                             continue;
                         }
                         ev.time_enabled += active_ns;
-                        let covers = Some(ev.attr.pmu_type) == pmu_of_cpu;
-                        let on_hw = scheduled.contains(&ev.fd);
-                        if covers {
+                        if Some(ev.attr.pmu_type) == pmu_of_cpu {
                             // Countable in principle (right core type);
                             // `matched − running` is then pure counter
                             // loss (multiplexing, watchdog theft).
                             ev.time_matched += active_ns;
-                            if on_hw {
+                            if st.scheduled.contains(&fd) {
                                 ev.time_running += active_ns;
                                 if let EventConfig::Hw(arch) = ev.attr.config {
-                                    let d = self.scratch.deltas[cpu_idx].get(arch);
+                                    let d = out.delta.get(arch);
                                     if d > 0 {
                                         ev.add_count(d, self.time_ns, cpu);
                                     }
@@ -1752,29 +1753,23 @@ impl Kernel {
                             }
                         }
                     }
-                    Some(PmuKind::Software) => {
-                        let active_ns = match ev.target {
-                            Target::Cpu(_) => dt,
-                            _ => ran,
-                        };
+                    PmuKind::Software => {
                         ev.time_enabled += active_ns;
                         ev.time_matched += active_ns;
                         ev.time_running += active_ns;
-                        let sw = self.scratch.sw_meta[cpu_idx];
                         let delta = match ev.attr.config {
                             EventConfig::SwTaskClock => active_ns,
-                            EventConfig::SwContextSwitches => sw.switched_in as u64,
-                            EventConfig::SwCpuMigrations => sw.migrated as u64,
-                            EventConfig::SwPageFaults => sw.page_faults as u64,
+                            EventConfig::SwContextSwitches => out.sw.switched_in as u64,
+                            EventConfig::SwCpuMigrations => out.sw.migrated as u64,
+                            EventConfig::SwPageFaults => out.sw.page_faults as u64,
                             _ => 0,
                         };
                         if delta > 0 {
                             ev.add_count(delta, self.time_ns, cpu);
                         }
                     }
-                    // RAPL/uncore are handled post-end_tick in
-                    // perf_package_tick.
-                    Some(PmuKind::Rapl) | Some(PmuKind::Uncore) | None => {}
+                    // RAPL/uncore live in the package context.
+                    PmuKind::Rapl | PmuKind::Uncore => {}
                 }
             }
             // (The physical PMU slots were updated by `exec_core`.)
@@ -1783,11 +1778,8 @@ impl Kernel {
 
     /// Recompute which events hold hardware counters on `cpu`.
     fn reschedule_cpu(&mut self, cpu: CpuId, running: Option<Pid>) {
-        let pmu = self
-            .pmus
-            .iter()
-            .find(|p| p.kind == PmuKind::CoreHw && p.cpus.contains(cpu));
-        let Some(pmu) = pmu else {
+        let st = &self.cpu_perf[cpu.0];
+        let Some(pmu) = st.core_pmu.map(|i| &self.pmus[i]) else {
             return;
         };
         // A core PMU without a uarch is a registration bug; degrade to
@@ -1799,28 +1791,40 @@ impl Kernel {
         let uarch = arch.params();
         let pmu_id = pmu.id;
 
-        // Candidate groups: leaders of enabled hw events whose context
-        // matches this cpu right now. Pinned (cpu-target) groups first.
+        // Same task, same events: only the rotation is due. If the last
+        // fit gave every candidate group its counters, so would a fit in
+        // rotated order — `schedule_groups_with` spends the same number
+        // of GP counters on a set of groups in any order, and
+        // `scheduled` is only used as a set — so only the clock moves.
+        if st.for_task == running && st.at_gen == self.perf_gen && !st.rotate_necessary {
+            self.cpu_perf[cpu.0].advance_rotation(self.time_ns, self.cfg.mux_interval_ns);
+            return;
+        }
+
+        // Candidate groups: leaders of enabled hw events on this CPU's
+        // PMU whose context is live here — the CPU's own context and the
+        // running task's. Pinned (cpu-target) groups first.
+        let task = task_context(&self.task_events, running);
         let mut cands: Vec<(bool, EventFd)> = Vec::new();
-        for ev in self.events.iter().flatten() {
+        for &fd in st.context.iter().chain(task) {
+            let Some(ev) = self.events[fd.0 as usize].as_ref() else {
+                continue;
+            };
             if !ev.is_leader() || ev.attr.pmu_type != pmu_id {
                 continue;
+            }
+            if let Target::ThreadOnCpu(p, _) = ev.target {
+                if running != Some(p) {
+                    continue;
+                }
             }
             let group_enabled = ev
                 .group
                 .iter()
                 .any(|f| self.events[f.0 as usize].as_ref().map(|e| e.enabled) == Some(true));
-            if !group_enabled {
-                continue;
-            }
-            let matches = match ev.target {
-                Target::Thread(p) => running == Some(p),
-                Target::Cpu(c) => c == cpu,
-                Target::ThreadOnCpu(p, c) => running == Some(p) && c == cpu,
-            };
-            if matches {
+            if group_enabled {
                 let pinned = matches!(ev.target, Target::Cpu(_)) || ev.attr.pinned;
-                cands.push((pinned, ev.fd));
+                cands.push((pinned, fd));
             }
         }
         // Nothing wants a counter here (the common case on CPUs without
@@ -1830,12 +1834,10 @@ impl Kernel {
         if cands.is_empty() {
             let st = &mut self.cpu_perf[cpu.0];
             st.scheduled.clear();
-            if self.time_ns >= st.next_rotate_ns {
-                st.rotation = st.rotation.wrapping_add(1);
-                st.next_rotate_ns = self.time_ns + self.cfg.mux_interval_ns;
-            }
+            st.advance_rotation(self.time_ns, self.cfg.mux_interval_ns);
             st.for_task = running;
             st.at_gen = self.perf_gen;
+            st.rotate_necessary = false;
             return;
         }
 
@@ -1848,10 +1850,7 @@ impl Kernel {
             let rot = st.rotation % n_unpinned;
             cands[first_unpinned..].rotate_left(rot);
         }
-        if self.time_ns >= st.next_rotate_ns {
-            st.rotation = st.rotation.wrapping_add(1);
-            st.next_rotate_ns = self.time_ns + self.cfg.mux_interval_ns;
-        }
+        st.advance_rotation(self.time_ns, self.cfg.mux_interval_ns);
 
         let reqs: Vec<GroupReq> = cands
             .iter()
@@ -1880,7 +1879,7 @@ impl Kernel {
             .unwrap_or_default();
         let fit = schedule_groups_with(uarch, &reqs, &stolen);
         let mut scheduled = Vec::new();
-        for (req, ok) in reqs.iter().zip(fit) {
+        for (req, &ok) in reqs.iter().zip(&fit) {
             if ok {
                 if let Some(leader) = self.events[req.leader.0 as usize].as_ref() {
                     scheduled.extend(leader.group.iter().copied());
@@ -1891,6 +1890,7 @@ impl Kernel {
         st.scheduled = scheduled;
         st.for_task = running;
         st.at_gen = self.perf_gen;
+        st.rotate_necessary = fit.contains(&false);
     }
 
     // ---- run helpers -----------------------------------------------------------
@@ -1913,6 +1913,14 @@ impl Kernel {
     pub fn settle_temperature(&mut self, temp_c: f64) {
         self.machine.thermal_mut().set_temp_c(temp_c);
     }
+}
+
+/// The running task's perf context (empty when the CPU is idle or the
+/// task never had an event opened on it).
+fn task_context(task_events: &[Vec<EventFd>], running: Option<Pid>) -> &[EventFd] {
+    running
+        .and_then(|p| task_events.get(p.0 as usize))
+        .map_or(&[], Vec::as_slice)
 }
 
 /// Execute one core's tick: drive the task's program through the

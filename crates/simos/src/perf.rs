@@ -28,6 +28,7 @@ use simcpu::events::ArchEvent;
 use simcpu::pmu::COUNTER_MASK;
 use simcpu::types::{CpuId, CpuMask, Nanos};
 use simcpu::uarch::{Microarch, UarchParams};
+use std::collections::{vec_deque, VecDeque};
 
 /// File-descriptor-like handle returned by `perf_event_open`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -228,6 +229,64 @@ pub struct SampleRec {
 /// overwritten ring buffer).
 pub const SAMPLE_RING_CAP: usize = 65_536;
 
+/// An event's sample records: the newest [`SAMPLE_RING_CAP`], with the
+/// oldest overwritten in O(1), plus the number of samples ever taken. A
+/// sample's sequence number is its position in that count (the first is
+/// 0), so a reader that remembers [`SampleRing::taken`] can resume with
+/// [`SampleRing::since`] after the ring has wrapped.
+#[derive(Debug, Clone, Default)]
+pub struct SampleRing {
+    recs: VecDeque<SampleRec>,
+    taken: u64,
+}
+
+impl SampleRing {
+    fn push(&mut self, rec: SampleRec) {
+        if self.recs.len() == SAMPLE_RING_CAP {
+            self.recs.pop_front();
+        }
+        self.recs.push_back(rec);
+        self.taken += 1;
+    }
+
+    /// Retained records.
+    pub fn len(&self) -> usize {
+        self.recs.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.recs.is_empty()
+    }
+
+    /// Samples taken since the event was opened, retained or not: the
+    /// sequence number the next sample will get.
+    pub fn taken(&self) -> u64 {
+        self.taken
+    }
+
+    /// Retained records, oldest first.
+    pub fn iter(&self) -> vec_deque::Iter<'_, SampleRec> {
+        self.recs.iter()
+    }
+
+    /// Retained records with sequence number `seq` or later, oldest
+    /// first. Records the ring has already overwritten are gone.
+    pub fn since(&self, seq: u64) -> vec_deque::Iter<'_, SampleRec> {
+        let oldest = self.taken - self.recs.len() as u64;
+        let skip = seq.saturating_sub(oldest).min(self.recs.len() as u64);
+        self.recs.range(skip as usize..)
+    }
+}
+
+impl<'a> IntoIterator for &'a SampleRing {
+    type Item = &'a SampleRec;
+    type IntoIter = vec_deque::Iter<'a, SampleRec>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
 /// The mmap'd perf userpage a self-monitoring process reads for the
 /// `rdpmc` fast path (`struct perf_event_mmap_page` in Linux).
 ///
@@ -309,6 +368,8 @@ impl ReadValue {
 pub struct PerfEvent {
     pub fd: EventFd,
     pub attr: PerfAttr,
+    /// Kind of the PMU named by `attr.pmu_type`.
+    pub kind: PmuKind,
     pub target: Target,
     /// Leader of this event's group (== `fd` for leaders).
     pub leader: EventFd,
@@ -327,14 +388,21 @@ pub struct PerfEvent {
     pub wrap_bias: u64,
     /// Sampling accumulator and ring.
     pub sample_accum: u64,
-    pub samples: Vec<SampleRec>,
+    pub samples: SampleRing,
 }
 
 impl PerfEvent {
-    pub fn new(fd: EventFd, attr: PerfAttr, target: Target, leader: EventFd) -> PerfEvent {
+    pub fn new(
+        fd: EventFd,
+        attr: PerfAttr,
+        kind: PmuKind,
+        target: Target,
+        leader: EventFd,
+    ) -> PerfEvent {
         PerfEvent {
             fd,
             attr,
+            kind,
             target,
             leader,
             group: if leader == fd { vec![fd] } else { Vec::new() },
@@ -345,7 +413,7 @@ impl PerfEvent {
             time_matched: 0,
             wrap_bias: 0,
             sample_accum: 0,
-            samples: Vec::new(),
+            samples: SampleRing::default(),
         }
     }
 
@@ -360,9 +428,6 @@ impl PerfEvent {
             self.sample_accum += delta;
             while self.sample_accum >= self.attr.sample_period {
                 self.sample_accum -= self.attr.sample_period;
-                if self.samples.len() >= SAMPLE_RING_CAP {
-                    self.samples.remove(0);
-                }
                 self.samples.push(SampleRec {
                     time_ns,
                     cpu,
@@ -520,7 +585,13 @@ mod tests {
     #[test]
     fn wrap_bias_is_invisible_until_the_counter_wraps() {
         let attr = PerfAttr::counting(4, ArchEvent::Instructions);
-        let mut ev = PerfEvent::new(EventFd(1), attr, Target::Thread(Pid(1)), EventFd(1));
+        let mut ev = PerfEvent::new(
+            EventFd(1),
+            attr,
+            PmuKind::CoreHw,
+            Target::Thread(Pid(1)),
+            EventFd(1),
+        );
         ev.wrap_bias = COUNTER_MASK - 99; // 100 counts of headroom
         ev.add_count(60, 0, CpuId(0));
         assert_eq!(ev.visible_count(), COUNTER_MASK - 39);
@@ -674,12 +745,39 @@ mod tests {
             sample_period: 100,
             ..PerfAttr::counting(4, ArchEvent::Instructions)
         };
-        let mut ev = PerfEvent::new(EventFd(1), attr, Target::Thread(Pid(1)), EventFd(1));
+        let mut ev = PerfEvent::new(
+            EventFd(1),
+            attr,
+            PmuKind::CoreHw,
+            Target::Thread(Pid(1)),
+            EventFd(1),
+        );
         ev.add_count(250, 1000, CpuId(0));
         assert_eq!(ev.samples.len(), 2);
         ev.add_count(50, 2000, CpuId(0));
         assert_eq!(ev.samples.len(), 3);
         assert_eq!(ev.count, 300);
+    }
+
+    #[test]
+    fn sample_ring_resumes_by_sequence_after_wrap() {
+        let cap = SAMPLE_RING_CAP as u64;
+        let mut ring = SampleRing::default();
+        // Each record's value is its sequence number.
+        for seq in 0..cap + 10 {
+            ring.push(SampleRec {
+                time_ns: 0,
+                cpu: CpuId(0),
+                pid: None,
+                value: seq,
+            });
+        }
+        assert_eq!((ring.len(), ring.taken()), (SAMPLE_RING_CAP, cap + 10));
+        // The ten oldest were overwritten: a reader from 0 resumes at 10.
+        assert_eq!(ring.since(0).next().map(|r| r.value), Some(10));
+        let tail: Vec<u64> = ring.since(cap + 5).map(|r| r.value).collect();
+        assert_eq!(tail, (cap + 5..cap + 10).collect::<Vec<_>>());
+        assert_eq!(ring.since(ring.taken()).count(), 0);
     }
 
     #[test]

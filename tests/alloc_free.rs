@@ -7,11 +7,13 @@
 //! *every* window. Runs single-threaded per test binary, so the count is
 //! attributable to the tick loop.
 
+use simcpu::events::ArchEvent;
 use simcpu::machine::MachineSpec;
 use simcpu::phase::Phase;
 use simcpu::types::CpuMask;
 use simos::kernel::{Kernel, KernelConfig};
-use simos::task::Op;
+use simos::perf::{PerfAttr, PmuKind, Target};
+use simos::task::{Op, Pid};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -36,7 +38,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Serialises the two measurement tests: the counter is global, so a
+/// Serialises the measurement tests: the counter is global, so a
 /// concurrently running sibling test would pollute the windows.
 static MEASURE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
@@ -63,7 +65,7 @@ fn steady_state_tick_is_allocation_free_with_tracing() {
 #[test]
 fn disabled_span_recording_is_allocation_free() {
     use simtrace::{span, EventKind, TraceConfig, TraceSink};
-    let _guard = MEASURE.lock().unwrap();
+    let _guard = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
     let mut sink = TraceSink::new(&TraceConfig::default());
     assert!(!sink.enabled());
     // Min over several windows, like the tick-loop tests: sibling test
@@ -95,7 +97,7 @@ fn disabled_span_recording_is_allocation_free() {
 #[test]
 fn enabled_span_recording_is_allocation_free_after_construction() {
     use simtrace::{span, EventKind, TraceConfig, TraceSink};
-    let _guard = MEASURE.lock().unwrap();
+    let _guard = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
     let mut sink = TraceSink::new(&TraceConfig::enabled_with_cap(1024));
     // Warm-up: fill the ring once so wrap-around is the steady state.
     for i in 0..2048u64 {
@@ -118,19 +120,70 @@ fn enabled_span_recording_is_allocation_free_after_construction() {
 }
 
 fn measure_steady_state(cfg: KernelConfig) {
-    let _guard = MEASURE.lock().unwrap();
+    let _guard = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
     let mut k = Kernel::boot(MachineSpec::raptor_lake_i7_13700(), cfg);
-    let n = k.machine().n_cpus();
-    // One immortal compute-bound worker per CPU, pinned so the scheduler
-    // reaches a fixed point (no migrations, no run-queue churn).
-    for i in 0..n {
-        k.spawn(
-            &format!("w{i}"),
-            Box::new(move |_: &simos::task::ProgCtx| Op::Compute(Phase::scalar(50_000_000))),
-            CpuMask::from_cpus([i]),
-            0,
-        );
+    spawn_pinned_workers(&mut k);
+    assert_steady_windows_allocation_free(&mut k, "the steady-state tick loop");
+}
+
+/// DESIGN.md §7's guarantee covers open perf events. Every worker
+/// carries a hybrid EventSet's groups (Instructions + Cycles on each
+/// core PMU) and every CPU a metricsd-collector-style pair of per-CPU
+/// Instructions and Cycles events. Each CPU then has one candidate
+/// group besides its pinned pair, every group fits, and a due mux
+/// rotation has nothing to re-fit.
+#[test]
+fn monitored_steady_state_tick_is_allocation_free() {
+    let _guard = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
+    let mut k = Kernel::boot(MachineSpec::raptor_lake_i7_13700(), KernelConfig::default());
+    let pids = spawn_pinned_workers(&mut k);
+    let core_pmus: Vec<(u32, CpuMask)> = k
+        .pmus()
+        .iter()
+        .filter(|p| p.kind == PmuKind::CoreHw)
+        .map(|p| (p.id, p.cpus))
+        .collect();
+    for &pid in &pids {
+        for &(id, _) in &core_pmus {
+            let attr = |ev| PerfAttr::counting(id, ev);
+            let target = Target::Thread(pid);
+            let leader = k
+                .perf_event_open(attr(ArchEvent::Instructions), target, None)
+                .unwrap();
+            k.perf_event_open(attr(ArchEvent::Cycles), target, Some(leader))
+                .unwrap();
+            k.ioctl_enable(leader, true).unwrap();
+        }
     }
+    for &(id, cpus) in &core_pmus {
+        for cpu in cpus.iter() {
+            for ev in [ArchEvent::Instructions, ArchEvent::Cycles] {
+                let fd = k
+                    .perf_event_open(PerfAttr::counting(id, ev), Target::Cpu(cpu), None)
+                    .unwrap();
+                k.ioctl_enable(fd, false).unwrap();
+            }
+        }
+    }
+    assert_steady_windows_allocation_free(&mut k, "the monitored steady-state tick loop");
+}
+
+/// One immortal compute-bound worker per CPU, pinned so the scheduler
+/// reaches a fixed point (no migrations, no run-queue churn).
+fn spawn_pinned_workers(k: &mut Kernel) -> Vec<Pid> {
+    (0..k.machine().n_cpus())
+        .map(|i| {
+            k.spawn(
+                &format!("w{i}"),
+                Box::new(move |_: &simos::task::ProgCtx| Op::Compute(Phase::scalar(50_000_000))),
+                CpuMask::from_cpus([i]),
+                0,
+            )
+        })
+        .collect()
+}
+
+fn assert_steady_windows_allocation_free(k: &mut Kernel, what: &str) {
     // Warm-up: grow every scratch buffer to steady-state capacity.
     for _ in 0..100 {
         k.tick();
@@ -148,6 +201,6 @@ fn measure_steady_state(cfg: KernelConfig) {
     }
     assert_eq!(
         min_window, 0,
-        "the steady-state tick loop allocated (min over 5×50-tick windows)"
+        "{what} allocated (min over 5×50-tick windows)"
     );
 }

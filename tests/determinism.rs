@@ -626,6 +626,285 @@ fn default_config_hpl_matches_serial_golden() {
     }
 }
 
+/// A mid-run perf syscall in [`perf_lifecycle_case`].
+#[derive(Debug, Clone, Copy)]
+enum PerfAction {
+    /// `ioctl_disable` every toggled thread group.
+    DisableGroups,
+    /// `close_event` one member of every member-closing group.
+    CloseMembers,
+    /// `ioctl_enable` the toggled groups again.
+    EnableGroups,
+    /// `close_event` every leader-closing group's leader.
+    CloseLeaders,
+}
+
+/// Ticks (0-based) after which each [`PerfAction`] runs.
+const PERF_ACTIONS: [(u64, PerfAction); 4] = [
+    (99, PerfAction::DisableGroups),
+    (119, PerfAction::CloseMembers),
+    (219, PerfAction::EnableGroups),
+    (259, PerfAction::CloseLeaders),
+];
+
+/// Three tasks that outlive the 400-tick run, so every mid-run action
+/// lands on a live context: `roam` alternates compute with 3 ms sleeps on
+/// the first CPU of each core PMU; `sampled` and `toggled` run anywhere.
+fn spawn_long_tasks(k: &mut Kernel) -> [Pid; 3] {
+    let n = k.machine().n_cpus();
+    let mut roam_mask = CpuMask::EMPTY;
+    for p in k.pmus().iter().filter(|p| p.kind == PmuKind::CoreHw) {
+        if let Some(c) = p.cpus.iter().next() {
+            roam_mask.set(c);
+        }
+    }
+    let mut step = 0u64;
+    let roam = k.spawn(
+        "roam",
+        Box::new(move |_: &simos::task::ProgCtx| {
+            step += 1;
+            if step.is_multiple_of(2) {
+                Op::Sleep(3_000_000)
+            } else {
+                Op::Compute(Phase::scalar(20_000_000))
+            }
+        }),
+        roam_mask,
+        0,
+    );
+    let sampled = k.spawn(
+        "sampled",
+        Box::new(|_: &simos::task::ProgCtx| Op::Compute(Phase::dgemm(50_000_000, 8 << 20, 0.3))),
+        CpuMask::first_n(n),
+        0,
+    );
+    let toggled = k.spawn(
+        "toggled",
+        Box::new(|_: &simos::task::ProgCtx| Op::Compute(Phase::stream(30_000_000, 48 << 20))),
+        CpuMask::first_n(n),
+        0,
+    );
+    [roam, sampled, toggled]
+}
+
+/// The fds [`perf_lifecycle_case`] opens, by role.
+#[derive(Default)]
+struct LifecycleFds {
+    all: Vec<EventFd>,
+    /// Group members closed mid-run (their leaders stay open).
+    closing_members: Vec<EventFd>,
+    /// Group leaders closed mid-run, taking their groups with them.
+    closing_leaders: Vec<EventFd>,
+    /// Leaders of groups disabled, then enabled again, mid-run.
+    toggled: Vec<EventFd>,
+    /// Sampling events.
+    sampling: Vec<EventFd>,
+}
+
+/// Open the events for [`perf_lifecycle_case`] on every core PMU and the
+/// software PMU, all enabled.
+fn open_lifecycle_events(k: &mut Kernel, [roam, sampled, toggled]: [Pid; 3]) -> LifecycleFds {
+    let mut fds = LifecycleFds::default();
+    let pmus: Vec<_> = k
+        .pmus()
+        .iter()
+        .map(|p| (p.id, p.kind, p.cpus.iter().next().unwrap_or(CpuId(0))))
+        .collect();
+    let first_core_cpu = pmus
+        .iter()
+        .find(|p| p.1 == PmuKind::CoreHw)
+        .map(|p| p.2)
+        .unwrap();
+    let mut all = Vec::new();
+    let mut open = |k: &mut Kernel, attr: PerfAttr, target, group| {
+        let fd = k.perf_event_open(attr, target, group).unwrap();
+        all.push(fd);
+        fd
+    };
+    for (id, kind, first_cpu) in pmus {
+        match kind {
+            PmuKind::CoreHw => {
+                let hw = |ev| PerfAttr::counting(id, ev);
+                let roam_t = Target::Thread(roam);
+                let leader = open(k, hw(ArchEvent::Instructions), roam_t, None);
+                open(k, hw(ArchEvent::Cycles), roam_t, Some(leader));
+                let member = open(k, hw(ArchEvent::BranchMisses), roam_t, Some(leader));
+                fds.closing_members.push(member);
+                let sampled_t = Target::Thread(sampled);
+                let leader = open(k, hw(ArchEvent::LlcMisses), sampled_t, None);
+                open(
+                    k,
+                    hw(ArchEvent::BranchInstructions),
+                    sampled_t,
+                    Some(leader),
+                );
+                fds.closing_leaders.push(leader);
+                let toggled_t = Target::Thread(toggled);
+                let leader = open(k, hw(ArchEvent::Cycles), toggled_t, None);
+                open(k, hw(ArchEvent::Instructions), toggled_t, Some(leader));
+                fds.toggled.push(leader);
+                // `roam` counted only on this PMU's first CPU.
+                open(
+                    k,
+                    hw(ArchEvent::Instructions),
+                    Target::ThreadOnCpu(roam, first_cpu),
+                    None,
+                );
+                let sampler = open(
+                    k,
+                    PerfAttr {
+                        sample_period: 4_000_000,
+                        ..hw(ArchEvent::Instructions)
+                    },
+                    sampled_t,
+                    None,
+                );
+                fds.sampling.push(sampler);
+            }
+            PmuKind::Software => {
+                let attr = PerfAttr {
+                    pmu_type: id,
+                    config: EventConfig::SwTaskClock,
+                    disabled: true,
+                    sample_period: 0,
+                    pinned: false,
+                };
+                open(k, attr, Target::ThreadOnCpu(roam, first_core_cpu), None);
+            }
+            PmuKind::Rapl | PmuKind::Uncore => {}
+        }
+    }
+    fds.all = all;
+    for &fd in &fds.all {
+        k.ioctl_enable(fd, false).unwrap();
+    }
+    fds
+}
+
+fn perf_action(k: &mut Kernel, fds: &LifecycleFds, action: PerfAction) {
+    match action {
+        PerfAction::DisableGroups => {
+            for &fd in &fds.toggled {
+                k.ioctl_disable(fd, true).unwrap();
+            }
+        }
+        PerfAction::CloseMembers => {
+            for &fd in &fds.closing_members {
+                k.close_event(fd).unwrap();
+            }
+        }
+        PerfAction::EnableGroups => {
+            for &fd in &fds.toggled {
+                k.ioctl_enable(fd, true).unwrap();
+            }
+        }
+        PerfAction::CloseLeaders => {
+            for &fd in &fds.closing_leaders {
+                k.close_event(fd).unwrap();
+            }
+        }
+    }
+}
+
+/// Fold every fd's userpage (count, clocks and whether it holds a
+/// hardware counter right now) into `h`. The userpage is read without a
+/// syscall, so it consumes none of the plan's transient read faults.
+fn digest_userpages(k: &mut Kernel, fds: &[EventFd], h: &mut Fnv) {
+    for &fd in fds {
+        match k.mmap_userpage(fd) {
+            Ok(p) => {
+                h.u64(p.index as u64);
+                h.u64(p.offset);
+                h.u64(p.time_enabled);
+                h.u64(p.time_running);
+            }
+            Err(e) => h.str(&format!("userpage:{e:?}")),
+        }
+    }
+}
+
+/// 400 ticks of the conformance workload and fault plan plus
+/// [`spawn_long_tasks`], with the lifecycle events open and
+/// [`PERF_ACTIONS`] applied mid-run, folded into a digest: every fd's
+/// userpage before each action, each sampling event's record count and
+/// last record, then every fd's read (closed fds hash their error) and
+/// the rest of the observable state ([`digest`]).
+fn perf_lifecycle_case(spec: MachineSpec, batched: bool) -> u64 {
+    let mut k = Kernel::boot(
+        spec,
+        KernelConfig {
+            seed: 0x5eed_cafe,
+            ..Default::default()
+        },
+    );
+    spawn_workload(&mut k);
+    let long = spawn_long_tasks(&mut k);
+    let fds = open_lifecycle_events(&mut k, long);
+    k.install_faults(&fault_plan());
+    let mut h = Fnv::new();
+    let mut done = 0u64;
+    for (step, action) in PERF_ACTIONS {
+        if batched {
+            k.tick_batch(step + 1 - done);
+        } else {
+            for _ in done..=step {
+                k.tick();
+            }
+        }
+        done = step + 1;
+        digest_userpages(&mut k, &fds.all, &mut h);
+        perf_action(&mut k, &fds, action);
+    }
+    if batched {
+        k.tick_batch(400 - done);
+    } else {
+        for _ in done..400 {
+            k.tick();
+        }
+    }
+    for &fd in &fds.sampling {
+        let recs = k.event_samples(fd).unwrap();
+        h.u64(recs.len() as u64);
+        if let Some(r) = recs.iter().last() {
+            h.u64(r.time_ns);
+            h.u64(r.cpu.0 as u64);
+            h.u64(r.pid.map_or(u64::MAX, |p| p.0 as u64));
+            h.u64(r.value);
+        }
+    }
+    digest(&mut k, &fds.all, &mut h);
+    h.0
+}
+
+/// The perf paths [`run_case`] does not reach — mid-run close of a group
+/// leader and of a lone member, group disable/enable, `ThreadOnCpu`
+/// events and a sampling event — reproduce digests recorded before the
+/// kernel kept per-context event lists, under both tick loops.
+#[test]
+fn perf_lifecycle_matches_golden() {
+    let presets: [(&str, SpecFn, u64); 2] = [
+        (
+            "raptor_lake_i7_13700",
+            MachineSpec::raptor_lake_i7_13700,
+            0x0820_38b1_7b19_25e8,
+        ),
+        (
+            "orangepi_800",
+            MachineSpec::orangepi_800,
+            0xfd15_5a5c_d706_b6a2,
+        ),
+    ];
+    for (name, spec, golden) in presets {
+        for batched in [false, true] {
+            let h = perf_lifecycle_case(spec(), batched);
+            assert_eq!(
+                h, golden,
+                "{name}: perf lifecycle digest {h:#018x} diverged (batched: {batched})"
+            );
+        }
+    }
+}
+
 /// Every registered scheduler honours the determinism contract on the full
 /// conformance scenario (all 7 fault kinds, mid-run open): same seed ⇒
 /// bit-identical digests across per-tick vs batched (`MacroTicks::Auto`/

@@ -236,3 +236,57 @@ fn acpi_firmware_full_stack() {
     kernel.lock().run_to_completion(30_000_000_000);
     assert_eq!(papi.stop(es).unwrap()[0].1, 500_000 + 4_300);
 }
+
+/// Per-core-type instruction conservation through 16 concurrent
+/// EventSets, one `Papi` per pinned HPL worker as in the paper's
+/// monitored run: each worker's `adl_glc` and `adl_grt` INST_RETIRED:ANY
+/// equal, exactly, the instructions the core model retired for it on P
+/// and on E cores, and no read is scaled or lost.
+#[test]
+fn hpl_worker_eventsets_conserve_instructions_per_core_type() {
+    use simos::task::core_type_index;
+    for variant in [HplVariant::IntelMkl, HplVariant::OpenBlas] {
+        let session = Session::raptor_lake();
+        let kernel = session.kernel();
+        let run = spawn_hpl(
+            &kernel,
+            HplConfig {
+                n: 2304,
+                nb: 192,
+                p: 1,
+                q: 1,
+            },
+            variant,
+            CpuMask::parse_cpulist("0,2,4,6,8,10,12,14,16-23").unwrap(),
+        );
+        let mut sets = Vec::new();
+        for &pid in &run.pids {
+            let mut papi = session.papi().unwrap();
+            let es = papi.create_eventset();
+            papi.attach(es, Attach::Task(pid)).unwrap();
+            papi.add_named(es, "adl_glc::INST_RETIRED:ANY").unwrap();
+            papi.add_named(es, "adl_grt::INST_RETIRED:ANY").unwrap();
+            papi.start(es).unwrap();
+            sets.push((pid, papi, es));
+        }
+        assert_eq!(sets.len(), 16, "one worker per CPU of the P+E set");
+        workloads::hpl::run_to_completion(&kernel, &run, 600_000_000_000).expect("HPL finishes");
+        for (pid, mut papi, es) in sets {
+            let got = papi.read_with_quality(es).unwrap();
+            let by_type = kernel.lock().task_stats(pid).unwrap().instructions_by_type;
+            let want = [
+                by_type[core_type_index(CoreType::Performance)],
+                by_type[core_type_index(CoreType::Efficiency)],
+            ];
+            for ((label, value, quality), want) in got.iter().zip(want) {
+                assert_eq!(
+                    (*value, *quality),
+                    (want, ReadQuality::Ok),
+                    "{} worker {pid:?}: {label}",
+                    variant.name()
+                );
+            }
+            assert!(want.iter().sum::<u64>() > 0, "worker {pid:?} retired work");
+        }
+    }
+}
