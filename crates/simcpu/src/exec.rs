@@ -22,7 +22,7 @@
 use crate::cache::analytic::{miss_profile, MissProfile};
 use crate::events::{ArchEvent, EventCounts};
 use crate::phase::Phase;
-use crate::plan::{PlanCache, PlanEntry, PlanKey};
+use crate::plan::{PlanCache, PlanId, PlanKey};
 use crate::uarch::UarchParams;
 
 /// DRAM access latency in nanoseconds (uncontended).
@@ -69,7 +69,7 @@ pub fn cpi(phase: &Phase, ctx: &ExecContext<'_>) -> f64 {
     cpi_with_profile(phase, ctx, &m)
 }
 
-fn cpi_with_profile(phase: &Phase, ctx: &ExecContext<'_>, m: &MissProfile) -> f64 {
+pub(crate) fn cpi_with_profile(phase: &Phase, ctx: &ExecContext<'_>, m: &MissProfile) -> f64 {
     let ua = ctx.uarch;
     let f_ghz = ctx.freq_khz as f64 / 1e6;
 
@@ -122,6 +122,7 @@ pub fn advance(phase: &Phase, budget_cycles: f64, ctx: &ExecContext<'_>) -> Exec
 /// [`advance`] through a [`PlanCache`]: bit-identical results, with the
 /// miss profile + CPI (and, on the common steady path, the whole
 /// [`ExecResult`]) served from the memoized plan instead of recomputed.
+/// One [`PlanCache::plan`] lookup, then [`advance_with_plan`].
 pub fn advance_planned(
     phase: &Phase,
     budget_cycles: f64,
@@ -131,21 +132,27 @@ pub fn advance_planned(
     if phase.instructions == 0 || budget_cycles <= 0.0 {
         return ExecResult::default();
     }
-    let key = PlanKey::new(phase, ctx);
-    let (slot, hit) = cache.probe(&key);
-    if !hit {
-        let m = miss_profile(phase, ctx.uarch, ctx.llc_share_bytes);
-        let cpi = cpi_with_profile(phase, ctx, &m);
-        cache.slots[slot] = Some(PlanEntry {
-            key,
-            miss: m,
-            cpi,
-            pressure: llc_pressure(phase, ctx.uarch, ctx.llc_share_bytes),
-            last_inst: 0,
-            last_result: None,
-        });
+    let plan = cache.plan(phase, ctx);
+    advance_with_plan(phase, budget_cycles, ctx, cache, plan)
+}
+
+/// [`advance`] from a plan the caller already holds for `phase` under
+/// `ctx` (see [`PlanCache::plan`]): no key is built or hashed.
+pub fn advance_with_plan(
+    phase: &Phase,
+    budget_cycles: f64,
+    ctx: &ExecContext<'_>,
+    cache: &mut PlanCache,
+    plan: PlanId,
+) -> ExecResult {
+    if phase.instructions == 0 || budget_cycles <= 0.0 {
+        return ExecResult::default();
     }
-    let entry = cache.slots[slot].as_mut().expect("entry just probed");
+    let entry = cache.entry_mut(plan);
+    debug_assert!(
+        entry.key == PlanKey::new(phase, ctx),
+        "held plan does not match the phase and context"
+    );
     let cpi = entry.cpi;
     debug_assert!(cpi.is_finite() && cpi > 0.0, "bad cpi {cpi}");
 
@@ -159,40 +166,14 @@ pub fn advance_planned(
             return res;
         }
     }
-    let miss = entry.miss;
-    let res = result_for_inst(phase, ctx, &miss, cpi, inst);
-    let entry = cache.slots[slot].as_mut().expect("entry still present");
+    let res = result_for_inst(phase, ctx, &entry.miss, cpi, inst);
     entry.last_inst = inst;
     entry.last_result = Some(res);
     res
 }
 
-/// [`llc_pressure`] served from the plan cache: the entry's `pressure`
-/// field was computed by the real function on the miss path, so a hit is
-/// bit-identical. Falls back to the direct computation when the phase/ctx
-/// pair has no plan yet (it installs one, so the next call hits).
-pub fn llc_pressure_planned(phase: &Phase, ctx: &ExecContext<'_>, cache: &mut PlanCache) -> f64 {
-    let key = PlanKey::new(phase, ctx);
-    let (slot, hit) = cache.probe(&key);
-    if !hit {
-        let m = miss_profile(phase, ctx.uarch, ctx.llc_share_bytes);
-        cache.slots[slot] = Some(PlanEntry {
-            key,
-            miss: m,
-            cpi: cpi_with_profile(phase, ctx, &m),
-            pressure: llc_pressure(phase, ctx.uarch, ctx.llc_share_bytes),
-            last_inst: 0,
-            last_result: None,
-        });
-    }
-    cache.slots[slot]
-        .as_ref()
-        .expect("entry just probed")
-        .pressure
-}
-
 /// The slice-construction tail shared by [`advance`] and
-/// [`advance_planned`]: given the (possibly memoized) miss profile and CPI,
+/// [`advance_with_plan`]: given the (possibly memoized) miss profile and CPI,
 /// build the full result for an `inst`-instruction slice. Keeping both
 /// callers on this single body is what makes the planned path bit-identical.
 fn result_for_inst(

@@ -7,12 +7,22 @@
 //! on a steady workload those inputs repeat tick after tick. A [`PlanCache`]
 //! memoizes the derived plan per core seat.
 //!
+//! [`PlanCache::plan`] is the one place a plan is looked up or built. It
+//! returns a [`PlanId`] that the caller holds while the phase shape and the
+//! context stay fixed — the kernel keeps one per installed phase for the
+//! rest of a CPU's tick — so slicing a held plan
+//! ([`exec::advance_with_plan`](crate::exec::advance_with_plan)) builds and
+//! hashes no key.
+//!
 //! Correctness does not rest on invalidation heuristics: a [`PlanKey`] carries
 //! **every** input the model reads — the nine phase-shape fields (bit-exact,
 //! via `f64::to_bits`), the µarch identity, the core and reference
 //! frequencies, the LLC share, and the contention/SMT factors. A hit therefore
 //! returns exactly the bits a fresh computation would produce; the hash only
 //! picks the direct-mapped slot, and a full key comparison guards every hit.
+//! The µarch's address takes part in that comparison but not in the hash, so
+//! which slot a plan lands in (and with it the hit/miss counts) does not
+//! depend on where the process was loaded.
 //! The epoch counter (bumped by the kernel on fault/hotplug activity) is
 //! belt-and-braces: it drops all slots so no entry can outlive a
 //! fault-injection boundary even if a future input were missed by the key.
@@ -20,8 +30,8 @@
 //! The cache is a fixed inline array — no heap allocation, ever — so plan
 //! lookups keep the tick hot loop allocation-free (`tests/alloc_free.rs`).
 
-use crate::cache::analytic::MissProfile;
-use crate::exec::{ExecContext, ExecResult};
+use crate::cache::analytic::{miss_profile, MissProfile};
+use crate::exec::{cpi_with_profile, llc_pressure, ExecContext, ExecResult};
 use crate::phase::Phase;
 use crate::uarch::UarchParams;
 
@@ -33,7 +43,8 @@ pub const PLAN_SLOTS: usize = 16;
 /// Exact-match memoization key: every input `exec::advance` reads.
 ///
 /// `f64` fields are stored as raw bits so the comparison is bit-exact, and
-/// the µarch is identified by the address of its `&'static UarchParams`.
+/// the µarch is identified by the address of its `&'static UarchParams`
+/// (compared, never hashed: see [`PlanKey::slot`]).
 /// `Phase::instructions` is deliberately absent — the remaining instruction
 /// count never changes the derived plan, only how much of it is consumed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,11 +88,12 @@ impl PlanKey {
         }
     }
 
-    /// FNV-1a over the key fields, used only for slot selection.
+    /// FNV-1a over the key fields, used only for slot selection. The µarch
+    /// address is left out: it moves with the process's load address, and
+    /// a seat only ever sees one µarch anyway.
     fn slot(&self) -> usize {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for v in [
-            self.uarch as u64,
             self.freq_khz,
             self.llc_share_bytes,
             self.mem_contention,
@@ -122,10 +134,14 @@ pub struct PlanEntry {
     pub(crate) last_result: Option<ExecResult>,
 }
 
+/// A plan held in a [`PlanCache`], as returned by [`PlanCache::plan`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PlanId(usize);
+
 /// Per-core-seat plan cache: a fixed, inline, direct-mapped array.
 #[derive(Debug, Clone)]
 pub struct PlanCache {
-    pub(crate) slots: [Option<PlanEntry>; PLAN_SLOTS],
+    slots: [Option<PlanEntry>; PLAN_SLOTS],
     epoch: u64,
     hits: u64,
     misses: u64,
@@ -157,17 +173,43 @@ impl PlanCache {
         }
     }
 
-    /// The slot `key` maps to, and whether it currently holds `key`'s plan.
-    /// Counts the lookup as a hit or a miss.
-    pub(crate) fn probe(&mut self, key: &PlanKey) -> (usize, bool) {
+    /// Look up the plan for running `phase` under `ctx`, building it into
+    /// its slot on a miss; counts the lookup as a hit or a miss. The id
+    /// stays valid until the next `plan` call or epoch change on this cache
+    /// (either may reuse the slot).
+    pub fn plan(&mut self, phase: &Phase, ctx: &ExecContext<'_>) -> PlanId {
+        let key = PlanKey::new(phase, ctx);
         let slot = key.slot();
-        let hit = matches!(&self.slots[slot], Some(e) if e.key == *key);
-        if hit {
+        if matches!(&self.slots[slot], Some(e) if e.key == key) {
             self.hits += 1;
         } else {
             self.misses += 1;
+            let miss = miss_profile(phase, ctx.uarch, ctx.llc_share_bytes);
+            self.slots[slot] = Some(PlanEntry {
+                key,
+                miss,
+                cpi: cpi_with_profile(phase, ctx, &miss),
+                pressure: llc_pressure(phase, ctx.uarch, ctx.llc_share_bytes),
+                last_inst: 0,
+                last_result: None,
+            });
         }
-        (slot, hit)
+        PlanId(slot)
+    }
+
+    /// The entry a held id names.
+    pub(crate) fn entry_mut(&mut self, id: PlanId) -> &mut PlanEntry {
+        self.slots[id.0]
+            .as_mut()
+            .expect("held plan id names a live slot")
+    }
+
+    /// [`llc_pressure`] of the held plan's phase and context.
+    pub fn pressure(&self, id: PlanId) -> f64 {
+        self.slots[id.0]
+            .as_ref()
+            .expect("held plan id names a live slot")
+            .pressure
     }
 
     /// Lifetime (hits, misses) of plan lookups through this cache.
@@ -223,10 +265,47 @@ mod tests {
         }
         let (hits, misses) = cache.stats();
         assert_eq!((hits, misses), (9, 1));
-        // Pressure rides the same entry without extra misses.
-        let pr = exec::llc_pressure_planned(&p, &c, &mut cache);
+        // A held plan slices and reports pressure without another lookup.
+        let id = cache.plan(&p, &c);
+        assert_eq!(cache.stats(), (10, 1));
+        for _ in 0..3 {
+            let held = exec::advance_with_plan(&p, 1e6, &c, &mut cache, id);
+            assert_eq!(held, fresh);
+        }
+        let pr = cache.pressure(id);
         assert_eq!(pr, exec::llc_pressure(&p, c.uarch, c.llc_share_bytes));
         assert_eq!(cache.stats(), (10, 1));
+    }
+
+    #[test]
+    fn slot_ignores_the_uarch_address() {
+        // Two copies of one µarch at different addresses: the keys differ
+        // (a hit still needs the seat's own µarch), but the slot — and with
+        // it the hit/miss counts — must not depend on where they live.
+        let a: &'static UarchParams = Box::leak(Box::new(GOLDEN_COVE.clone()));
+        let b: &'static UarchParams = Box::leak(Box::new(GOLDEN_COVE.clone()));
+        let (mut ca, mut cb) = (ctx(3_000_000), ctx(3_000_000));
+        ca.uarch = a;
+        cb.uarch = b;
+        let shapes = [
+            Phase::scalar(1_000),
+            Phase::spin(1_000),
+            Phase::stream(1_000, 1 << 30),
+            Phase::panel(1_000, 4 << 20),
+            Phase::dgemm(1_000, 8 << 20, 0.35),
+            Phase::dgemm(1_000, 64 << 20, 0.9),
+            Phase::stream(1_000, 64 << 10),
+            Phase::dgemm(1_000, 1 << 30, 0.1),
+        ];
+        for p in &shapes {
+            let (ka, kb) = (PlanKey::new(p, &ca), PlanKey::new(p, &cb));
+            assert_ne!(ka, kb);
+            assert_eq!(
+                ka.slot(),
+                kb.slot(),
+                "slot moved with the µarch address: {p:?}"
+            );
+        }
     }
 
     #[test]

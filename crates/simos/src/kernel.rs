@@ -28,6 +28,8 @@ use rand::SeedableRng;
 use simcpu::events::{ArchEvent, EventCounts};
 use simcpu::exec;
 use simcpu::machine::{CoreSeat, CpuLoad, Machine, MachineSpec};
+use simcpu::phase::Phase;
+use simcpu::plan::PlanId;
 use simcpu::power::RaplDomain;
 use simcpu::types::{CoreType, CpuId, CpuMask, Nanos};
 use simtrace::{EventKind, TraceConfig, TraceSink, Track};
@@ -221,7 +223,8 @@ struct CoreWork {
     /// cache drops its entries when this moves.
     plan_epoch: u64,
     /// Test-only oracle: bypass the seat's plan cache and recompute every
-    /// model input from scratch.
+    /// model input for each slice, and poll the program after every
+    /// `Op::Spin` chunk instead of re-installing it.
     #[cfg(test)]
     uncached: bool,
 }
@@ -244,7 +247,7 @@ struct SwDelta {
     migrated: bool,
     /// Minor page faults charged this tick (first-touch model: pages of a
     /// freshly installed phase's working set never touched before).
-    page_faults: u32,
+    page_faults: u64,
 }
 
 /// One core's outputs for the tick, written into its indexed slot.
@@ -374,7 +377,8 @@ pub struct Kernel {
     /// faults). Hardware and per-CPU events live in the machine's sinks.
     trace: TraceSink,
     /// Test-only oracle switch: route `exec_core` through the uncached
-    /// `exec::advance` / `exec::llc_pressure` model.
+    /// `exec::advance` / `exec::llc_pressure` model, polling the program
+    /// after every `Op::Spin` chunk.
     #[cfg(test)]
     uncached: bool,
 }
@@ -1761,7 +1765,7 @@ impl Kernel {
                             EventConfig::SwTaskClock => active_ns,
                             EventConfig::SwContextSwitches => out.sw.switched_in as u64,
                             EventConfig::SwCpuMigrations => out.sw.migrated as u64,
-                            EventConfig::SwPageFaults => out.sw.page_faults as u64,
+                            EventConfig::SwPageFaults => out.sw.page_faults,
                             _ => 0,
                         };
                         if delta > 0 {
@@ -1944,7 +1948,6 @@ fn exec_core(
     let mut used = 0.0f64;
     let mut tick_events = EventCounts::ZERO;
     let mut mem_bytes = 0.0;
-    let mut flops = 0.0;
     let mut act_cycles = 0.0;
     let mut pressure = 0.0;
 
@@ -1987,6 +1990,15 @@ fn exec_core(
     // context switch): exactly those ticks are input-identical to the
     // next one modulo the shrinking instruction count.
     out.steady = !switched_in && task.current.is_some();
+    // The seat-cache plan of `task.current`, looked up once per installed
+    // phase (and once for a phase carried into the tick): the phase shape
+    // and `ctx` stay fixed until the phase completes, and a re-installed
+    // spin chunk keeps its predecessor's.
+    let mut plan: Option<PlanId> = None;
+    // The program's last `Op::Spin` phase. Until this call returns no
+    // other task runs and `now` stands still, so polling again would give
+    // the same answer: each finished chunk is re-installed instead.
+    let mut spin: Option<Phase> = None;
 
     loop {
         let budget = cycles_avail - used;
@@ -1996,15 +2008,27 @@ fn exec_core(
         // Ensure there is a current phase.
         if task.current.is_none() {
             out.steady = false;
-            let op = task.injected.pop_front().unwrap_or_else(|| {
-                task.program.next(&ProgCtx {
+            let op = if let Some(op) = task.injected.pop_front() {
+                op
+            } else if let Some(ph) = &spin {
+                Op::Spin(ph.clone())
+            } else {
+                let op = task.program.next(&ProgCtx {
                     pid: work.pid,
                     time_ns: now,
                     cpu,
-                })
-            });
+                });
+                // A zero-instruction spin installs nothing and must poll
+                // again, like `Compute`; the oracle polls after every chunk.
+                if let Op::Spin(ph) = &op {
+                    if ph.instructions > 0 && !uncached {
+                        spin = Some(ph.clone());
+                    }
+                }
+                op
+            };
             match op {
-                Op::Compute(ph) => {
+                Op::Compute(ph) | Op::Spin(ph) => {
                     debug_assert!(ph.validate().is_ok(), "invalid phase from program");
                     if ph.instructions > 0 {
                         // First-touch minor faults: pages of this phase's
@@ -2017,7 +2041,7 @@ fn exec_core(
                             let faulted = pages - task.touched_pages;
                             task.touched_pages = pages;
                             task.stats.page_faults += faulted;
-                            out.sw.page_faults += faulted as u32;
+                            out.sw.page_faults += faulted;
                         }
                         task.current = Some(ph);
                     }
@@ -2048,7 +2072,8 @@ fn exec_core(
         let res = if uncached {
             exec::advance(ph, budget, ctx)
         } else {
-            exec::advance_planned(ph, budget, ctx, &mut seat.plan)
+            let id = *plan.get_or_insert_with(|| seat.plan.plan(ph, ctx));
+            exec::advance_with_plan(ph, budget, ctx, &mut seat.plan, id)
         };
         if res.instructions == 0 {
             // Cannot fit even one instruction in the leftover budget:
@@ -2061,6 +2086,11 @@ fn exec_core(
         let vec_frac = ph.vector_frac;
         if phase_done {
             task.current = None;
+            // After a spin chunk only its re-install can follow, with the
+            // same shape: the plan stays held.
+            if spin.is_none() {
+                plan = None;
+            }
             out.steady = false;
         }
         if (out.n_iters as usize) < STEADY_ITERS {
@@ -2084,13 +2114,10 @@ fn exec_core(
         act_cycles += res.cycles as f64 * (mix_act * (1.0 - stall_frac) + 0.35 * stall_frac);
         tick_events.add(&res.events);
         mem_bytes += res.mem_bytes;
-        flops += res.flops;
-        let _ = flops;
         if let Some(cur) = task.current.as_ref() {
-            pressure = if uncached {
-                exec::llc_pressure(cur, ctx.uarch, ctx.llc_share_bytes)
-            } else {
-                exec::llc_pressure_planned(cur, ctx, &mut seat.plan)
+            pressure = match plan {
+                Some(id) => seat.plan.pressure(id),
+                None => exec::llc_pressure(cur, ctx.uarch, ctx.llc_share_bytes),
             };
         }
     }
@@ -2164,7 +2191,7 @@ mod tests {
     use super::*;
     use crate::task::ScriptedProgram;
     use proptest::prelude::*;
-    use simcpu::phase::Phase;
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
     fn raptor() -> Kernel {
         Kernel::boot(MachineSpec::raptor_lake_i7_13700(), KernelConfig::default())
@@ -2811,7 +2838,9 @@ mod tests {
     fn software_page_faults_follow_first_touch_high_water() {
         // Two phases: 8 KiB scalar (2 pages), then a 64 KiB stream
         // (16 pages). The high-water model faults 2, then 14 more; a
-        // third phase inside the existing footprint faults nothing.
+        // third phase inside the existing footprint faults nothing. A
+        // fourth, 2^45-byte stream faults the rest of its 2^33 pages in
+        // one tick — more than a u32 counts.
         let mut k = raptor();
         let pid = k.spawn(
             "pf",
@@ -2819,6 +2848,7 @@ mod tests {
                 Op::Compute(Phase::scalar(1_000_000)),
                 Op::Compute(Phase::stream(1_000_000, 64 * 1024)),
                 Op::Compute(Phase::scalar(1_000_000)),
+                Op::Compute(Phase::stream(1_000_000, 1 << 45)),
                 Op::Exit,
             ])),
             CpuMask::from_cpus([0]),
@@ -2839,8 +2869,162 @@ mod tests {
         k.run_to_completion(60_000_000_000);
         let flt = k.read_event(fd).unwrap().value;
         let st = k.task_stats(pid).unwrap();
-        assert_eq!(st.page_faults, 16, "2 + 14 + 0 first-touch faults");
+        assert_eq!(st.page_faults, 1 << 33, "2 + 14 + 0 + (2^33 - 16) faults");
         assert_eq!(flt, st.page_faults, "perf and stats agree on faults");
+    }
+
+    /// Instructions per `Op::Spin` chunk of [`spin_until`].
+    const SPIN_CHUNK: u64 = 20_000;
+
+    /// A program that spin-waits through `Op::Spin` in `SPIN_CHUNK`
+    /// chunks until `ready` holds, counting every poll in `polls`, then
+    /// runs a 1M-instruction scalar phase and exits.
+    fn spin_until(
+        polls: Arc<AtomicU64>,
+        mut ready: impl FnMut(&ProgCtx) -> bool + Send + 'static,
+    ) -> Box<dyn Program> {
+        let mut done = false;
+        Box::new(move |ctx: &ProgCtx| {
+            polls.fetch_add(1, Ordering::Relaxed);
+            if done {
+                Op::Exit
+            } else if ready(ctx) {
+                done = true;
+                Op::Compute(Phase::scalar(1_000_000))
+            } else {
+                Op::Spin(Phase::spin(SPIN_CHUNK))
+            }
+        })
+    }
+
+    /// Boot skylake-quad with a `spin_until` task pinned to cpu0 that
+    /// waits for simulated time 10 ms. Returns the kernel, the pid and the
+    /// poll counter.
+    fn deadline_spinner(uncached: bool) -> (Kernel, Pid, Arc<AtomicU64>) {
+        let mut k = Kernel::boot(MachineSpec::skylake_quad(), KernelConfig::default());
+        k.uncached = uncached;
+        let polls = Arc::new(AtomicU64::new(0));
+        let pid = k.spawn(
+            "spin",
+            spin_until(polls.clone(), |c| c.time_ns >= 10_000_000),
+            CpuMask::from_cpus([0]),
+            0,
+        );
+        (k, pid, polls)
+    }
+
+    fn polls_of(p: &Arc<AtomicU64>) -> u64 {
+        p.load(Ordering::Relaxed)
+    }
+
+    #[test]
+    fn spin_wait_is_polled_once_per_tick() {
+        // Dozens of chunks fit in one 1 ms tick. The fast path polls the
+        // waiting program once per tick (ticks 0-9) and re-installs the
+        // chunk in between; the oracle polls after every chunk. Either
+        // way two more polls follow: the one that sees the deadline and
+        // the one that exits. Everything the task did is identical.
+        let run = |uncached| {
+            let (mut k, pid, polls) = deadline_spinner(uncached);
+            k.run_to_completion(1_000_000_000);
+            (k.task_stats(pid).unwrap(), polls_of(&polls), k.time_ns())
+        };
+        let (fast, fast_polls, fast_end) = run(false);
+        let (oracle, oracle_polls, oracle_end) = run(true);
+        assert_eq!(fast, oracle);
+        assert_eq!(fast_end, oracle_end);
+        let spun = fast.instructions - 1_000_000;
+        assert_eq!(spun % SPIN_CHUNK, 0, "every chunk ran to its end");
+        let chunks = spun / SPIN_CHUNK;
+        assert!(chunks > 100, "only {chunks} chunks in 10 ticks");
+        assert_eq!(fast_polls, 10 + 2);
+        assert_eq!(oracle_polls, chunks + 2);
+    }
+
+    #[test]
+    fn injected_ops_run_before_the_program_and_an_injected_spin_is_not_reinstalled() {
+        // Before tick 5 the host injects a scalar phase and a spin chunk.
+        // They run ahead of the program, exactly as on the oracle, and the
+        // injected chunk is not the program's answer: the program is still
+        // polled in that tick (a re-installed injected chunk would poll 0
+        // times).
+        let run = |uncached| {
+            let (mut k, pid, polls) = deadline_spinner(uncached);
+            let mut per_tick = Vec::new();
+            let mut stats = Vec::new();
+            for t in 0..8 {
+                if t == 5 {
+                    k.inject_ops(
+                        pid,
+                        [
+                            Op::Compute(Phase::scalar(50_000)),
+                            Op::Spin(Phase::spin(SPIN_CHUNK)),
+                        ],
+                    );
+                }
+                let before = polls_of(&polls);
+                k.tick();
+                per_tick.push(polls_of(&polls) - before);
+                stats.push(k.task_stats(pid).unwrap());
+            }
+            (per_tick, stats)
+        };
+        let (fast_polls, fast) = run(false);
+        let (oracle_polls, oracle) = run(true);
+        assert_eq!(fast, oracle);
+        assert_eq!(fast_polls, vec![1; 8]);
+        assert!(
+            oracle_polls[5] > 10,
+            "oracle polls per chunk: {oracle_polls:?}"
+        );
+    }
+
+    #[test]
+    fn zero_instruction_spin_polls_again() {
+        // Like a zero-instruction `Compute`, an empty spin installs
+        // nothing: the kernel polls again instead of re-installing it, so
+        // it cannot hang the tick.
+        let mut k = raptor();
+        let polls = Arc::new(AtomicU64::new(0));
+        let p = polls.clone();
+        let pid = k.spawn(
+            "empty-spin",
+            Box::new(move |_: &ProgCtx| {
+                if p.fetch_add(1, Ordering::Relaxed) < 3 {
+                    Op::Spin(Phase::spin(0))
+                } else {
+                    Op::Exit
+                }
+            }),
+            CpuMask::from_cpus([0]),
+            0,
+        );
+        k.tick();
+        assert_eq!(polls_of(&polls), 4);
+        assert_eq!(k.task_state(pid), Some(TaskState::Exited));
+    }
+
+    #[test]
+    fn a_reinstalling_tick_is_not_a_steady_template() {
+        // Mid-wait, a tick runs the carried chunk to its end and then
+        // re-installs chunk after chunk with one poll: an op-pull tick,
+        // never a template. Batched ticks therefore replay nothing and
+        // stay identical to single ticks.
+        let (mut k, pid, polls) = deadline_spinner(false);
+        for _ in 0..5 {
+            let before = polls_of(&polls);
+            k.tick();
+            assert_eq!(polls_of(&polls) - before, 1);
+            assert!(
+                !k.scratch.outs[0].steady,
+                "a re-installing tick is not steady"
+            );
+        }
+        let (mut batched, bpid, bpolls) = deadline_spinner(false);
+        batched.tick_batch(5);
+        assert_eq!(batched.macro_stats(), (0, 5));
+        assert_eq!(batched.task_stats(bpid), k.task_stats(pid));
+        assert_eq!(polls_of(&bpolls), polls_of(&polls));
     }
 
     #[test]
@@ -3464,6 +3648,7 @@ mod tests {
             phases in proptest::collection::vec(arb_phase(), 2..6),
             fault_picks in proptest::collection::vec((0usize..7, 1u64..110), 1..8),
             ticks in 40u64..120,
+            spin_deadline_ms in 1u64..80,
         ) {
             let mut plan = FaultPlan::new(0xfaceb00c);
             for &(kind, at_ms) in &fault_picks {
@@ -3490,7 +3675,7 @@ mod tests {
                     _ => plan.at(at, FaultKind::SysfsFlaky { dur_ns: 10_000_000 }),
                 };
             }
-            let run = |uncached: bool| -> u64 {
+            let run = |uncached: bool| -> (u64, u64) {
                 let mut k = Kernel::boot(
                     MachineSpec::skylake_quad(),
                     KernelConfig {
@@ -3500,23 +3685,53 @@ mod tests {
                 );
                 k.uncached = uncached;
                 let n = k.machine().n_cpus();
+                // Worker 0 raises `flag` when its first phase is done.
+                let flag = Arc::new(AtomicBool::new(false));
                 for (i, ph) in phases.iter().enumerate() {
                     let mask = if i % 2 == 0 {
                         CpuMask::from_cpus([i % n])
                     } else {
                         CpuMask::first_n(n)
                     };
-                    k.spawn(
-                        "w",
+                    let program: Box<dyn Program> = if i == 0 {
+                        let (ph, flag) = (ph.clone(), flag.clone());
+                        let mut step = 0;
+                        Box::new(move |_: &ProgCtx| {
+                            step += 1;
+                            match step {
+                                1 => Op::Compute(ph.clone()),
+                                2 => {
+                                    flag.store(true, Ordering::Relaxed);
+                                    Op::Compute(Phase::scalar(40_000_000))
+                                }
+                                _ => Op::Exit,
+                            }
+                        })
+                    } else {
                         Box::new(ScriptedProgram::new([
                             Op::Compute(ph.clone()),
                             Op::Compute(Phase::scalar(40_000_000)),
                             Op::Exit,
-                        ])),
-                        mask,
-                        0,
-                    );
+                        ]))
+                    };
+                    k.spawn("w", program, mask, 0);
                 }
+                // Spin-waiters whose answer only another task (the flag)
+                // or a later tick (the deadline) can change: the fast
+                // path re-installs their chunks where the oracle polls.
+                let polls = Arc::new(AtomicU64::new(0));
+                k.spawn(
+                    "spin-flag",
+                    spin_until(polls.clone(), move |_| flag.load(Ordering::Relaxed)),
+                    CpuMask::from_cpus([2]),
+                    0,
+                );
+                k.spawn(
+                    "spin-deadline",
+                    spin_until(polls.clone(), move |c| c.time_ns >= spin_deadline_ms * 1_000_000),
+                    CpuMask::first_n(n),
+                    0,
+                );
                 k.install_faults(&plan);
                 for _ in 0..ticks {
                     k.tick();
@@ -3552,9 +3767,11 @@ mod tests {
                 }
                 fold(k.machine().energy_uj(RaplDomain::Package));
                 fold(k.fault_log().len() as u64);
-                h
+                (h, polls.load(Ordering::Relaxed))
             };
-            prop_assert_eq!(run(false), run(true));
+            let ((fast, fast_polls), (oracle, oracle_polls)) = (run(false), run(true));
+            prop_assert_eq!(fast, oracle);
+            prop_assert!(fast_polls <= oracle_polls);
         }
     }
 

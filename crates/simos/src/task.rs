@@ -1,11 +1,12 @@
 //! Tasks: simulated processes/threads.
 //!
 //! A task executes a [`Program`]: a pull-based stream of [`Op`]s. Compute
-//! ops carry a [`Phase`] describing the instruction mix; control ops model
-//! the synchronization and instrumentation structure the paper's workloads
-//! need — barriers for HPL's lockstep iterations, and *hooks*, the points
-//! where an instrumented application calls into the measurement library
-//! (`PAPI_start()` / `PAPI_stop()` calipers around code regions).
+//! and spin-wait ops carry a [`Phase`] describing the instruction mix;
+//! control ops model the synchronization and instrumentation structure the
+//! paper's workloads need — barriers for HPL's lockstep iterations, and
+//! *hooks*, the points where an instrumented application calls into the
+//! measurement library (`PAPI_start()` / `PAPI_stop()` calipers around code
+//! regions).
 //!
 //! Programs are closures so workloads can share state (work queues,
 //! counters) through captured `Arc`s — that is how the hetero-aware HPL
@@ -34,6 +35,13 @@ pub struct HookId(pub u32);
 pub enum Op {
     /// Execute a stretch of computation.
     Compute(Phase),
+    /// Busy-wait: execute the phase like `Compute`, as one chunk of a spin
+    /// loop. By returning it the program promises that, until another task
+    /// has run or simulated time has moved, it would answer every poll with
+    /// this same op. The kernel relies on that: within one CPU's share of a
+    /// tick it re-installs the phase after each chunk instead of polling
+    /// again (ops injected ahead of the program still come first).
+    Spin(Phase),
     /// Wait at barrier `id` until all registered participants arrive.
     Barrier(u32),
     /// Pause and let the host (the instrumented application's measurement

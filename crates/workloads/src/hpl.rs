@@ -524,9 +524,13 @@ fn next_iteration_stage(k: u64, _thread_idx: usize, iters: u64) -> Stage {
     Stage::Panel { k, computed: false }
 }
 
+/// The op a worker returns while it waits for the other threads. The
+/// spinning variant's answer only changes once another worker has run
+/// (its arrival counters live in the shared state), which is the promise
+/// `Op::Spin` makes.
 fn wait_op(spin: bool) -> Op {
     if spin {
-        Op::Compute(Phase::spin(SPIN_CHUNK_INSTRUCTIONS))
+        Op::Spin(Phase::spin(SPIN_CHUNK_INSTRUCTIONS))
     } else {
         Op::Sleep(BLOCK_POLL_NS)
     }
