@@ -342,11 +342,7 @@ impl Papi {
         presets::ALL_PRESETS
             .iter()
             .copied()
-            .filter(|p| {
-                self.preset_natives(*p)
-                    .map(|v| !v.is_empty())
-                    .unwrap_or(false)
-            })
+            .filter(|p| self.preset_natives(p.papi_name()).is_ok())
             .collect()
     }
 
@@ -354,7 +350,7 @@ impl Papi {
     /// (one per covered PMU in hybrid mode), without creating an EventSet.
     pub fn preset_native_names(&self, preset: Preset) -> Result<Vec<String>, PapiError> {
         Ok(self
-            .preset_natives(preset)?
+            .preset_natives(preset.papi_name())?
             .into_iter()
             .map(|e| e.fq_name)
             .collect())
@@ -498,26 +494,9 @@ impl Papi {
     }
 
     /// `PAPI_add_event` with a preset: derived-add across core types on
-    /// hybrid machines (§V.2).
+    /// hybrid machines (§V.2), resolved through the preset table.
     pub fn add_preset(&mut self, id: EventSetId, preset: Preset) -> Result<(), PapiError> {
-        let natives = self
-            .preset_natives(preset)?
-            .into_iter()
-            .map(|enc| {
-                let pmu = &self.pfm.pmus()[enc.pmu_index];
-                NativeRef {
-                    fq_name: enc.fq_name,
-                    attr: enc.attr,
-                    pmu_kind: pmu.kind,
-                    pmu_first_cpu: pmu.cpus.iter().next().unwrap_or(CpuId(0)),
-                    fd: None,
-                }
-            })
-            .collect::<Vec<_>>();
-        if natives.is_empty() {
-            return Err(PapiError::PresetUnavailable(preset.papi_name().into()));
-        }
-        self.push_entry(id, preset.papi_name().to_string(), natives)
+        self.add_preset_named(id, preset.papi_name())
     }
 
     /// Extend/override the preset table at runtime (§V.2: the
@@ -538,34 +517,8 @@ impl Papi {
     /// Add a preset by its `PAPI_*` name, resolved through the data-driven
     /// table (which `load_preset_csv` may have extended).
     pub fn add_preset_named(&mut self, id: EventSetId, name: &str) -> Result<(), PapiError> {
-        let upper = name.to_ascii_uppercase();
-        let def = self
-            .preset_defs
-            .iter()
-            .find(|d| d.name == upper)
-            .cloned()
-            .ok_or_else(|| PapiError::PresetUnavailable(name.to_string()))?;
-        let vendor = {
-            let k = self.kernel.lock();
-            k.machine().spec().vendor
-        };
-        let native = def
-            .native_for(vendor)
-            .ok_or_else(|| PapiError::PresetUnavailable(name.to_string()))?
-            .to_string();
-        let encs = match self.cfg.mode {
-            PapiMode::Hybrid => self.pfm.encode_on_all_defaults(&native),
-            // Already-prefixed natives (software events) name their PMU.
-            PapiMode::Legacy if native.contains("::") => self.pfm.encode(&native).map(|e| vec![e]),
-            PapiMode::Legacy => {
-                let first = self.pfm.default_pmus()[0].pfm_name.clone();
-                self.pfm
-                    .encode(&format!("{first}::{native}"))
-                    .map(|e| vec![e])
-            }
-        }
-        .map_err(|_| PapiError::PresetUnavailable(name.to_string()))?;
-        let natives: Vec<NativeRef> = encs
+        let natives: Vec<NativeRef> = self
+            .preset_natives(name)?
             .into_iter()
             .map(|enc| {
                 let pmu = &self.pfm.pmus()[enc.pmu_index];
@@ -578,7 +531,7 @@ impl Papi {
                 }
             })
             .collect();
-        self.push_entry(id, def.name, natives)
+        self.push_entry(id, name.to_ascii_uppercase(), natives)
     }
 
     /// All preset names available on this machine via the data table.
@@ -594,28 +547,34 @@ impl Papi {
             .collect()
     }
 
-    /// Natives implementing a preset on this machine.
-    fn preset_natives(&self, preset: Preset) -> Result<Vec<pfmlib::EncodedEvent>, PapiError> {
-        let vendor = {
-            let k = self.kernel.lock();
-            k.machine().spec().vendor
-        };
-        let native = preset
-            .native_name(vendor)
-            .ok_or_else(|| PapiError::PresetUnavailable(preset.papi_name().into()))?;
+    /// Natives implementing the preset table's `name` (any case) on this
+    /// machine. The definition is borrowed, not cloned: resolving a
+    /// preset allocates only its encodings.
+    fn preset_natives(&self, name: &str) -> Result<Vec<pfmlib::EncodedEvent>, PapiError> {
+        let unavailable = || PapiError::PresetUnavailable(name.to_string());
+        let vendor = self.kernel.lock().machine().spec().vendor;
+        let native = self
+            .preset_defs
+            .iter()
+            .find(|d| d.name.eq_ignore_ascii_case(name))
+            .and_then(|d| d.native_for(vendor))
+            .ok_or_else(unavailable)?;
         let encs = match self.cfg.mode {
             PapiMode::Hybrid => self.pfm.encode_on_all_defaults(native),
             // Already-prefixed natives (software events) name their PMU.
             PapiMode::Legacy if native.contains("::") => self.pfm.encode(native).map(|e| vec![e]),
             PapiMode::Legacy => {
                 // One default PMU only.
-                let first = self.pfm.default_pmus()[0].pfm_name.clone();
+                let first = &self.pfm.default_pmus()[0].pfm_name;
                 self.pfm
                     .encode(&format!("{first}::{native}"))
                     .map(|e| vec![e])
             }
         };
-        encs.map_err(|_| PapiError::PresetUnavailable(preset.papi_name().into()))
+        match encs {
+            Ok(encs) if !encs.is_empty() => Ok(encs),
+            _ => Err(unavailable()),
+        }
     }
 
     /// Legacy name resolution: unprefixed events search only the first

@@ -9,11 +9,11 @@
 //! adl_grt::INST_RETIRED:ANY` — so users do not have to care that they are
 //! on a hybrid machine.
 //!
-//! The table is keyed by vendor-generic *unprefixed* native names, which
-//! `pfmlib` resolves per default PMU; a preset is unavailable on machines
-//! where no default PMU has the native event (e.g. `PAPI_REF_CYC` on ARM).
-
-use simcpu::uarch::Vendor;
+//! Each preset's natives live in one place, the preset table
+//! ([`crate::preset_table::BUILTIN_CSV`]), keyed by `papi_name()`: vendor-
+//! generic *unprefixed* native names, which `pfmlib` resolves per default
+//! PMU. A preset is unavailable on machines where no default PMU has the
+//! native event (e.g. `PAPI_REF_CYC` on ARM).
 
 /// The preset events this implementation defines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -110,48 +110,6 @@ impl Preset {
             .copied()
             .find(|p| p.papi_name() == name.to_ascii_uppercase())
     }
-
-    /// The unprefixed native event name implementing this preset for a
-    /// vendor, or `None` when the vendor has no equivalent.
-    pub fn native_name(self, vendor: Vendor) -> Option<&'static str> {
-        match (self, vendor) {
-            (Preset::TotIns, Vendor::Intel) => Some("INST_RETIRED:ANY"),
-            (Preset::TotIns, Vendor::Arm) => Some("INST_RETIRED"),
-            (Preset::TotCyc, Vendor::Intel) => Some("CPU_CLK_UNHALTED:THREAD"),
-            (Preset::TotCyc, Vendor::Arm) => Some("CPU_CYCLES"),
-            (Preset::RefCyc, Vendor::Intel) => Some("CPU_CLK_UNHALTED:REF_TSC"),
-            (Preset::RefCyc, Vendor::Arm) => None, // no ARM equivalent here
-            (Preset::BrIns, Vendor::Intel) => Some("BR_INST_RETIRED:ALL_BRANCHES"),
-            (Preset::BrIns, Vendor::Arm) => Some("BR_RETIRED"),
-            (Preset::BrMsp, Vendor::Intel) => Some("BR_MISP_RETIRED:ALL_BRANCHES"),
-            (Preset::BrMsp, Vendor::Arm) => Some("BR_MIS_PRED_RETIRED"),
-            (Preset::L1Dcm, Vendor::Intel) => Some("L1D:REPLACEMENT"),
-            (Preset::L1Dcm, Vendor::Arm) => Some("L1D_CACHE_REFILL"),
-            (Preset::L2Tca, Vendor::Intel) => Some("L2_RQSTS:REFERENCES"),
-            (Preset::L2Tca, Vendor::Arm) => Some("L2D_CACHE"),
-            (Preset::L2Tcm, Vendor::Intel) => Some("L2_RQSTS:MISS"),
-            (Preset::L2Tcm, Vendor::Arm) => Some("L2D_CACHE_REFILL"),
-            (Preset::L3Tca, Vendor::Intel) => Some("LONGEST_LAT_CACHE:REFERENCE"),
-            (Preset::L3Tca, Vendor::Arm) => Some("LL_CACHE_RD"),
-            (Preset::L3Tcm, Vendor::Intel) => Some("LONGEST_LAT_CACHE:MISS"),
-            (Preset::L3Tcm, Vendor::Arm) => Some("LL_CACHE_MISS_RD"),
-            (Preset::FpOps, Vendor::Intel) => Some("FP_ARITH_INST_RETIRED:ALL"),
-            (Preset::FpOps, Vendor::Arm) => Some("VFP_SPEC"),
-            (Preset::VecIns, Vendor::Intel) => Some("UOPS_RETIRED:VECTOR"),
-            (Preset::VecIns, Vendor::Arm) => Some("ASE_SPEC"),
-            (Preset::ResStl, Vendor::Intel) => Some("CYCLE_ACTIVITY:STALLS_MEM_ANY"),
-            (Preset::ResStl, Vendor::Arm) => Some("STALL_BACKEND"),
-            (Preset::TlbDm, Vendor::Intel) => Some("DTLB_LOAD_MISSES:WALK_COMPLETED"),
-            (Preset::TlbDm, Vendor::Arm) => Some("DTLB_WALK"),
-            // Software events come from the kernel, not the core PMU:
-            // vendor-independent, already PMU-prefixed so they bypass the
-            // per-core-type hybrid expansion.
-            (Preset::CtxSw, _) => Some("perf_sw::CONTEXT_SWITCHES"),
-            (Preset::CpuMig, _) => Some("perf_sw::CPU_MIGRATIONS"),
-            (Preset::PgFlt, _) => Some("perf_sw::PAGE_FAULTS"),
-            (Preset::TskClk, _) => Some("perf_sw::TASK_CLOCK"),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -165,18 +123,5 @@ mod tests {
         }
         assert_eq!(Preset::from_papi_name("papi_tot_ins"), Some(Preset::TotIns));
         assert_eq!(Preset::from_papi_name("PAPI_NOPE"), None);
-    }
-
-    #[test]
-    fn every_preset_has_an_intel_native() {
-        for &p in ALL_PRESETS {
-            assert!(p.native_name(Vendor::Intel).is_some(), "{p:?}");
-        }
-    }
-
-    #[test]
-    fn ref_cyc_is_intel_only() {
-        assert!(Preset::RefCyc.native_name(Vendor::Arm).is_none());
-        assert!(Preset::TotIns.native_name(Vendor::Arm).is_some());
     }
 }

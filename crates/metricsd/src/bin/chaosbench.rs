@@ -186,11 +186,11 @@ fn make_bot(connector: &Connector, chaos: ChaosConfig, idx: usize, scenario_seed
         ..ResilientConfig::default()
     };
     let mut c = ResilientClient::new(dial, rcfg);
-    // Every 8th RPC rides the `Traced` envelope through whatever the
-    // chaos preset does to the link — corrupted trace headers must come
-    // back as typed refusals and reissue like any other frame, and the
-    // scenario digests (compared against the fault-free reference)
-    // prove sampling perturbs nothing.
+    // Every 8th RPC carries a sampled trace context in its frame header
+    // through whatever the chaos preset does to the link — a corrupted
+    // header must come back as a typed refusal and reissue like any
+    // other frame, and the scenario digests (compared against the
+    // fault-free reference) prove sampling perturbs nothing.
     c.set_trace_sampling(8);
     Bot {
         c,

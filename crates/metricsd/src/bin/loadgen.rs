@@ -1,7 +1,7 @@
 //! loadgen — drive thousands of simulated client sessions against the
 //! daemon and prove the serving layer does not perturb the measurement.
 //!
-//! For each worker-shard count in {1, 4, 8} it boots an identical
+//! For each shard count in {1, 4, 8} it boots an identical
 //! kernel (same spec, seed, workload, fault plan), connects N sessions
 //! plus one deliberately slow streaming consumer (tiny outbox, never
 //! drains — it must be evicted, not wedge the daemon), runs T lockstep
@@ -198,7 +198,7 @@ fn drain(
     }
 }
 
-/// One full load run against a daemon with `shards` worker shards.
+/// One full load run against a daemon with `shards` shards.
 fn run_once(shards: usize, n_sessions: usize, pumps: u64) -> ConfigResult {
     let mut daemon = Daemon::new(
         boot_machine(),
@@ -215,7 +215,8 @@ fn run_once(shards: usize, n_sessions: usize, pumps: u64) -> ConfigResult {
     let mut clients: Vec<MetricsClient<ClientPipe>> = (0..n_sessions)
         .map(|_| MetricsClient::new(connector.connect()))
         .collect();
-    // The slow consumer: tiny outbox, streams every pump, never drains.
+    // The slow consumer: tiny outbox, delta-streams every pump, never
+    // drains.
     let mut slow = MetricsClient::new(connector.connect_with_outbox_cap(2));
 
     // Pump 1: hellos.
@@ -248,8 +249,8 @@ fn run_once(shards: usize, n_sessions: usize, pumps: u64) -> ConfigResult {
         metrics: metrics::ALL,
     })
     .expect("post subscribe");
-    slow.post(&Request::Stream { every_pumps: 1 })
-        .expect("post stream");
+    slow.post(&Request::StreamDeltas { every_pumps: 1 })
+        .expect("post stream-deltas");
     daemon.pump();
     let mut sub_ids = vec![0u32; n_sessions];
     for (i, c) in clients.iter_mut().enumerate() {
@@ -379,7 +380,7 @@ fn run_once(shards: usize, n_sessions: usize, pumps: u64) -> ConfigResult {
             Ok(None) | Err(_) => break,
         }
     }
-    let evictions = daemon.stats().evictions;
+    let evictions = daemon.self_metrics().counter("evictions");
     let evicted = saw_evicted && evictions >= 1;
 
     latencies.sort_unstable();
@@ -569,7 +570,7 @@ fn run_fanout(n_sessions: usize, pumps: u64) -> FanoutResult {
         assert!(m.desyncs == 0, "fanout: session {i} mirror desynced");
         assert!(m.keyframes >= 1, "fanout: session {i} saw no keyframe");
     }
-    let evictions = daemon.stats().evictions;
+    let evictions = daemon.self_metrics().counter("evictions");
     assert_eq!(
         evictions, 0,
         "fanout: healthy sessions were evicted under fanout load"
@@ -767,9 +768,9 @@ fn run_query_phase(shards: usize, n_sessions: usize, pumps: u64, traced: bool) -
         assert!(sub_ids[i] != 0, "query phase: session {i} subscribed");
     }
 
-    // Steady state: every session reads every pump (sampled requests go
-    // out in the `Traced` envelope); the local histogram mirrors what
-    // the daemon's history must report back.
+    // Steady state: every session reads every pump (sampled requests
+    // carry their trace context in the frame header); the local
+    // histogram mirrors what the daemon's history must report back.
     let mut local = Histogram::new();
     let mut reads = 0u64;
     for _pump in 0..pumps {
@@ -953,7 +954,7 @@ fn run_query_phase(shards: usize, n_sessions: usize, pumps: u64, traced: bool) -
         "shards={shards}: storm queries lost"
     );
 
-    let history_digest = daemon.history().read().digest();
+    let history_digest = daemon.history().digest();
     QueryPhaseResult {
         shards,
         reads,

@@ -4,14 +4,12 @@
 //! starts the sharded daemon, binds a TCP-loopback listener, and pumps.
 //!
 //! ```text
-//! metricsd [--listen ADDR] [--shards N] [--workers N] [--pumps N] [--pump-ms MS]
+//! metricsd [--listen ADDR] [--shards N] [--pumps N] [--pump-ms MS]
 //!          [--machine NAME] [--sched NAME]
 //! ```
 //!
-//! `--workers` caps the serving pool (0 = auto: one per available
-//! core, never more than shards; a single worker serves all shards
-//! inline on the pump thread). Shard count fixes determinism; worker
-//! count only fixes parallelism — digests are identical either way.
+//! The pump thread serves every shard inline; shard count fixes request
+//! interleaving, and served counts are identical at any value.
 //!
 //! `--sched` picks the kernel scheduler from the `simsched` registry
 //! (`cfs|cfs_unaware|vtime|capacity|thermal`); unknown names are
@@ -28,7 +26,6 @@ use simos::SchedName;
 fn main() {
     let mut listen = "127.0.0.1:0".to_string();
     let mut shards = 4usize;
-    let mut workers = 0usize;
     let mut pumps = 2000u64;
     let mut pump_ms = 5u64;
     let mut machine = "raptor".to_string();
@@ -44,13 +41,6 @@ fn main() {
                     .expect("--shards N")
                     .parse()
                     .expect("shard count")
-            }
-            "--workers" => {
-                workers = args
-                    .next()
-                    .expect("--workers N")
-                    .parse()
-                    .expect("worker count")
             }
             "--pumps" => pumps = args.next().expect("--pumps N").parse().expect("pump count"),
             "--pump-ms" => {
@@ -72,7 +62,7 @@ fn main() {
             }
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: metricsd [--listen ADDR] [--shards N] [--workers N] [--pumps N] \
+                    "usage: metricsd [--listen ADDR] [--shards N] [--pumps N] \
                      [--pump-ms MS] [--machine raptor|skylake] [--sched NAME]"
                 );
                 return;
@@ -116,27 +106,27 @@ fn main() {
         kernel,
         DaemonConfig {
             shards,
-            workers,
             ..DaemonConfig::default()
         },
     );
     let listener =
         metricsd::tcp::Listener::spawn(daemon.connector(), &listen).expect("bind listener");
     println!(
-        "metricsd listening on {} ({} shards, {} worker{})",
+        "metricsd listening on {} ({} shards)",
         listener.addr(),
-        shards,
-        daemon.workers(),
-        if daemon.workers() == 1 { "" } else { "s" }
+        shards
     );
 
     for _ in 0..pumps {
         daemon.pump();
         std::thread::sleep(std::time::Duration::from_millis(pump_ms));
     }
-    let s = daemon.stats();
+    let reg = daemon.self_metrics();
     println!(
         "metricsd done: pumps={} sessions={} reads_served={} evictions={}",
-        s.pumps, s.sessions, s.reads_served, s.evictions
+        reg.counter("pumps"),
+        reg.counter("sessions"),
+        reg.counter("reads_served"),
+        reg.counter("evictions")
     );
 }

@@ -23,7 +23,7 @@
 //! All mutations stay inside the peer's typed-error envelope: a short,
 //! truncated, or bit-flipped frame decodes to `WireError` /
 //! `BAD_FRAME` / `BAD_CHECKSUM` — never a panic, and (thanks to the
-//! seq-envelope checksums in [`crate::wire`]) never a silently
+//! header checksum in [`crate::wire::Header`]) never a silently
 //! *different* valid request.
 //!
 //! Fault draws happen only when a frame actually moves (one draw per

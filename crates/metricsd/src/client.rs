@@ -15,7 +15,10 @@ use std::time::Duration;
 use simtrace::{span, EventKind, TraceConfig, TraceSink, Track};
 
 use crate::queue::{ClientPipe, PushError};
-use crate::wire::{stream_crc, Request, Response, TraceCtx, WireError, PROTO_VERSION};
+use crate::wire::{stream_crc, Header, Request, Response, TraceCtx, WireError, PROTO_VERSION};
+
+/// How long a blocking RPC waits for its reply.
+const RPC_TIMEOUT: Duration = Duration::from_secs(10);
 
 #[derive(Debug)]
 pub enum ClientError {
@@ -103,7 +106,6 @@ pub struct MetricsClient<T: Transport> {
     /// Sim time of the newest snapshot seen in any reply — the client's
     /// clock for stamping `submit_ns`.
     pub last_seen_ns: u64,
-    timeout: Duration,
     /// Client-side flight recorder for causal spans (disabled by
     /// default: tracing costs one branch per call).
     trace: TraceSink,
@@ -112,8 +114,6 @@ pub struct MetricsClient<T: Transport> {
     /// Monotonic client-side request sequence — with the session token,
     /// the seed of every sampled request's deterministic trace id.
     rpcs: u64,
-    /// Trace id of the most recently sampled RPC.
-    last_trace_id: u64,
 }
 
 impl<T: Transport> MetricsClient<T> {
@@ -126,20 +126,14 @@ impl<T: Transport> MetricsClient<T> {
             session_token: 0,
             n_cpus: 0,
             last_seen_ns: 0,
-            timeout: Duration::from_secs(10),
             trace: TraceSink::disabled(),
             sample_every: 0,
             rpcs: 0,
-            last_trace_id: 0,
         }
     }
 
-    pub fn set_timeout(&mut self, timeout: Duration) {
-        self.timeout = timeout;
-    }
-
-    /// Enable causal tracing: every `sample_every`-th RPC is wrapped in
-    /// a [`Request::Traced`] envelope (trace id derived from the
+    /// Enable causal tracing: every `sample_every`-th RPC carries its
+    /// trace context in the frame [`Header`] (trace id derived from the
     /// session token and the request sequence — seeded sim state, never
     /// wall clock) and records linked `rpc:client` spans here.
     pub fn enable_tracing(&mut self, cfg: &TraceConfig, sample_every: u32) {
@@ -195,7 +189,7 @@ impl<T: Transport> MetricsClient<T> {
 
     /// Blocking: decode the next reply or time out.
     pub fn take(&mut self) -> Result<Response, ClientError> {
-        match self.t.recv(self.timeout) {
+        match self.t.recv(RPC_TIMEOUT) {
             None => Err(ClientError::Timeout),
             Some(frame) => {
                 let resp = Response::decode(&frame)?;
@@ -214,7 +208,7 @@ impl<T: Transport> MetricsClient<T> {
             }
             _ => {}
         }
-        // Stream pushes carry no envelope: the receipt span derives the
+        // Stream pushes carry no header: the receipt span derives the
         // snapshot's flow id from the tick, exactly as the collector
         // and the pushing shard did, so the hops link without any wire
         // bytes.
@@ -230,8 +224,9 @@ impl<T: Transport> MetricsClient<T> {
         }
     }
 
-    /// If this call is sampled, the encoded traced frame and its trace
-    /// id; otherwise `None` (the caller sends the plain request).
+    /// If this call is sampled, the request encoded with its trace
+    /// context and the trace id; otherwise `None` (the caller sends the
+    /// plain request).
     fn sample_rpc(&mut self, req: &Request) -> Option<(Vec<u8>, u64)> {
         self.rpcs += 1;
         if !self.trace.enabled()
@@ -241,19 +236,15 @@ impl<T: Transport> MetricsClient<T> {
             return None;
         }
         let trace_id = span::rpc_trace_id(self.session_token, self.rpcs);
-        self.last_trace_id = trace_id;
-        let ctx = TraceCtx {
-            trace_id,
-            parent_span: 0,
-            sampled: true,
+        let header = Header {
+            seq: 0,
+            trace: TraceCtx {
+                trace_id,
+                parent_span: 0,
+                sampled: true,
+            },
         };
-        Some((Request::traced(ctx, req).encode(), trace_id))
-    }
-
-    /// Trace id of the most recently sampled RPC (0 = none yet) —
-    /// lets tests resolve an SLO exemplar back to this client.
-    pub fn last_trace_id(&self) -> u64 {
-        self.last_trace_id
+        Some((req.encode_with(&header), trace_id))
     }
 
     fn rpc(&mut self, req: &Request) -> Result<Response, ClientError> {
@@ -342,31 +333,6 @@ impl<T: Transport> MetricsClient<T> {
         }
     }
 
-    /// Re-baseline a subscription at the current snapshot.
-    pub fn reset(&mut self, sub_id: u32) -> Result<(), ClientError> {
-        match self.rpc(&Request::ResetSub { sub_id })? {
-            Response::Subscribed { .. } => Ok(()),
-            _ => Err(ClientError::Unexpected("wanted Subscribed")),
-        }
-    }
-
-    /// Latest telemetry sample (temperature / energy / mean frequency).
-    pub fn latest_sample(&mut self) -> Result<Response, ClientError> {
-        match self.rpc(&Request::LatestSample)? {
-            r @ Response::Sample { .. } => Ok(r),
-            _ => Err(ClientError::Unexpected("wanted Sample")),
-        }
-    }
-
-    /// Ask the daemon to push Counters for every subscription each
-    /// `every_pumps` pumps (0 disables).
-    pub fn stream(&mut self, every_pumps: u32) -> Result<(), ClientError> {
-        match self.rpc(&Request::Stream { every_pumps })? {
-            Response::Subscribed { .. } => Ok(()),
-            _ => Err(ClientError::Unexpected("wanted ack")),
-        }
-    }
-
     /// Ask the daemon to push delta-encoded tick frames every
     /// `every_pumps` pumps (0 disables). Feed the pushed
     /// `TickKeyframe`/`TickDelta` frames to a [`StreamMirror`].
@@ -374,33 +340,6 @@ impl<T: Transport> MetricsClient<T> {
         match self.rpc(&Request::StreamDeltas { every_pumps })? {
             Response::Subscribed { .. } => Ok(()),
             _ => Err(ClientError::Unexpected("wanted ack")),
-        }
-    }
-
-    /// Report the mirror's position to the daemon. `tick == 0` is a
-    /// nack: the next push will be a full keyframe.
-    pub fn ack_tick(&mut self, tick: u64) -> Result<(), ClientError> {
-        match self.rpc(&Request::AckTick { tick })? {
-            Response::Subscribed { .. } => Ok(()),
-            _ => Err(ClientError::Unexpected("wanted ack")),
-        }
-    }
-
-    /// Daemon-wide serving statistics.
-    pub fn stats(&mut self) -> Result<crate::server::DaemonStats, ClientError> {
-        match self.rpc(&Request::Stats)? {
-            Response::Stats {
-                sessions,
-                reads_served,
-                evictions,
-                pumps,
-            } => Ok(crate::server::DaemonStats {
-                sessions,
-                reads_served,
-                evictions,
-                pumps,
-            }),
-            _ => Err(ClientError::Unexpected("wanted Stats")),
         }
     }
 
@@ -413,36 +352,6 @@ impl<T: Transport> MetricsClient<T> {
         match self.rpc(&Request::GetSelfMetrics)? {
             Response::SelfMetrics { counters, hists } => Ok((counters, hists)),
             _ => Err(ClientError::Unexpected("wanted SelfMetrics")),
-        }
-    }
-
-    /// Ranged query over the daemon's rollup history. Returns the raw
-    /// [`Response::RangeReply`].
-    pub fn query_range(
-        &mut self,
-        series: u8,
-        agg: u8,
-        start_tick: u64,
-        end_tick: u64,
-        max_points: u32,
-    ) -> Result<Response, ClientError> {
-        match self.rpc(&Request::QueryRange {
-            series,
-            agg,
-            start_tick,
-            end_tick,
-            max_points,
-        })? {
-            r @ Response::RangeReply { .. } => Ok(r),
-            _ => Err(ClientError::Unexpected("wanted RangeReply")),
-        }
-    }
-
-    /// The SLO watchdog's breach state, one row per configured SLO.
-    pub fn get_health(&mut self) -> Result<(u64, Vec<crate::wire::SloHealth>), ClientError> {
-        match self.rpc(&Request::GetHealth)? {
-            Response::Health { pumps, slos } => Ok((pumps, slos)),
-            _ => Err(ClientError::Unexpected("wanted Health")),
         }
     }
 

@@ -13,7 +13,7 @@
 //!
 //! Because sessions never touch the kernel, the kernel-op sequence —
 //! and therefore every served count — depends only on the pump schedule,
-//! not on how many sessions exist or how many worker shards serve them.
+//! not on how many sessions exist or how many shards serve them.
 //! `loadgen` exploits this: aggregate digests are bit-identical across
 //! 1/4/8 shards and match a collector-only serial reference.
 //!
@@ -25,29 +25,29 @@
 //!
 //! Chaos hardening (see DESIGN.md §11): [`chaos`] injects deterministic
 //! seeded transport faults over any [`client::Transport`]; [`resilient`]
-//! is the reconnecting, resuming client that rides them out via
-//! checksummed sequence envelopes, idempotent reissue, and the daemon's
-//! parked-session resume table; the server side answers overload with
-//! typed `Overloaded` sheds instead of eviction. The `chaosbench` binary
-//! proves the invariant: counter digests under every fault mix are
-//! bit-identical to the fault-free run.
+//! is the reconnecting, resuming client that rides them out via the
+//! checksummed frame [`wire::Header`], idempotent reissue, and the
+//! daemon's parked-session resume table; the server side answers
+//! overload with typed `Overloaded` sheds instead of eviction. The
+//! `chaosbench` binary proves the invariant: counter digests under every
+//! fault mix are bit-identical to the fault-free run.
 
 //!
-//! Transport core (DESIGN.md §14): shards run a readiness-based reactor
-//! — sessions flag their inboxes via an atomic readiness bit and idle
-//! sessions are skipped without touching a lock — served by a persistent
-//! [`reactor::WorkerPool`] sized to the host (`min(shards, cores)`), so
-//! shard count is a determinism domain and worker count a parallelism
-//! domain. Subscribers can opt into delta-encoded push streaming
+//! Serving (DESIGN.md §14): the pump thread serves every shard inline,
+//! in shard order — shard count is a determinism domain, not a thread
+//! count. Sessions flag their inboxes via an atomic readiness bit, and
+//! idle sessions are skipped without touching a lock. Subscribers get
+//! counter pushes from one verb, delta-encoded streaming
 //! ([`wire::Request::StreamDeltas`]): one pre-encoded keyframe/delta
 //! pair per pump shared by every subscriber, with client-side
 //! [`client::StreamMirror`] reconstruction and CRC self-validation.
+//! Daemon-wide counters live in one ledger, the self-metrics registry
+//! ([`server::Daemon::self_metrics`], `GetSelfMetrics` on the wire).
 
 pub mod chaos;
 pub mod client;
 pub mod history;
 pub mod queue;
-pub mod reactor;
 pub mod resilient;
 pub mod server;
 pub mod snapshot;
@@ -58,6 +58,6 @@ pub use chaos::{ChaosConfig, ChaosStats, ChaosTransport};
 pub use client::{ClientError, MetricsClient, MirrorOutcome, StreamMirror, Transport};
 pub use history::{Breach, History, RangeResult, Rollup, Scratch, SloKind, SloSpec};
 pub use resilient::{ResilientClient, ResilientConfig, ResilientStats};
-pub use server::{Connector, Daemon, DaemonConfig, DaemonStats};
+pub use server::{Connector, Daemon, DaemonConfig};
 pub use snapshot::{Collector, CpuCounters, SnapshotCache, StreamFrames, TickSnapshot};
 pub use wire::{CpuKeyframe, FrameDecoder, HistSummary, Request, Response, PROTO_VERSION};

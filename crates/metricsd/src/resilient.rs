@@ -1,8 +1,8 @@
 //! A resuming, reissuing client that survives transport chaos.
 //!
 //! [`ResilientClient`] wraps a dial closure (so it can reconnect as
-//! many times as the link dies) and drives every RPC through the
-//! checksummed [`Request::WithSeq`] envelope. It is *poll-based*: one
+//! many times as the link dies) and sends every RPC with the
+//! checksummed frame [`Header`] and its own seq. It is *poll-based*: one
 //! [`ResilientClient::step`] per lockstep round, which is what lets
 //! chaosbench hold the whole fleet plus the daemon in a deterministic
 //! round → pump cadence (a blocking client would couple recovery
@@ -21,7 +21,7 @@
 //!    exponential backoff (deterministic jitter, always ≥ 1 round so
 //!    the daemon reaps the dead session into its parked table first),
 //!    then present the session token in [`Request::Resume`]. On
-//!    [`Response::Resumed`] the subscriptions, stream setting, and
+//!    [`Response::Resumed`] the subscriptions, delta-stream setting, and
 //!    reply cache all survive; the gap is surfaced via `gap_pumps` and
 //!    via `ReadQuality::Scaled` on resumed subscriptions — explicit,
 //!    never silent.
@@ -38,7 +38,7 @@ use rand::{Rng, SeedableRng};
 use simtrace::{span, EventKind, TraceSink};
 
 use crate::client::{ClientError, Transport};
-use crate::wire::{errcode, fnv64, Request, Response, TraceCtx, PROTO_VERSION};
+use crate::wire::{errcode, Header, Request, Response, TraceCtx, PROTO_VERSION};
 
 /// Retry/backoff tuning, all in lockstep rounds.
 #[derive(Debug, Clone, Copy)]
@@ -98,10 +98,10 @@ pub struct ResilientStats {
 
 struct InFlight {
     seq: u32,
-    /// The full encoded `WithSeq` frame, resent verbatim on reissue.
-    /// A sampled RPC carries the `Traced` envelope outermost, so every
-    /// reissue propagates the *same* trace id — retries of one logical
-    /// request stitch into one timeline.
+    /// The full encoded header frame, resent verbatim on reissue. A
+    /// sampled RPC's header carries its trace context, so every reissue
+    /// propagates the *same* trace id — retries of one logical request
+    /// stitch into one timeline.
     frame: Vec<u8>,
     /// Nonzero when the frame carries a sampled trace context.
     trace_id: u64,
@@ -116,28 +116,16 @@ struct InFlight {
 }
 
 impl InFlight {
-    fn new(seq: u32, req: &Request) -> InFlight {
-        InFlight {
-            seq,
-            frame: Request::with_seq(seq, req).encode(),
-            trace_id: 0,
-            span_opened: false,
-            sent: false,
-            rounds_waiting: 0,
-            wait_rounds: 0,
-            attempts: 0,
-        }
-    }
-
-    fn traced(seq: u32, req: &Request, trace_id: u64) -> InFlight {
-        let ctx = TraceCtx {
+    /// `trace_id == 0` sends the RPC unsampled.
+    fn new(seq: u32, req: &Request, trace_id: u64) -> InFlight {
+        let trace = TraceCtx {
             trace_id,
             parent_span: 0,
-            sampled: true,
+            sampled: trace_id != 0,
         };
         InFlight {
             seq,
-            frame: Request::traced(ctx, &Request::with_seq(seq, req)).encode(),
+            frame: req.encode_with(&Header { seq, trace }),
             trace_id,
             span_opened: false,
             sent: false,
@@ -173,22 +161,19 @@ pub struct ResilientClient<T: Transport, F: FnMut() -> Option<T>> {
     pub session_id: u64,
     session_token: Option<u64>,
     pub n_cpus: u32,
-    /// Newest tick seen in any reply — the resume cursor.
-    pub last_tick: u64,
 
     next_seq: u32,
     greet: Option<InFlight>,
     user: Option<InFlight>,
     done: Option<Result<Response, ClientError>>,
     session_lost: bool,
-    /// Unsolicited pushes (stream Counters, Samples) for the caller.
+    /// Unsolicited delta-stream pushes for the caller.
     pub pushes: VecDeque<Response>,
 
     stats: ResilientStats,
     trace: TraceSink,
-    /// Wrap every Nth user RPC in a sampled `Traced` envelope (0 = off).
+    /// Sample every Nth user RPC into the causal trace (0 = off).
     trace_sample_every: u32,
-    last_trace_id: u64,
 }
 
 impl<T: Transport, F: FnMut() -> Option<T>> ResilientClient<T, F> {
@@ -207,7 +192,6 @@ impl<T: Transport, F: FnMut() -> Option<T>> ResilientClient<T, F> {
             session_id: 0,
             session_token: None,
             n_cpus: 0,
-            last_tick: 0,
             next_seq: 1,
             greet: None,
             user: None,
@@ -217,7 +201,6 @@ impl<T: Transport, F: FnMut() -> Option<T>> ResilientClient<T, F> {
             stats: ResilientStats::default(),
             trace: TraceSink::disabled(),
             trace_sample_every: 0,
-            last_trace_id: 0,
         }
     }
 
@@ -238,11 +221,6 @@ impl<T: Transport, F: FnMut() -> Option<T>> ResilientClient<T, F> {
         self.trace_sample_every = every;
     }
 
-    /// Trace id of the most recently sampled RPC (0 = none yet).
-    pub fn last_trace_id(&self) -> u64 {
-        self.last_trace_id
-    }
-
     pub fn stats(&self) -> ResilientStats {
         self.stats
     }
@@ -256,13 +234,12 @@ impl<T: Transport, F: FnMut() -> Option<T>> ResilientClient<T, F> {
         let seq = self.alloc_seq();
         let sampled = self.trace_sample_every > 0
             && (seq as u64).is_multiple_of(self.trace_sample_every as u64);
-        self.user = Some(if sampled {
-            let trace_id = span::rpc_trace_id(self.session_token.unwrap_or(0), seq as u64);
-            self.last_trace_id = trace_id;
-            InFlight::traced(seq, req, trace_id)
+        let trace_id = if sampled {
+            span::rpc_trace_id(self.session_token.unwrap_or(0), seq as u64)
         } else {
-            InFlight::new(seq, req)
-        });
+            0
+        };
+        self.user = Some(InFlight::new(seq, req, trace_id));
         true
     }
 
@@ -326,15 +303,12 @@ impl<T: Transport, F: FnMut() -> Option<T>> ResilientClient<T, F> {
     fn make_greet(&mut self) -> InFlight {
         let seq = self.alloc_seq();
         let req = match self.session_token {
-            Some(session_token) => Request::Resume {
-                session_token,
-                last_tick: self.last_tick,
-            },
+            Some(session_token) => Request::Resume { session_token },
             None => Request::Hello {
                 proto: PROTO_VERSION,
             },
         };
-        InFlight::new(seq, &req)
+        InFlight::new(seq, &req, 0)
     }
 
     /// Capped exponential backoff with deterministic jitter, never
@@ -376,21 +350,17 @@ impl<T: Transport, F: FnMut() -> Option<T>> ResilientClient<T, F> {
         loop {
             let Some(t) = self.t.as_mut() else { return };
             let Some(frame) = t.try_recv() else { return };
-            let resp = match Response::decode(&frame) {
+            let (header, resp) = match Response::decode_framed(&frame) {
                 Ok(r) => r,
-                // Corrupt reply: drop it; the reissue path recovers.
+                // Corrupt reply (a header checksum mismatch included):
+                // drop it; the reissue path recovers.
                 Err(_) => continue,
             };
+            if let Some(h) = header {
+                self.on_seq_reply(h.seq, resp);
+                continue;
+            }
             match resp {
-                Response::SeqReply { seq, crc, inner } => {
-                    if fnv64(&inner) != crc {
-                        continue; // corrupt envelope; reissue recovers
-                    }
-                    let Ok(inner) = Response::decode(&inner) else {
-                        continue;
-                    };
-                    self.on_seq_reply(seq, inner);
-                }
                 Response::Overloaded { retry_after_pumps } => {
                     // Shed before it was applied: wait the hint out,
                     // then reissue the same seq.
@@ -421,21 +391,11 @@ impl<T: Transport, F: FnMut() -> Option<T>> ResilientClient<T, F> {
                     self.on_transport_death();
                     return;
                 }
-                push @ (Response::Counters { .. }
-                | Response::Sample { .. }
-                | Response::TickKeyframe { .. }
-                | Response::TickDelta { .. }) => {
-                    if let Response::Counters { tick, .. }
-                    | Response::Sample { tick, .. }
-                    | Response::TickKeyframe { tick, .. }
-                    | Response::TickDelta { tick, .. } = &push
-                    {
-                        self.last_tick = self.last_tick.max(*tick);
-                    }
+                push @ (Response::TickKeyframe { .. } | Response::TickDelta { .. }) => {
                     self.pushes.push_back(push);
                 }
-                // A non-enveloped control reply outside a handshake we
-                // recognise — stale or duplicated; ignore.
+                // A header-less reply outside a handshake we recognise —
+                // stale or duplicated; ignore.
                 _ => {}
             }
         }
@@ -448,9 +408,6 @@ impl<T: Transport, F: FnMut() -> Option<T>> ResilientClient<T, F> {
             return;
         }
         if self.user.as_ref().is_some_and(|u| u.seq == seq) {
-            if let Response::Counters { tick, .. } | Response::Sample { tick, .. } = &inner {
-                self.last_tick = self.last_tick.max(*tick);
-            }
             let trace_id = self.user.as_ref().map_or(0, |u| u.trace_id);
             if trace_id != 0 {
                 self.trace
@@ -484,12 +441,11 @@ impl<T: Transport, F: FnMut() -> Option<T>> ResilientClient<T, F> {
             Response::Resumed {
                 session_id,
                 session_token,
-                cur_tick,
                 gap_pumps,
+                ..
             } => {
                 self.session_id = session_id;
                 self.session_token = Some(session_token);
-                self.last_tick = self.last_tick.max(cur_tick);
                 self.stats.resumes += 1;
                 self.stats.gap_pumps += gap_pumps;
                 self.consecutive_fails = 0;
@@ -536,9 +492,9 @@ impl<T: Transport, F: FnMut() -> Option<T>> ResilientClient<T, F> {
     }
 
     fn on_plain_err(&mut self, code: u16, _msg: String) {
-        // A typed refusal outside the envelope (the daemon could not
-        // attribute a seq): BAD_CHECKSUM / BAD_FRAME mean our request
-        // was mangled in flight — reissue the in-flight seq right away.
+        // A typed refusal without a header (the daemon could not trust
+        // the seq): BAD_CHECKSUM / BAD_FRAME mean our request was
+        // mangled in flight — reissue the in-flight seq right away.
         if code == errcode::BAD_CHECKSUM || code == errcode::BAD_FRAME {
             let inf = if matches!(self.link, Link::Greeting) {
                 self.greet.as_mut()

@@ -1,6 +1,6 @@
 //! The daemon: sharded session registry, lockstep pump, backpressure.
 //!
-//! A [`Daemon`] owns the [`Collector`] and a set of worker shards. Each
+//! A [`Daemon`] owns the [`Collector`] and a set of shards. Each
 //! connected session lives in exactly one shard (`session_id % shards`),
 //! and each `pump()`:
 //!
@@ -8,13 +8,10 @@
 //! 2. advances the kernel once and publishes the new [`TickSnapshot`]
 //!    to the [`SnapshotCache`] (the single cache-invalidation point),
 //!    which also pre-encodes this pump's shared delta-stream frames,
-//! 3. serves every shard from the immutable snapshot — on the
-//!    **persistent reactor workers** (`crate::reactor`) when the host
-//!    has parallelism to exploit, inline on the pump thread otherwise.
-//!    Shard count is a *determinism* domain (request interleaving per
-//!    shard), worker count a *parallelism* one; decoupling them is what
-//!    lets 8 shards cost the same as 1 on a single-core host instead of
-//!    paying eight thread spawns per pump,
+//! 3. serves every shard from the immutable snapshot, inline on the
+//!    pump thread in shard order. A shard is a *determinism* domain:
+//!    it fixes request interleaving and the virtual serving clock, and
+//!    served counts do not depend on how many there are,
 //! 4. reaps closed and evicted sessions, **parks** sessions whose
 //!    transport died uncleanly, and TTL-reaps the parked table.
 //!
@@ -32,14 +29,15 @@
 //!
 //! Robustness (chaos hardening) layers three mechanisms on top:
 //!
-//! * **Idempotent reissue** — requests wrapped in
-//!   [`Request::WithSeq`] are checksum-verified and deduplicated
-//!   against a small per-session reply cache, so a client that lost a
-//!   reply can reissue the same sequence id without the request being
-//!   applied twice.
+//! * **Idempotent reissue** — requests carrying the
+//!   [`crate::wire::Header`] are
+//!   checksum-verified (tag, seq, trace context and payload) and, with
+//!   a nonzero seq, deduplicated against a small per-session reply
+//!   cache, so a client that lost a reply can reissue the same sequence
+//!   id without the request being applied twice.
 //! * **Session resume** — a session whose transport dies uncleanly
 //!   (inbox closed and drained without an orderly `Close` or an
-//!   eviction) is *parked*: its subscriptions, stream setting, and
+//!   eviction) is *parked*: its subscriptions, delta-stream setting, and
 //!   reply cache move to a token-keyed table for
 //!   `resume_ttl_pumps`. A reconnecting client sends
 //!   [`Request::Resume`] with the token from its `Welcome` and
@@ -50,7 +48,7 @@
 //!   are answered with a typed [`Response::Overloaded`] (carrying a
 //!   retry hint) instead of being applied, evicted, or left to rot.
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -61,10 +59,9 @@ use simtrace::{span, EventKind, TraceSink, Track};
 
 use crate::history::{History, Rollup, Scratch, SloSpec};
 use crate::queue::{ClientPipe, FrameQueue, PushError};
-use crate::reactor::WorkerPool;
 use crate::snapshot::{Collector, SnapshotCache, StreamFrames, TickSnapshot};
 use crate::wire::{
-    errcode, fnv64, metrics, HistSummary, MetricValue, Request, Response, PROTO_VERSION,
+    errcode, fnv64, metrics, HistSummary, MetricValue, Request, Response, WireError, PROTO_VERSION,
 };
 
 /// Entries kept in a session's seq-reply dedup cache. Two covers the
@@ -75,8 +72,8 @@ const REPLY_CACHE: usize = 4;
 /// Daemon tuning knobs.
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
-    /// Worker shards serving sessions (aggregate counts are identical at
-    /// any value; latency distribution is not).
+    /// Shards serving sessions (aggregate counts are identical at any
+    /// value; latency distribution is not).
     pub shards: usize,
     /// Kernel ticks simulated per pump — the batching window: every read
     /// arriving within one pump is served from the same kernel pass.
@@ -109,12 +106,6 @@ pub struct DaemonConfig {
     pub resume_ttl_pumps: u64,
     /// Back-off hint carried in [`Response::Overloaded`] replies.
     pub retry_after_pumps: u32,
-    /// Reactor worker threads serving shards each pump. `0` (the
-    /// default) sizes to `min(shards, available_parallelism)` — on a
-    /// single-core host that is 1 and shards are served inline on the
-    /// pump thread with zero cross-thread handoff. Aggregate counts and
-    /// digests are identical at any value.
-    pub workers: usize,
     /// Per-tier frame capacity of the rollup history ring (floored at
     /// [`crate::history::TIER_FANOUT`]).
     pub history_cap: usize,
@@ -137,7 +128,6 @@ impl Default for DaemonConfig {
             deadline_pumps: 0,
             resume_ttl_pumps: 256,
             retry_after_pumps: 2,
-            workers: 0,
             history_cap: 512,
             slos: Vec::new(),
         }
@@ -172,8 +162,6 @@ struct Session {
     helloed: bool,
     subs: Vec<Subscription>,
     next_sub_id: u32,
-    /// Push Counters frames every N pumps (0 = off).
-    stream_every: u32,
     /// Push delta-encoded snapshot frames every N pumps (0 = off).
     delta_every: u32,
     /// Tick the delta subscriber's mirror is believed to hold: the
@@ -188,7 +176,8 @@ struct Session {
     /// (budget or backpressure), so the readiness skip must not apply
     /// even though no new push raised the inbox flag.
     pending_input: bool,
-    /// Recent `(seq, encoded SeqReply)` pairs for idempotent reissue.
+    /// Recent `(seq, encoded header reply)` pairs for idempotent
+    /// reissue.
     reply_cache: VecDeque<(u32, Vec<u8>)>,
     closed: bool,
     evicted: bool,
@@ -196,10 +185,9 @@ struct Session {
 
 /// Parked state of a session whose transport died uncleanly, keyed by
 /// token in the daemon's resume table until TTL.
-pub(crate) struct ParkedSession {
+struct ParkedSession {
     subs: Vec<Subscription>,
     next_sub_id: u32,
-    stream_every: u32,
     delta_every: u32,
     reply_cache: VecDeque<(u32, Vec<u8>)>,
     parked_at_pump: u64,
@@ -212,10 +200,10 @@ fn session_token(id: u64) -> u64 {
     fnv64(&id.to_le_bytes())
 }
 
-pub(crate) struct Shard {
+struct Shard {
     sessions: Vec<Session>,
     reads_served: u64,
-    /// Per-shard flight recorder (thread-confined during serving).
+    /// Per-shard flight recorder.
     trace: TraceSink,
     /// Per-shard self-metrics, absorbed into the daemon's master
     /// registry at the start of each pump.
@@ -256,7 +244,6 @@ impl Connector {
             helloed: false,
             subs: Vec::new(),
             next_sub_id: 1,
-            stream_every: 0,
             delta_every: 0,
             stream_base: None,
             stalled_pumps: 0,
@@ -273,34 +260,22 @@ impl Connector {
     }
 }
 
-/// Aggregate serving statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DaemonStats {
-    pub sessions: u64,
-    pub reads_served: u64,
-    pub evictions: u64,
-    pub pumps: u64,
-}
-
-/// Everything `serve_shard` needs beyond the shard itself. Owned (all
-/// `Arc`/`Copy`) so the persistent reactor workers — which outlive any
-/// single pump — can hold it without borrowing from the pump frame.
-#[derive(Clone)]
-pub(crate) struct PumpCtx {
-    snap: Arc<TickSnapshot>,
-    stream: Arc<StreamFrames>,
-    cache: Arc<SnapshotCache>,
-    cfg: DaemonConfig,
-    stats_view: DaemonStats,
+/// Everything `serve_shard` needs beyond the shard itself, borrowed
+/// from the daemon for one pump.
+struct PumpCtx<'a> {
+    snap: &'a TickSnapshot,
+    stream: &'a StreamFrames,
+    cache: &'a SnapshotCache,
+    cfg: &'a DaemonConfig,
     tick_ns: u64,
-    self_metrics: Arc<Vec<u8>>,
+    /// This pump's `GetSelfMetrics` reply, frozen at pump start.
+    self_metrics: &'a [u8],
     /// Pre-encoded `Response::Health` frame, frozen at pump start from
     /// the watchdog state through the previous pump.
-    health: Arc<Vec<u8>>,
-    /// The rollup history. Read-locked by `QueryRange` dispatch; the
-    /// only writer is the pump thread, after serving completes.
-    history: Arc<RwLock<History>>,
-    parked: Arc<Mutex<HashMap<u64, ParkedSession>>>,
+    health: &'a [u8],
+    /// The rollup history `QueryRange` reads; written after serving.
+    history: &'a History,
+    parked: &'a mut HashMap<u64, ParkedSession>,
     pump: u64,
 }
 
@@ -309,21 +284,17 @@ pub struct Daemon {
     collector: Collector,
     cache: Arc<SnapshotCache>,
     shards: Vec<Shard>,
-    /// Persistent reactor workers (`None` = serve inline: one worker
-    /// would just be the pump thread with extra handoff).
-    pool: Option<WorkerPool>,
     connector: Connector,
     /// Dead-transport sessions awaiting `Resume`, keyed by token.
-    parked: Arc<Mutex<HashMap<u64, ParkedSession>>>,
-    evictions: u64,
+    parked: HashMap<u64, ParkedSession>,
     pumps: u64,
     n_cpus: u32,
     tick_ns: u64,
     trace: TraceSink,
-    /// Rollup history + SLO watchdog (one writer: the pump thread).
-    history: Arc<RwLock<History>>,
+    /// Rollup history + SLO watchdog.
+    history: History,
     /// This pump's frozen `GetHealth` reply.
-    health_frame: Arc<Vec<u8>>,
+    health_frame: Vec<u8>,
     /// Per-CPU cluster index (0 = the machine's first core type — the
     /// big/P cluster on hybrids — 1 = everything else).
     cluster_of: Vec<u8>,
@@ -392,24 +363,11 @@ impl Daemon {
             })
             .collect();
         let history = History::new(cfg.history_cap, cfg.slos.clone());
-        let health_frame = Arc::new(
-            Response::Health {
-                pumps: 0,
-                slos: history.health(),
-            }
-            .encode(),
-        );
-        // Workers are a parallelism decision, shards a determinism one:
-        // never spawn more workers than the host can actually run.
-        let workers = if cfg.workers > 0 {
-            cfg.workers
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
+        let health_frame = Response::Health {
+            pumps: 0,
+            slos: history.health(),
         }
-        .min(shards.len());
-        let pool = (workers >= 2).then(|| WorkerPool::new(workers));
+        .encode();
         Daemon {
             connector: Connector {
                 pending: Arc::new(Mutex::new(Vec::new())),
@@ -421,14 +379,12 @@ impl Daemon {
             collector,
             cache,
             shards,
-            pool,
-            parked: Arc::new(Mutex::new(HashMap::new())),
-            evictions: 0,
+            parked: HashMap::new(),
             pumps: 0,
             n_cpus,
             tick_ns,
             trace: TraceSink::new(&trace_cfg),
-            history: Arc::new(RwLock::new(history)),
+            history,
             health_frame,
             cluster_of,
             prev_cluster: [[0; 2]; 2],
@@ -442,30 +398,21 @@ impl Daemon {
         self.connector.clone()
     }
 
-    /// The snapshot cache (shared with transports and tests).
+    /// The snapshot cache, for tools and tests that read the latest
+    /// snapshot.
     pub fn cache(&self) -> Arc<SnapshotCache> {
         self.cache.clone()
     }
 
-    pub fn stats(&self) -> DaemonStats {
-        DaemonStats {
-            sessions: self.shards.iter().map(|s| s.sessions.len() as u64).sum(),
-            reads_served: self.shards.iter().map(|s| s.reads_served).sum(),
-            evictions: self.evictions,
-            pumps: self.pumps,
-        }
-    }
-
     /// Sessions currently parked awaiting resume.
     pub fn parked_count(&self) -> usize {
-        self.parked.lock().len()
+        self.parked.len()
     }
 
-    /// Parallel serving workers (1 = shards served inline on the pump
-    /// thread — the fast path when the host has a single core or a
-    /// single shard).
+    /// Threads serving shards: always 1, the pump thread, which serves
+    /// every shard inline.
     pub fn workers(&self) -> usize {
-        self.pool.as_ref().map_or(1, |p| p.len())
+        1
     }
 
     /// One lockstep serving round. Returns the snapshot it served from.
@@ -497,48 +444,38 @@ impl Daemon {
         self.cache.publish(snap.clone());
         self.pumps += 1;
 
-        // 3. Serve every shard from the immutable snapshot.
-        let stats_view = self.stats();
-        // Absorb shard self-metrics into the master registry (fixed shard
-        // order keeps merged views deterministic), refresh the gauges, and
-        // freeze this pump's GetSelfMetrics reply before serving begins:
-        // reads served below surface at the *next* pump, like the stats.
+        // 3. Serve every shard from the immutable snapshot, in shard
+        // order. Absorb shard self-metrics into the master registry
+        // (fixed shard order keeps merged views deterministic), refresh
+        // the gauges, and freeze this pump's GetSelfMetrics reply before
+        // serving begins: reads served below surface at the *next* pump.
         for shard in &mut self.shards {
             self.reg.absorb(&mut shard.reg);
         }
-        self.reg.set("pumps", stats_view.pumps);
-        self.reg.set("sessions", stats_view.sessions);
-        self.reg.set("evictions", stats_view.evictions);
-        self.reg.set("reads_served", stats_view.reads_served);
-        self.reg
-            .set("parked_sessions", self.parked.lock().len() as u64);
-        let self_metrics = Arc::new(self_metrics_frame(&self.reg));
+        let sessions = self.shards.iter().map(|s| s.sessions.len() as u64).sum();
+        let reads_served = self.shards.iter().map(|s| s.reads_served).sum();
+        self.reg.set("pumps", self.pumps);
+        self.reg.set("sessions", sessions);
+        self.reg.set("reads_served", reads_served);
+        self.reg.set("parked_sessions", self.parked.len() as u64);
+        let self_metrics = self_metrics_frame(&self.reg);
         self.trace
             .record(snap.time_ns, EventKind::DaemonPump, 0, self.pumps, 0);
-        let ctx = PumpCtx {
-            snap: snap.clone(),
-            stream: self.cache.stream_frames(),
-            cache: self.cache.clone(),
-            cfg: self.cfg.clone(),
-            stats_view,
+        let stream = self.cache.stream_frames();
+        let mut ctx = PumpCtx {
+            snap: &snap,
+            stream: &stream,
+            cache: &self.cache,
+            cfg: &self.cfg,
             tick_ns: self.tick_ns,
-            self_metrics,
-            health: self.health_frame.clone(),
-            history: self.history.clone(),
-            parked: self.parked.clone(),
+            self_metrics: &self_metrics,
+            health: &self.health_frame,
+            history: &self.history,
+            parked: &mut self.parked,
             pump: self.pumps,
         };
-        match &mut self.pool {
-            // Persistent workers: distribute shards, one generation
-            // barrier, no per-pump thread spawns.
-            Some(pool) => pool.serve(&mut self.shards, &ctx),
-            // No host parallelism to exploit: serve every shard inline
-            // on the pump thread, in shard order.
-            None => {
-                for shard in &mut self.shards {
-                    serve_shard(shard, &ctx);
-                }
-            }
+        for shard in &mut self.shards {
+            serve_shard(shard, &mut ctx);
         }
 
         // 4. Reap: drop closed/evicted sessions, park dead transports.
@@ -546,7 +483,7 @@ impl Daemon {
             let sessions = std::mem::take(&mut shard.sessions);
             for s in sessions {
                 if s.evicted {
-                    self.evictions += 1;
+                    self.reg.inc("evictions", 1);
                     continue;
                 }
                 if s.closed {
@@ -559,12 +496,11 @@ impl Daemon {
                         .record(snap.time_ns, EventKind::ConnReset, 1, s.id, self.pumps);
                     self.reg.inc("conn_parks", 1);
                     s.outbox.close();
-                    self.parked.lock().insert(
+                    self.parked.insert(
                         s.token,
                         ParkedSession {
                             subs: s.subs,
                             next_sub_id: s.next_sub_id,
-                            stream_every: s.stream_every,
                             delta_every: s.delta_every,
                             reply_cache: s.reply_cache,
                             parked_at_pump: self.pumps,
@@ -579,7 +515,7 @@ impl Daemon {
         let ttl = self.cfg.resume_ttl_pumps;
         let pumps = self.pumps;
         let mut reaped = 0u64;
-        self.parked.lock().retain(|_, p| {
+        self.parked.retain(|_, p| {
             let keep = pumps.saturating_sub(p.parked_at_pump) <= ttl;
             if !keep {
                 reaped += 1;
@@ -591,10 +527,9 @@ impl Daemon {
         }
 
         // 5. History: fold this pump's serving into one rollup frame.
-        // Runs after serving and reaping — workers are done, shards are
-        // exclusively owned — so scratches absorb in shard order, the
-        // only deterministic order there is. Queries served during pump
-        // N therefore see rollups through pump N-1.
+        // Runs after serving and reaping, so scratches absorb in shard
+        // order, the only deterministic order there is. Queries served
+        // during pump N therefore see rollups through pump N-1.
         let mut cluster = [[0u64; 2]; 2];
         for (i, c) in snap.cpus.iter().enumerate() {
             let cl = self.cluster_of.get(i).copied().unwrap_or(0) as usize;
@@ -628,10 +563,7 @@ impl Daemon {
         for shard in &mut self.shards {
             shard.scratch.absorb_into(&mut rollup);
         }
-        let (breaches, health) = {
-            let mut h = self.history.write();
-            (h.push(rollup), h.health())
-        };
+        let breaches = self.history.push(rollup);
         for b in &breaches {
             self.trace.record(
                 snap.time_ns,
@@ -642,13 +574,11 @@ impl Daemon {
             );
             self.reg.inc("slo_breaches", 1);
         }
-        self.health_frame = Arc::new(
-            Response::Health {
-                pumps: self.pumps,
-                slos: health,
-            }
-            .encode(),
-        );
+        self.health_frame = Response::Health {
+            pumps: self.pumps,
+            slos: self.history.health(),
+        }
+        .encode();
         snap
     }
 
@@ -679,10 +609,10 @@ impl Daemon {
         tracks
     }
 
-    /// Read access to the rollup history (what `QueryRange` serves
-    /// from), for tests and local cross-checks.
-    pub fn history(&self) -> Arc<RwLock<History>> {
-        self.history.clone()
+    /// The rollup history (what `QueryRange` serves from), for tests
+    /// and local cross-checks.
+    pub fn history(&self) -> &History {
+        &self.history
     }
 }
 
@@ -727,7 +657,7 @@ fn collector_boot_snapshot(c: &Collector) -> Arc<TickSnapshot> {
     })
 }
 
-pub(crate) fn serve_shard(shard: &mut Shard, ctx: &PumpCtx) {
+fn serve_shard(shard: &mut Shard, ctx: &mut PumpCtx) {
     let Shard {
         sessions,
         reads_served,
@@ -735,8 +665,8 @@ pub(crate) fn serve_shard(shard: &mut Shard, ctx: &PumpCtx) {
         reg,
         scratch,
     } = shard;
-    let cfg = &ctx.cfg;
-    let snap = &ctx.snap;
+    let cfg = ctx.cfg;
+    let snap = ctx.snap;
     // Virtual serving clock for this shard this pump: request k in the
     // shard completes at snapshot-time + (k+1)·serve_ns. More shards →
     // shorter per-shard queues → lower reported tail latency.
@@ -762,11 +692,9 @@ pub(crate) fn serve_shard(shard: &mut Shard, ctx: &PumpCtx) {
         // happens, so the stall/deadline counters reset exactly as that
         // pass would have reset them.
         let input_hint = session.inbox.take_ready() || session.pending_input;
-        let stream_due =
-            session.stream_every > 0 && snap.tick.is_multiple_of(session.stream_every as u64);
         let delta_due =
             session.delta_every > 0 && snap.tick.is_multiple_of(session.delta_every as u64);
-        if !input_hint && !stream_due && !delta_due {
+        if !input_hint && !delta_due {
             session.stalled_pumps = 0;
             session.waiting_pumps = 0;
             skipped += 1;
@@ -781,7 +709,7 @@ pub(crate) fn serve_shard(shard: &mut Shard, ctx: &PumpCtx) {
         // push, a push missed under backpressure, a resume, a client
         // nack — falls back to the keyframe.
         if delta_due {
-            let sf = &ctx.stream;
+            let sf = ctx.stream;
             let frame = match (session.stream_base, &sf.delta) {
                 (Some(base), Some(delta)) if base == sf.base_tick => delta.clone(),
                 _ => sf.keyframe.clone(),
@@ -813,25 +741,6 @@ pub(crate) fn serve_shard(shard: &mut Shard, ctx: &PumpCtx) {
                     stalled = true;
                 }
                 Err(PushError::Closed) | Err(PushError::TooBig) => session.closed = true,
-            }
-        }
-
-        // Stream pushes next (they contend for outbox space like replies).
-        if !session.closed && stream_due {
-            for si in 0..session.subs.len() {
-                let (resp, _, _) =
-                    counters_response(&session.subs[si], snap, 0, cfg, served_in_shard);
-                match session.outbox.push(resp.encode()) {
-                    Ok(()) => served_in_shard += 1,
-                    Err(PushError::Full) => {
-                        stalled = true;
-                        break;
-                    }
-                    Err(PushError::Closed) | Err(PushError::TooBig) => {
-                        session.closed = true;
-                        break;
-                    }
-                }
             }
         }
 
@@ -961,63 +870,46 @@ pub(crate) fn serve_shard(shard: &mut Shard, ctx: &PumpCtx) {
     }
 }
 
-/// Decode one inbound frame and produce the encoded reply, unwrapping
-/// and deduplicating [`Request::WithSeq`] envelopes and unwrapping the
-/// [`Request::Traced`] causal envelope (always the outermost layer).
-#[allow(clippy::too_many_arguments)]
+/// Decode one inbound frame and produce the encoded reply. A frame
+/// that fails to decode or to verify its header is refused and nothing
+/// is applied. A header request is answered with the header echoed,
+/// and a nonzero seq the session has already seen is answered from the
+/// reply cache instead of being applied again.
 fn handle_frame(
     session: &mut Session,
     frame: &[u8],
-    ctx: &PumpCtx,
+    ctx: &mut PumpCtx,
     served_in_shard: u64,
     trace: &mut TraceSink,
     reg: &mut Registry,
     scratch: &mut Scratch,
 ) -> Vec<u8> {
-    let req = match Request::decode(frame) {
-        Ok(r) => r,
+    let (header, req) = match Request::decode_framed(frame) {
+        Ok(decoded) => decoded,
         Err(e) => {
+            let code = if e == WireError::CHECKSUM {
+                reg.inc("bad_checksums", 1);
+                errcode::BAD_CHECKSUM
+            } else {
+                errcode::BAD_FRAME
+            };
             return Response::Err {
-                code: errcode::BAD_FRAME,
+                code,
                 msg: e.to_string(),
             }
-            .encode()
+            .encode();
         }
     };
-    // Unwrap the causal envelope first: it is semantically transparent
-    // (the inner request is served identically), so goldens are
-    // unaffected — its only effect is the linked spans recorded here.
-    let (tctx, req) = match req {
-        Request::Traced { ctx: tc, inner } => match Request::decode(&inner) {
-            Ok(Request::Traced { .. }) => {
-                return Response::Err {
-                    code: errcode::BAD_FRAME,
-                    msg: "nested trace envelope".into(),
-                }
-                .encode()
-            }
-            Ok(r) => (Some(tc), r),
-            Err(e) => {
-                return Response::Err {
-                    code: errcode::BAD_FRAME,
-                    msg: e.to_string(),
-                }
-                .encode()
-            }
-        },
-        other => (None, other),
-    };
-    let trace_id = match tctx {
-        Some(tc) if tc.sampled => tc.trace_id,
+    let trace_id = match header {
+        Some(h) if h.trace.sampled => h.trace.trace_id,
         _ => 0,
     };
+    let t = ctx.snap.time_ns;
     if trace_id != 0 {
-        // The serving loop's unwrap is the in-process reactor hop (the
-        // tcpio thread records its own when the bytes crossed TCP); the
-        // shard span wraps the dispatch below. A read's shard span also
-        // joins the snapshot flow of the tick it serves from, stitching
-        // the RPC timeline to the collector's.
-        let t = ctx.snap.time_ns;
+        // Verifying the header is the reactor hop; the shard span wraps
+        // the dispatch below. A read's shard span also joins the snapshot
+        // flow of the tick it serves from, stitching the RPC timeline
+        // to the collector's.
         trace.record(t, EventKind::SpanBegin, span::REACTOR, trace_id, 0);
         trace.record(t, EventKind::SpanEnd, span::REACTOR, trace_id, 0);
         let joined = if matches!(req, Request::Read { .. }) {
@@ -1026,134 +918,63 @@ fn handle_frame(
             0
         };
         trace.record(t, EventKind::SpanBegin, span::SHARD, trace_id, joined);
-        let reply = handle_unwrapped(
-            session,
-            req,
-            ctx,
-            served_in_shard,
-            trace,
-            reg,
-            scratch,
-            trace_id,
-        );
-        trace.record(
-            ctx.snap.time_ns,
-            EventKind::SpanEnd,
-            span::SHARD,
-            trace_id,
-            0,
-        );
-        return reply;
     }
-    handle_unwrapped(session, req, ctx, served_in_shard, trace, reg, scratch, 0)
-}
-
-/// Seq-envelope handling and dispatch for an already trace-unwrapped
-/// request.
-#[allow(clippy::too_many_arguments)]
-fn handle_unwrapped(
-    session: &mut Session,
-    req: Request,
-    ctx: &PumpCtx,
-    served_in_shard: u64,
-    trace: &mut TraceSink,
-    reg: &mut Registry,
-    scratch: &mut Scratch,
-    trace_id: u64,
-) -> Vec<u8> {
-    match req {
-        Request::WithSeq { seq, crc, inner } => {
-            if fnv64(&inner) != crc {
-                // Corruption slipped past framing: refuse without
-                // applying anything; the client reissues the same seq.
-                reg.inc("bad_checksums", 1);
-                return Response::Err {
-                    code: errcode::BAD_CHECKSUM,
-                    msg: "seq envelope checksum mismatch".into(),
-                }
-                .encode();
-            }
-            if let Some((_, cached)) = session.reply_cache.iter().find(|(s, _)| *s == seq) {
+    let reply = match header {
+        None => dispatch(session, req, ctx, served_in_shard, trace, reg, scratch, 0),
+        Some(h) => match session
+            .reply_cache
+            .iter()
+            .position(|(s, _)| h.seq != 0 && *s == h.seq)
+        {
+            Some(i) => {
                 // Idempotent reissue: the request was already applied;
                 // re-send the cached reply, apply nothing.
                 reg.inc("dup_reissues", 1);
-                return cached.clone();
+                session.reply_cache[i].1.clone()
             }
-            let ireq = match Request::decode(&inner) {
-                Ok(Request::WithSeq { .. }) => {
-                    return Response::Err {
-                        code: errcode::BAD_FRAME,
-                        msg: "nested seq envelope".into(),
+            None => {
+                let reply = h.wrap(&dispatch(
+                    session,
+                    req,
+                    ctx,
+                    served_in_shard,
+                    trace,
+                    reg,
+                    scratch,
+                    trace_id,
+                ));
+                if h.seq != 0 {
+                    session.reply_cache.push_back((h.seq, reply.clone()));
+                    while session.reply_cache.len() > REPLY_CACHE {
+                        session.reply_cache.pop_front();
                     }
-                    .encode()
                 }
-                Ok(Request::Traced { .. }) => {
-                    return Response::Err {
-                        code: errcode::BAD_FRAME,
-                        msg: "trace envelope must be outermost".into(),
-                    }
-                    .encode()
-                }
-                Ok(r) => r,
-                Err(e) => {
-                    return Response::Err {
-                        code: errcode::BAD_FRAME,
-                        msg: e.to_string(),
-                    }
-                    .encode()
-                }
-            };
-            let reply = dispatch(
-                session,
-                ireq,
-                ctx,
-                served_in_shard,
-                trace,
-                reg,
-                scratch,
-                trace_id,
-            );
-            let wrapped = Response::SeqReply {
-                seq,
-                crc: fnv64(&reply),
-                inner: reply,
+                reply
             }
-            .encode();
-            session.reply_cache.push_back((seq, wrapped.clone()));
-            while session.reply_cache.len() > REPLY_CACHE {
-                session.reply_cache.pop_front();
-            }
-            wrapped
-        }
-        other => dispatch(
-            session,
-            other,
-            ctx,
-            served_in_shard,
-            trace,
-            reg,
-            scratch,
-            trace_id,
-        ),
+        },
+    };
+    if trace_id != 0 {
+        trace.record(t, EventKind::SpanEnd, span::SHARD, trace_id, 0);
     }
+    reply
 }
 
-/// Apply one (already unwrapped) request to the session. `trace_id` is
-/// nonzero only for a sampled traced request — it feeds the history
-/// scratch so SLO breaches can name an exemplar.
+/// Apply one decoded request to the session. `trace_id` is nonzero
+/// only for a sampled traced request — it feeds the history scratch so
+/// SLO breaches can name an exemplar.
 #[allow(clippy::too_many_arguments)]
 fn dispatch(
     session: &mut Session,
     req: Request,
-    ctx: &PumpCtx,
+    ctx: &mut PumpCtx,
     served_in_shard: u64,
     trace: &mut TraceSink,
     reg: &mut Registry,
     scratch: &mut Scratch,
     trace_id: u64,
 ) -> Vec<u8> {
-    let snap = &*ctx.snap;
-    let cfg = &ctx.cfg;
+    let snap = ctx.snap;
+    let cfg = ctx.cfg;
     if !session.helloed && !matches!(req, Request::Hello { .. } | Request::Resume { .. }) {
         return Response::Err {
             code: errcode::NOT_HELLOED,
@@ -1162,18 +983,6 @@ fn dispatch(
         .encode();
     }
     match req {
-        // Unreachable: handle_frame unwraps (and rejects nested)
-        // envelopes before dispatch.
-        Request::WithSeq { .. } => Response::Err {
-            code: errcode::BAD_FRAME,
-            msg: "nested seq envelope".into(),
-        }
-        .encode(),
-        Request::Traced { .. } => Response::Err {
-            code: errcode::BAD_FRAME,
-            msg: "trace envelope must be outermost".into(),
-        }
-        .encode(),
         Request::Hello { proto } => {
             if proto != PROTO_VERSION {
                 return Response::Err {
@@ -1192,12 +1001,8 @@ fn dispatch(
             }
             .encode()
         }
-        Request::Resume {
-            session_token,
-            last_tick,
-        } => {
-            let restored = ctx.parked.lock().remove(&session_token);
-            match restored {
+        Request::Resume { session_token } => {
+            match ctx.parked.remove(&session_token) {
                 Some(p) => {
                     session.helloed = true;
                     session.token = session_token;
@@ -1206,7 +1011,6 @@ fn dispatch(
                         sub.resumed = true;
                     }
                     session.next_sub_id = p.next_sub_id;
-                    session.stream_every = p.stream_every;
                     session.delta_every = p.delta_every;
                     // The mirror on the other side is stale by however
                     // long the session was parked: force a keyframe.
@@ -1225,7 +1029,6 @@ fn dispatch(
                         session.id,
                         gap_pumps,
                     );
-                    debug_assert!(last_tick <= snap.tick, "client cursor ahead of sim time");
                     Response::Resumed {
                         session_id: session.id,
                         session_token,
@@ -1339,14 +1142,6 @@ fn dispatch(
             gap: snap.gap,
         }
         .encode(),
-        Request::Stream { every_pumps } => {
-            session.stream_every = every_pumps;
-            Response::Subscribed {
-                sub_id: 0,
-                base_tick: snap.tick,
-            }
-            .encode()
-        }
         Request::StreamDeltas { every_pumps } => {
             session.delta_every = every_pumps;
             // No base yet (or the client explicitly restarted the
@@ -1374,13 +1169,6 @@ fn dispatch(
             }
             .encode()
         }
-        Request::Stats => Response::Stats {
-            sessions: ctx.stats_view.sessions,
-            reads_served: ctx.stats_view.reads_served,
-            evictions: ctx.stats_view.evictions,
-            pumps: ctx.stats_view.pumps,
-        }
-        .encode(),
         Request::Close => {
             session.closed = true;
             Response::Closed.encode()
@@ -1395,7 +1183,6 @@ fn dispatch(
             max_points,
         } => match ctx
             .history
-            .read()
             .query(series, agg, start_tick, end_tick, max_points)
         {
             Ok(r) => Response::RangeReply {

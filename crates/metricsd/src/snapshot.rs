@@ -7,7 +7,7 @@
 //! the same fault-aware sysfs the poller uses. The result is an immutable
 //! [`TickSnapshot`]; every client read in that pump is served from it.
 //!
-//! This is what makes aggregate counts bit-identical across worker shard
+//! This is what makes aggregate counts bit-identical across shard
 //! counts: the kernel-op sequence depends only on the pump schedule, not
 //! on how many sessions exist or how they are sharded.
 

@@ -24,14 +24,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::Mutex;
-use simtrace::{span, EventKind, TraceEvent, TraceSink, Track};
-
 use crate::client::{ClientError, Transport};
 use crate::queue::FrameQueue;
 use crate::server::Connector;
-use crate::snapshot::SnapshotCache;
-use crate::wire::{FrameDecoder, TraceCtx, MAX_FRAME};
+use crate::wire::{FrameDecoder, MAX_FRAME};
 
 /// Sleep when a full reactor pass makes no progress (no accepts, no
 /// bytes moved). Short enough to stay responsive, long enough to idle.
@@ -45,76 +41,30 @@ const WRITE_BATCH: usize = 16;
 /// Max `IoSlice`s per vectored write.
 const IOV_MAX: usize = 16;
 
-/// Span recording for the IO thread: sampled traced frames get a
-/// `rpc:reactor` hop on the "tcpio" track, stamped with the sim-time of
-/// the latest *published* snapshot (the reactor has no kernel handle,
-/// and wall clocks are banned).
-struct TraceBridge {
-    sink: Arc<Mutex<TraceSink>>,
-    cache: Arc<SnapshotCache>,
-}
-
 /// A running TCP listener bridging sockets onto daemon sessions.
 pub struct Listener {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     io_thread: Option<std::thread::JoinHandle<()>>,
-    trace: Option<Arc<Mutex<TraceSink>>>,
 }
 
 impl Listener {
     /// Bind (e.g. `"127.0.0.1:0"` for an ephemeral port) and start the
     /// reactor. Each accepted socket becomes one daemon session.
     pub fn spawn(connector: Connector, bind: &str) -> std::io::Result<Listener> {
-        Listener::spawn_inner(connector, bind, None)
-    }
-
-    /// As [`Listener::spawn`], recording a reactor-hop span for every
-    /// sampled traced frame that crosses the socket boundary.
-    pub fn spawn_traced(
-        connector: Connector,
-        bind: &str,
-        sink: TraceSink,
-        cache: Arc<SnapshotCache>,
-    ) -> std::io::Result<Listener> {
-        let sink = Arc::new(Mutex::new(sink));
-        Listener::spawn_inner(connector, bind, Some(TraceBridge { sink, cache }))
-    }
-
-    fn spawn_inner(
-        connector: Connector,
-        bind: &str,
-        trace: Option<TraceBridge>,
-    ) -> std::io::Result<Listener> {
         let listener = TcpListener::bind(bind)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = stop.clone();
-        let sink = trace.as_ref().map(|t| t.sink.clone());
         let io_thread = std::thread::Builder::new()
             .name("metricsd-tcpio".into())
-            .spawn(move || reactor_loop(&listener, &connector, &stop2, trace.as_ref()))?;
+            .spawn(move || reactor_loop(&listener, &connector, &stop2))?;
         Ok(Listener {
             addr,
             stop,
             io_thread: Some(io_thread),
-            trace: sink,
         })
-    }
-
-    /// Spans the IO thread recorded so far (empty unless spawned with
-    /// [`Listener::spawn_traced`]).
-    pub fn trace_events(&self) -> Vec<TraceEvent> {
-        self.trace
-            .as_ref()
-            .map(|s| s.lock().events())
-            .unwrap_or_default()
-    }
-
-    /// The reactor's spans as an exportable track.
-    pub fn trace_track(&self) -> Track {
-        Track::new("tcpio", self.trace_events())
     }
 
     pub fn addr(&self) -> SocketAddr {
@@ -156,12 +106,7 @@ struct Conn {
     write_shut: bool,
 }
 
-fn reactor_loop(
-    listener: &TcpListener,
-    connector: &Connector,
-    stop: &AtomicBool,
-    trace: Option<&TraceBridge>,
-) {
+fn reactor_loop(listener: &TcpListener, connector: &Connector, stop: &AtomicBool) {
     let mut conns: Vec<Conn> = Vec::new();
     let mut rdbuf = vec![0u8; 64 * 1024];
     while !stop.load(Ordering::Relaxed) {
@@ -195,7 +140,7 @@ fn reactor_loop(
         }
 
         for c in &mut conns {
-            progress |= pump_read(c, &mut rdbuf, trace);
+            progress |= pump_read(c, &mut rdbuf);
             progress |= pump_write(c);
         }
         conns.retain(|c| !(c.write_shut && (c.read_dead || c.inbox.is_closed())));
@@ -213,26 +158,9 @@ fn reactor_loop(
     }
 }
 
-/// Record the reactor hop for a sampled traced frame crossing the
-/// socket boundary. One cheap 18-byte peek per inbound frame; frames
-/// without the `Traced` envelope cost a single tag compare.
-fn note_traced(trace: Option<&TraceBridge>, frame: &[u8]) {
-    let Some(t) = trace else { return };
-    let Some(ctx) = TraceCtx::peek(frame) else {
-        return;
-    };
-    if !ctx.sampled {
-        return;
-    }
-    let now = t.cache.latest().time_ns;
-    let mut sink = t.sink.lock();
-    sink.record(now, EventKind::SpanBegin, span::REACTOR, ctx.trace_id, 0);
-    sink.record(now, EventKind::SpanEnd, span::REACTOR, ctx.trace_id, 0);
-}
-
 /// Drain readable socket bytes through the decoder into the session
 /// inbox. Returns true if any byte or frame moved.
-fn pump_read(c: &mut Conn, rdbuf: &mut [u8], trace: Option<&TraceBridge>) -> bool {
+fn pump_read(c: &mut Conn, rdbuf: &mut [u8]) -> bool {
     if c.read_dead {
         return false;
     }
@@ -254,7 +182,6 @@ fn pump_read(c: &mut Conn, rdbuf: &mut [u8], trace: Option<&TraceBridge>) -> boo
             return false;
         }
         let frame = c.stashed.take().expect("checked above");
-        note_traced(trace, &frame);
         match c.inbox.push(frame) {
             Ok(()) => moved = true,
             Err(_) => {
@@ -275,7 +202,6 @@ fn pump_read(c: &mut Conn, rdbuf: &mut [u8], trace: Option<&TraceBridge>) -> boo
                         c.stashed = Some(frame);
                         return moved;
                     }
-                    note_traced(trace, &frame);
                     match c.inbox.push(frame) {
                         Ok(()) => moved = true,
                         Err(_) => {

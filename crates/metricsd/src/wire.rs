@@ -5,12 +5,26 @@
 //! runs over both transports (in-process queues carry one decoded frame
 //! per `Vec<u8>`; TCP carries the byte stream and re-frames on read).
 //!
-//! Requests (client → daemon) use tags `0x01..=0x7f`, responses
-//! `0x80..=0xff`. Unknown request tags get [`Response::Err`], not a
+//! Requests (client → daemon) use tags `0x01..=0x3f`, responses
+//! `0x80..=0xbf`. Unknown request tags get [`Response::Err`], not a
 //! dropped connection — version skew degrades, it does not wedge.
+//!
+//! A frame may carry the fixed [`Header`] (tag bit [`HEADER_BIT`]):
+//! `[u32 len][u8 tag|0x40][u64 crc][u32 seq][u64 trace_id]
+//! [u32 parent_span][u8 sampled][payload]`, where `crc` is [`fnv64`]
+//! over the tag byte and every byte after the crc field. A frame
+//! without the bit has exactly the layout above.
 
 /// Protocol version spoken by this build.
-pub const PROTO_VERSION: u16 = 1;
+pub const PROTO_VERSION: u16 = 2;
+
+/// Tag bit marking a frame that carries the [`Header`], on requests and
+/// replies alike. No message tag has it set.
+pub const HEADER_BIT: u8 = 0x40;
+
+/// Bytes the header adds after the tag: crc, seq, trace id, parent
+/// span, sampled flag.
+const HEADER_LEN: usize = 8 + 4 + 8 + 4 + 1;
 
 /// Hard cap on one frame's payload; a frame above this is a framing
 /// error (protects the TCP reader from a corrupt length prefix).
@@ -80,11 +94,8 @@ pub const MAX_RANGE_POINTS: usize = 512;
 /// Hard cap on SLO rows in one [`Response::Health`] frame.
 pub const MAX_SLOS: usize = 64;
 
-/// Causal trace context carried by the [`Request::Traced`] envelope:
-/// 13 bytes at a fixed offset right after the tag, so transport hops
-/// (the tcpio reactor) can record their span with [`TraceCtx::peek`] —
-/// no full decode, no allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Causal trace context carried in the [`Header`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceCtx {
     /// Flow id linking every hop's spans (see `simtrace::span` — even,
     /// derived from session token + client sequence, never wall clock).
@@ -96,19 +107,46 @@ pub struct TraceCtx {
     pub sampled: bool,
 }
 
-impl TraceCtx {
-    /// Cheap transport-level peek: if `frame` is a complete Traced
-    /// envelope, return its context without decoding the inner frame.
-    pub fn peek(frame: &[u8]) -> Option<TraceCtx> {
-        if frame.len() < 18 || frame[4] != 0x10 {
-            return None;
-        }
-        Some(TraceCtx {
-            trace_id: u64::from_le_bytes(frame[5..13].try_into().unwrap()),
-            parent_span: u32::from_le_bytes(frame[13..17].try_into().unwrap()),
-            sampled: frame[17] != 0,
-        })
+/// The optional fixed frame header: one checksum over the tag, the
+/// sequence id, the trace context and the payload, so corruption in
+/// transit decodes to [`WireError::CHECKSUM`] instead of silently
+/// becoming a different valid frame — or the same request under a
+/// different seq. A reply carries the header exactly when its request
+/// did, echoing the request's seq and trace context.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Header {
+    /// Idempotent-reissue id: the daemon applies a request once per
+    /// nonzero seq and answers a reissue of it from its reply cache.
+    /// 0 = no dedup.
+    pub seq: u32,
+    /// Causal trace context (all zero = untraced).
+    pub trace: TraceCtx,
+}
+
+impl Header {
+    /// Re-frame an encoded header-less frame (request or response)
+    /// with this header.
+    pub(crate) fn wrap(&self, frame: &[u8]) -> Vec<u8> {
+        let payload = &frame[5..];
+        let mut out = Vec::with_capacity(frame.len() + HEADER_LEN);
+        out.extend_from_slice(&((1 + HEADER_LEN + payload.len()) as u32).to_le_bytes());
+        out.push(frame[4] | HEADER_BIT);
+        out.extend_from_slice(&[0; 8]);
+        out.extend_from_slice(&self.seq.to_le_bytes());
+        out.extend_from_slice(&self.trace.trace_id.to_le_bytes());
+        out.extend_from_slice(&self.trace.parent_span.to_le_bytes());
+        out.push(u8::from(self.trace.sampled));
+        out.extend_from_slice(payload);
+        let crc = header_crc(&out);
+        out[5..13].copy_from_slice(&crc.to_le_bytes());
+        out
     }
+}
+
+/// The header checksum of a header frame: the tag byte, then
+/// everything after the crc field.
+fn header_crc(frame: &[u8]) -> u64 {
+    fnv64_extend(fnv64(&frame[4..5]), &frame[13..])
 }
 
 /// One SLO's evaluation state in a [`Response::Health`] frame.
@@ -133,12 +171,14 @@ pub struct SloHealth {
     pub exemplar_trace_id: u64,
 }
 
-/// FNV-1a over a byte slice — the frame checksum used by the
-/// [`Request::WithSeq`] / [`Response::SeqReply`] envelopes so bit-flip
-/// corruption in transit decodes to a typed error instead of silently
-/// becoming a different (valid) frame.
+/// FNV-1a over a byte slice — the [`Header`] checksum. Any single
+/// changed byte changes the hash: each step is a bijection of the
+/// running state.
 pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
+    fnv64_extend(0xcbf29ce484222325, bytes)
+}
+
+fn fnv64_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x100000001b3);
@@ -186,11 +226,6 @@ pub enum Request {
     ResetSub { sub_id: u32 },
     /// Latest cached telemetry sample (freq/temp/energy).
     LatestSample,
-    /// Push a Counters frame for every subscription every `every_pumps`
-    /// pumps (0 cancels).
-    Stream { every_pumps: u32 },
-    /// Daemon-wide serving statistics.
-    Stats,
     /// Orderly goodbye.
     Close,
     /// The daemon's self-metrics registry: named counters plus
@@ -200,14 +235,7 @@ pub enum Request {
     /// Valid as a session's first frame (instead of Hello); answered
     /// with [`Response::Resumed`] carrying the explicit gap, or a
     /// `NO_SUCH_TOKEN` error once the token's TTL has lapsed.
-    Resume { session_token: u64, last_tick: u64 },
-    /// Idempotent-reissue envelope: `inner` is a complete encoded
-    /// request frame, `crc` its [`fnv64`]. The daemon deduplicates on
-    /// `seq` — reissuing the same sequence id returns the cached reply
-    /// instead of re-applying the request — and verifies `crc` so
-    /// corruption surfaces as `BAD_CHECKSUM`, never as a different
-    /// valid request.
-    WithSeq { seq: u32, crc: u64, inner: Vec<u8> },
+    Resume { session_token: u64 },
     /// Subscribe to the delta-encoded snapshot stream: every
     /// `every_pumps` pumps (0 cancels) the daemon pushes a
     /// [`Response::TickDelta`] against the session's last-pushed base
@@ -220,13 +248,6 @@ pub enum Request {
     /// own (older) tick, which can no longer match the next delta's
     /// base — forcing a keyframe.
     AckTick { tick: u64 },
-    /// Causal-trace envelope: `inner` is a complete encoded request
-    /// frame; the context travels at a fixed offset so every hop can
-    /// record linked spans ([`TraceCtx::peek`]). Semantically
-    /// transparent — the daemon serves the inner request identically
-    /// with or without the envelope, so traced goldens stay
-    /// bit-identical.
-    Traced { ctx: TraceCtx, inner: Vec<u8> },
     /// Ranged query over the daemon's rollup history: aggregate
     /// `series` with `agg` over snapshot ticks `[start_tick, end_tick]`
     /// (inclusive), returning at most `max_points` points (clamped to
@@ -241,26 +262,6 @@ pub enum Request {
     },
     /// The SLO watchdog's current breach state.
     GetHealth,
-}
-
-impl Request {
-    /// Wrap a request in a sequence envelope for idempotent reissue.
-    pub fn with_seq(seq: u32, inner: &Request) -> Request {
-        let inner = inner.encode();
-        Request::WithSeq {
-            seq,
-            crc: fnv64(&inner),
-            inner,
-        }
-    }
-
-    /// Wrap a request in a causal-trace envelope.
-    pub fn traced(ctx: TraceCtx, inner: &Request) -> Request {
-        Request::Traced {
-            ctx,
-            inner: inner.encode(),
-        }
-    }
 }
 
 /// Per-metric value in a counters reply.
@@ -332,12 +333,6 @@ pub enum Response {
         /// Sysfs was unreadable this pump; the values are carried over.
         gap: bool,
     },
-    Stats {
-        sessions: u64,
-        reads_served: u64,
-        evictions: u64,
-        pumps: u64,
-    },
     Err {
         code: u16,
         msg: String,
@@ -367,13 +362,6 @@ pub enum Response {
     /// The request was NOT applied; retry after `retry_after_pumps`.
     Overloaded {
         retry_after_pumps: u32,
-    },
-    /// Reply envelope for a [`Request::WithSeq`]: `inner` is a complete
-    /// encoded response frame, `crc` its [`fnv64`].
-    SeqReply {
-        seq: u32,
-        crc: u64,
-        inner: Vec<u8>,
     },
     /// Delta-stream keyframe: the full per-CPU counter state at `tick`.
     /// Pushed when the daemon cannot prove the client holds the
@@ -425,18 +413,6 @@ pub enum Response {
     },
 }
 
-impl Response {
-    /// Wrap a reply in a sequence envelope matching a `WithSeq` request.
-    pub fn seq_reply(seq: u32, inner: &Response) -> Response {
-        let inner = inner.encode();
-        Response::SeqReply {
-            seq,
-            crc: fnv64(&inner),
-            inner,
-        }
-    }
-}
-
 /// Error codes carried by [`Response::Err`].
 pub mod errcode {
     pub const BAD_FRAME: u16 = 1;
@@ -445,8 +421,8 @@ pub mod errcode {
     pub const UNKNOWN_TAG: u16 = 4;
     pub const NOT_HELLOED: u16 = 5;
     pub const EMPTY_MASK: u16 = 6;
-    /// A `WithSeq`/`SeqReply` envelope's checksum did not match its
-    /// payload — corruption in transit; reissue the request.
+    /// A frame's [`super::Header`] checksum did not match — corruption in
+    /// transit; nothing was applied, reissue the request.
     pub const BAD_CHECKSUM: u16 = 7;
     /// `Resume` named a token the daemon does not hold (expired TTL,
     /// never issued, or already reaped).
@@ -542,6 +518,11 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+impl WireError {
+    /// A [`Header`] whose checksum does not match the frame.
+    pub const CHECKSUM: WireError = WireError("header checksum mismatch");
+}
+
 impl<'a> Dec<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         if self.i + n > self.b.len() {
@@ -601,13 +582,6 @@ impl<'a> Dec<'a> {
         Ok(((z >> 1) as i64) ^ -((z & 1) as i64))
     }
 
-    /// Everything left in the payload (for envelope inner frames).
-    fn rest(&mut self) -> &'a [u8] {
-        let s = &self.b[self.i..];
-        self.i = self.b.len();
-        s
-    }
-
     fn done(&self) -> Result<(), WireError> {
         if self.i == self.b.len() {
             Ok(())
@@ -645,28 +619,11 @@ impl Request {
                 e.finish()
             }
             Request::LatestSample => Enc::new(0x07).finish(),
-            Request::Stream { every_pumps } => {
-                let mut e = Enc::new(0x08);
-                e.u32(*every_pumps);
-                e.finish()
-            }
-            Request::Stats => Enc::new(0x09).finish(),
             Request::Close => Enc::new(0x0a).finish(),
             Request::GetSelfMetrics => Enc::new(0x0b).finish(),
-            Request::Resume {
-                session_token,
-                last_tick,
-            } => {
+            Request::Resume { session_token } => {
                 let mut e = Enc::new(0x0c);
                 e.u64(*session_token);
-                e.u64(*last_tick);
-                e.finish()
-            }
-            Request::WithSeq { seq, crc, inner } => {
-                let mut e = Enc::new(0x0d);
-                e.u32(*seq);
-                e.u64(*crc);
-                e.buf.extend_from_slice(inner);
                 e.finish()
             }
             Request::StreamDeltas { every_pumps } => {
@@ -677,15 +634,6 @@ impl Request {
             Request::AckTick { tick } => {
                 let mut e = Enc::new(0x0f);
                 e.u64(*tick);
-                e.finish()
-            }
-            Request::Traced { ctx, inner } => {
-                let mut e = Enc::new(0x10);
-                // Fixed layout: TraceCtx::peek reads these 13 bytes.
-                e.u64(ctx.trace_id);
-                e.u32(ctx.parent_span);
-                e.u8(u8::from(ctx.sampled));
-                e.buf.extend_from_slice(inner);
                 e.finish()
             }
             Request::QueryRange {
@@ -707,9 +655,20 @@ impl Request {
         }
     }
 
-    /// Decode one whole frame (including the length prefix).
+    /// As [`Request::encode`], carrying `header`.
+    pub fn encode_with(&self, header: &Header) -> Vec<u8> {
+        header.wrap(&self.encode())
+    }
+
+    /// Decode one whole frame (including the length prefix), dropping
+    /// its header after verifying it.
     pub fn decode(frame: &[u8]) -> Result<Request, WireError> {
-        let (tag, mut d) = split_frame(frame)?;
+        Request::decode_framed(frame).map(|(_, req)| req)
+    }
+
+    /// Decode one whole frame and its verified header, if it has one.
+    pub fn decode_framed(frame: &[u8]) -> Result<(Option<Header>, Request), WireError> {
+        let (header, tag, mut d) = split_frame(frame)?;
         let req = match tag {
             0x01 => Request::Hello { proto: d.u16()? },
             0x02 => Request::GetHardwareInfo,
@@ -724,40 +683,15 @@ impl Request {
             },
             0x06 => Request::ResetSub { sub_id: d.u32()? },
             0x07 => Request::LatestSample,
-            0x08 => Request::Stream {
-                every_pumps: d.u32()?,
-            },
-            0x09 => Request::Stats,
             0x0a => Request::Close,
             0x0b => Request::GetSelfMetrics,
             0x0c => Request::Resume {
                 session_token: d.u64()?,
-                last_tick: d.u64()?,
             },
-            0x0d => {
-                let seq = d.u32()?;
-                let crc = d.u64()?;
-                Request::WithSeq {
-                    seq,
-                    crc,
-                    inner: d.rest().to_vec(),
-                }
-            }
             0x0e => Request::StreamDeltas {
                 every_pumps: d.u32()?,
             },
             0x0f => Request::AckTick { tick: d.u64()? },
-            0x10 => {
-                let ctx = TraceCtx {
-                    trace_id: d.u64()?,
-                    parent_span: d.u32()?,
-                    sampled: d.u8()? != 0,
-                };
-                Request::Traced {
-                    ctx,
-                    inner: d.rest().to_vec(),
-                }
-            }
             0x11 => Request::QueryRange {
                 series: d.u8()?,
                 agg: d.u8()?,
@@ -769,7 +703,7 @@ impl Request {
             _ => return Err(WireError("unknown request tag")),
         };
         d.done()?;
-        Ok(req)
+        Ok((header, req))
     }
 }
 
@@ -850,19 +784,6 @@ impl Response {
                 e.u8(u8::from(*gap));
                 e.finish()
             }
-            Response::Stats {
-                sessions,
-                reads_served,
-                evictions,
-                pumps,
-            } => {
-                let mut e = Enc::new(0x87);
-                e.u64(*sessions);
-                e.u64(*reads_served);
-                e.u64(*evictions);
-                e.u64(*pumps);
-                e.finish()
-            }
             Response::Err { code, msg } => {
                 let mut e = Enc::new(0x88);
                 e.u16(*code);
@@ -910,13 +831,6 @@ impl Response {
             Response::Overloaded { retry_after_pumps } => {
                 let mut e = Enc::new(0x8d);
                 e.u32(*retry_after_pumps);
-                e.finish()
-            }
-            Response::SeqReply { seq, crc, inner } => {
-                let mut e = Enc::new(0x8e);
-                e.u32(*seq);
-                e.u64(*crc);
-                e.buf.extend_from_slice(inner);
                 e.finish()
             }
             Response::TickKeyframe {
@@ -1005,8 +919,20 @@ impl Response {
         }
     }
 
+    /// As [`Response::encode`], carrying `header`.
+    pub fn encode_with(&self, header: &Header) -> Vec<u8> {
+        header.wrap(&self.encode())
+    }
+
+    /// Decode one whole frame (including the length prefix), dropping
+    /// its header after verifying it.
     pub fn decode(frame: &[u8]) -> Result<Response, WireError> {
-        let (tag, mut d) = split_frame(frame)?;
+        Response::decode_framed(frame).map(|(_, resp)| resp)
+    }
+
+    /// Decode one whole frame and its verified header, if it has one.
+    pub fn decode_framed(frame: &[u8]) -> Result<(Option<Header>, Response), WireError> {
+        let (header, tag, mut d) = split_frame(frame)?;
         let resp = match tag {
             0x81 => Response::Welcome {
                 session_id: d.u64()?,
@@ -1064,12 +990,6 @@ impl Response {
                 mean_freq_khz: d.u64()?,
                 gap: d.u8()? != 0,
             },
-            0x87 => Response::Stats {
-                sessions: d.u64()?,
-                reads_served: d.u64()?,
-                evictions: d.u64()?,
-                pumps: d.u64()?,
-            },
             0x88 => Response::Err {
                 code: d.u16()?,
                 msg: d.str()?,
@@ -1107,15 +1027,6 @@ impl Response {
             0x8d => Response::Overloaded {
                 retry_after_pumps: d.u32()?,
             },
-            0x8e => {
-                let seq = d.u32()?;
-                let crc = d.u64()?;
-                Response::SeqReply {
-                    seq,
-                    crc,
-                    inner: d.rest().to_vec(),
-                }
-            }
             0x8f => {
                 let tick = d.vu64()?;
                 let time_ns = d.vu64()?;
@@ -1210,7 +1121,7 @@ impl Response {
             _ => return Err(WireError("unknown response tag")),
         };
         d.done()?;
-        Ok(resp)
+        Ok((header, resp))
     }
 }
 
@@ -1276,8 +1187,9 @@ impl FrameDecoder {
     }
 }
 
-/// Validate the length prefix and return (tag, payload decoder).
-fn split_frame(frame: &[u8]) -> Result<(u8, Dec<'_>), WireError> {
+/// Validate the length prefix, verify and strip the header if the tag
+/// carries one, and return (header, tag, payload decoder).
+fn split_frame(frame: &[u8]) -> Result<(Option<Header>, u8, Dec<'_>), WireError> {
     if frame.len() < 5 {
         return Err(WireError("frame shorter than header"));
     }
@@ -1288,13 +1200,36 @@ fn split_frame(frame: &[u8]) -> Result<(u8, Dec<'_>), WireError> {
     if frame.len() != 4 + len {
         return Err(WireError("length prefix mismatch"));
     }
-    Ok((
-        frame[4],
-        Dec {
-            b: &frame[5..],
-            i: 0,
+    let tag = frame[4];
+    if tag & HEADER_BIT == 0 {
+        return Ok((
+            None,
+            tag,
+            Dec {
+                b: &frame[5..],
+                i: 0,
+            },
+        ));
+    }
+    if frame.len() < 5 + HEADER_LEN {
+        return Err(WireError("frame shorter than its header"));
+    }
+    if header_crc(frame) != u64::from_le_bytes(frame[5..13].try_into().unwrap()) {
+        return Err(WireError::CHECKSUM);
+    }
+    let mut d = Dec {
+        b: &frame[13..],
+        i: 0,
+    };
+    let header = Header {
+        seq: d.u32()?,
+        trace: TraceCtx {
+            trace_id: d.u64()?,
+            parent_span: d.u32()?,
+            sampled: d.u8()? != 0,
         },
-    ))
+    };
+    Ok((Some(header), tag & !HEADER_BIT, d))
 }
 
 #[cfg(test)]
@@ -1319,34 +1254,13 @@ mod tests {
             },
             Request::ResetSub { sub_id: 7 },
             Request::LatestSample,
-            Request::Stream { every_pumps: 4 },
-            Request::Stats,
             Request::Close,
             Request::GetSelfMetrics,
             Request::Resume {
                 session_token: 0xdead_beef_cafe_f00d,
-                last_tick: 37,
             },
-            Request::with_seq(
-                9,
-                &Request::Read {
-                    sub_id: 7,
-                    submit_ns: 123,
-                },
-            ),
             Request::StreamDeltas { every_pumps: 1 },
             Request::AckTick { tick: 420 },
-            Request::traced(
-                TraceCtx {
-                    trace_id: 0x1234_5678_9abc_def0 & !1,
-                    parent_span: 3,
-                    sampled: true,
-                },
-                &Request::Read {
-                    sub_id: 7,
-                    submit_ns: 99,
-                },
-            ),
             Request::QueryRange {
                 series: series::LATENCY_NS,
                 agg: agg::P99,
@@ -1356,32 +1270,25 @@ mod tests {
             },
             Request::GetHealth,
         ];
+        let header = Header {
+            seq: 9,
+            trace: TraceCtx {
+                trace_id: 0x1234_5678_9abc_def0 & !1,
+                parent_span: 3,
+                sampled: true,
+            },
+        };
         for r in reqs {
             let f = r.encode();
-            assert_eq!(Request::decode(&f).unwrap(), r, "{r:?}");
-        }
-    }
-
-    #[test]
-    fn trace_ctx_peeks_without_decoding() {
-        let ctx = TraceCtx {
-            trace_id: 0xfeed_f00d_dead_0002,
-            parent_span: 17,
-            sampled: true,
-        };
-        let frame = Request::traced(ctx, &Request::Stats).encode();
-        assert_eq!(TraceCtx::peek(&frame), Some(ctx));
-        // Non-envelope frames and short frames peek to None, never panic.
-        assert_eq!(TraceCtx::peek(&Request::Stats.encode()), None);
-        assert_eq!(TraceCtx::peek(&frame[..10]), None);
-        assert_eq!(TraceCtx::peek(&[]), None);
-        // The inner frame round-trips from the decoded envelope.
-        match Request::decode(&frame).unwrap() {
-            Request::Traced { ctx: got, inner } => {
-                assert_eq!(got, ctx);
-                assert_eq!(Request::decode(&inner).unwrap(), Request::Stats);
-            }
-            other => panic!("{other:?}"),
+            assert_eq!(Request::decode_framed(&f).unwrap(), (None, r.clone()));
+            let f = r.encode_with(&header);
+            assert_eq!(f.len(), r.encode().len() + HEADER_LEN);
+            assert_eq!(
+                Request::decode_framed(&f).unwrap(),
+                (Some(header), r.clone()),
+                "{r:?}"
+            );
+            assert_eq!(Request::decode(&f).unwrap(), r);
         }
     }
 
@@ -1430,12 +1337,6 @@ mod tests {
                 mean_freq_khz: 3_200_000,
                 gap: true,
             },
-            Response::Stats {
-                sessions: 1000,
-                reads_served: 99,
-                evictions: 1,
-                pumps: 12,
-            },
             Response::Err {
                 code: errcode::NO_SUCH_SUB,
                 msg: "no sub 9".into(),
@@ -1468,7 +1369,6 @@ mod tests {
             Response::Overloaded {
                 retry_after_pumps: 3,
             },
-            Response::seq_reply(9, &Response::Closed),
             Response::TickKeyframe {
                 tick: 40,
                 time_ns: 2_000_000,
@@ -1543,9 +1443,15 @@ mod tests {
                 slos: vec![],
             },
         ];
+        let header = Header {
+            seq: 9,
+            trace: TraceCtx::default(),
+        };
         for r in resps {
             let f = r.encode();
             assert_eq!(Response::decode(&f).unwrap(), r, "{r:?}");
+            let f = r.encode_with(&header);
+            assert_eq!(Response::decode_framed(&f).unwrap(), (Some(header), r));
         }
     }
 
@@ -1554,7 +1460,7 @@ mod tests {
         assert!(Request::decode(&[]).is_err());
         assert!(Request::decode(&[1, 0, 0, 0]).is_err());
         // Bad length prefix.
-        let mut f = Request::Stats.encode();
+        let mut f = Request::GetSelfMetrics.encode();
         f[0] ^= 0xff;
         assert!(Request::decode(&f).is_err());
         // Truncated payload.
@@ -1615,61 +1521,39 @@ mod tests {
             Response::decode(&f),
             Err(WireError("health reply exceeds MAX_SLOS"))
         );
-        // Truncated trace envelope: too short for the fixed context.
-        let f = Request::traced(
-            TraceCtx {
-                trace_id: 2,
-                parent_span: 0,
-                sampled: false,
-            },
-            &Request::Stats,
-        )
-        .encode();
-        assert!(Request::decode(&f[..10]).is_err());
+        // A header frame too short for the header itself.
+        let mut f = Request::Close.encode();
+        f[4] |= HEADER_BIT;
+        assert_eq!(
+            Request::decode(&f),
+            Err(WireError("frame shorter than its header"))
+        );
     }
 
     #[test]
-    fn seq_envelope_checksums_catch_bit_flips() {
+    fn header_checksum_catches_bit_flips() {
         let req = Request::Subscribe {
             cpu_mask: 0b1010,
             metrics: metrics::ALL,
         };
-        let mut frame = Request::with_seq(5, &req).encode();
-        // Untouched: checksum verifies and the inner frame decodes back.
-        match Request::decode(&frame).unwrap() {
-            Request::WithSeq { seq, crc, inner } => {
-                assert_eq!(seq, 5);
-                assert_eq!(crc, fnv64(&inner));
-                assert_eq!(Request::decode(&inner).unwrap(), req);
-            }
-            other => panic!("{other:?}"),
-        }
-        // Flip one bit of the inner payload (the cpu_mask byte): the
-        // envelope still decodes, but the checksum no longer matches —
-        // the corruption cannot masquerade as a different valid request.
-        let flip_at = frame.len() - 2;
-        frame[flip_at] ^= 0x04;
-        match Request::decode(&frame).unwrap() {
-            Request::WithSeq { crc, inner, .. } => {
-                assert_ne!(crc, fnv64(&inner), "flip must break the checksum");
-                // And the mutated inner is itself a VALID Subscribe —
-                // exactly the silent-corruption case the crc exists for.
-                assert!(matches!(
-                    Request::decode(&inner),
-                    Ok(Request::Subscribe { .. })
-                ));
-            }
-            other => panic!("{other:?}"),
+        let header = Header {
+            seq: 5,
+            trace: TraceCtx::default(),
+        };
+        let frame = req.encode_with(&header);
+        // A flip in the payload (the cpu_mask byte) would leave a valid
+        // Subscribe, and a flip in the seq a valid header: the checksum
+        // refuses both, so neither can be applied as a different request.
+        for (at, bit) in [(frame.len() - 2, 0x04), (13, 0x04)] {
+            let mut bad = frame.clone();
+            bad[at] ^= bit;
+            assert_eq!(Request::decode_framed(&bad), Err(WireError::CHECKSUM));
         }
         // Same on the response side.
-        let resp = Response::Closed;
-        let mut frame = Response::seq_reply(6, &resp).encode();
+        let mut frame = Response::Closed.encode_with(&header);
         let last = frame.len() - 1;
         frame[last] ^= 0x80;
-        match Response::decode(&frame).unwrap() {
-            Response::SeqReply { crc, inner, .. } => assert_ne!(crc, fnv64(&inner)),
-            other => panic!("{other:?}"),
-        }
+        assert_eq!(Response::decode_framed(&frame), Err(WireError::CHECKSUM));
     }
 
     #[test]

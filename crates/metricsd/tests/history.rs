@@ -185,7 +185,7 @@ fn run(macro_ticks: MacroTicks, shards: usize, traced: bool) -> RunOutcome {
     assert_eq!(replies, 3, "sum + p99 + health all answered");
 
     RunOutcome {
-        history_digest: daemon.history().read().digest(),
+        history_digest: daemon.history().digest(),
         counters_digest,
         wire_read_sum,
         wire_p99,
@@ -224,38 +224,6 @@ fn history_digest_invariant_across_macroticks_and_shards() {
         }
     }
     assert_ne!(golden.unwrap().history_digest, 0);
-}
-
-/// The Traced envelope is outermost-only: a Traced frame wrapping
-/// another Traced frame is answered with a typed BAD_FRAME error, not
-/// recursion, not a dropped session.
-#[test]
-fn nested_traced_envelope_is_a_typed_error() {
-    use metricsd::wire::{errcode, TraceCtx};
-    let mut daemon = Daemon::new(boot(MacroTicks::Off, false), DaemonConfig::default());
-    let connector = daemon.connector();
-    let mut c = MetricsClient::new(connector.connect());
-    let ctx = TraceCtx {
-        trace_id: 2,
-        parent_span: 0,
-        sampled: true,
-    };
-    let inner = Request::traced(
-        ctx,
-        &Request::Hello {
-            proto: metricsd::PROTO_VERSION,
-        },
-    );
-    c.post(&Request::Traced {
-        ctx,
-        inner: inner.encode(),
-    })
-    .expect("post nested");
-    daemon.pump();
-    match c.try_take() {
-        Ok(Some(Response::Err { code, .. })) => assert_eq!(code, errcode::BAD_FRAME),
-        other => panic!("wanted BAD_FRAME, got {other:?}"),
-    }
 }
 
 /// Turning the flight recorder + per-RPC sampling on must not move a

@@ -228,5 +228,9 @@ fn load_sheds_are_traced_and_all_ledgers_agree() {
         shed_counter, client_overloads,
         "loss-free link: daemon sheds == client-observed overloads"
     );
-    assert_eq!(daemon.stats().evictions, 0, "shedding never evicts");
+    assert_eq!(
+        self_counter(&daemon, "evictions"),
+        0,
+        "shedding never evicts"
+    );
 }

@@ -6,14 +6,17 @@
 //! recoverable values.
 
 use metricsd::wire::{
-    fnv64, CpuKeyframe, FrameDecoder, HistSummary, MetricValue, Request, Response, SloHealth,
-    TraceCtx, MAX_FRAME, PROTO_VERSION,
+    CpuKeyframe, FrameDecoder, Header, HistSummary, MetricValue, Request, Response, SloHealth,
+    TraceCtx, WireError, MAX_FRAME, PROTO_VERSION,
 };
 use proptest::prelude::*;
 
+/// Request variants `request_from` builds.
+const REQUESTS: u8 = 14;
+
 /// Build one of every request variant from a generated value pool.
 fn request_from(sel: u8, a: u64, b: u64, c: u32, d: u8, e: u16) -> Request {
-    match sel % 18 {
+    match sel % REQUESTS {
         0 => Request::Hello { proto: e },
         1 => Request::GetHardwareInfo,
         2 => Request::ListPresets,
@@ -27,45 +30,31 @@ fn request_from(sel: u8, a: u64, b: u64, c: u32, d: u8, e: u16) -> Request {
         },
         5 => Request::ResetSub { sub_id: c },
         6 => Request::LatestSample,
-        7 => Request::Stream { every_pumps: c },
-        8 => Request::Stats,
-        9 => Request::Close,
-        10 => Request::GetSelfMetrics,
-        11 => Request::Resume {
-            session_token: a,
-            last_tick: b,
-        },
-        12 => Request::StreamDeltas { every_pumps: c },
-        13 => Request::AckTick { tick: a },
-        14 => Request::with_seq(
-            c,
-            &Request::Read {
-                sub_id: c ^ 1,
-                submit_ns: b,
-            },
-        ),
-        15 => Request::QueryRange {
+        7 => Request::Close,
+        8 => Request::GetSelfMetrics,
+        9 => Request::Resume { session_token: a },
+        10 => Request::StreamDeltas { every_pumps: c },
+        11 => Request::AckTick { tick: a },
+        12 => Request::QueryRange {
             series: d % 10,
             agg: d % 6,
             start_tick: a,
             end_tick: b,
             max_points: c,
         },
-        16 => Request::GetHealth,
-        _ => Request::traced(
-            TraceCtx {
-                trace_id: a,
-                parent_span: c,
-                sampled: d & 1 == 1,
-            },
-            &Request::with_seq(
-                c,
-                &Request::Read {
-                    sub_id: c,
-                    submit_ns: b,
-                },
-            ),
-        ),
+        _ => Request::GetHealth,
+    }
+}
+
+/// A header from the same value pool.
+fn header_from(a: u64, c: u32, d: u8) -> Header {
+    Header {
+        seq: c,
+        trace: TraceCtx {
+            trace_id: a,
+            parent_span: c.rotate_left(7),
+            sampled: d & 1 == 1,
+        },
     }
 }
 
@@ -81,7 +70,7 @@ fn response_from(
     s: String,
     vals: Vec<MetricValue>,
 ) -> Response {
-    match sel % 17 {
+    match sel % 16 {
         0 => Response::Welcome {
             session_id: a,
             proto: PROTO_VERSION,
@@ -113,16 +102,10 @@ fn response_from(
             mean_freq_khz: a,
             gap: d & 1 == 1,
         },
-        6 => Response::Stats {
-            sessions: a,
-            reads_served: b,
-            evictions: a ^ b,
-            pumps: a,
-        },
-        7 => Response::Err { code: e, msg: s },
-        8 => Response::Evicted { reason: s },
-        9 => Response::Closed,
-        10 => Response::SelfMetrics {
+        6 => Response::Err { code: e, msg: s },
+        7 => Response::Evicted { reason: s },
+        8 => Response::Closed,
+        9 => Response::SelfMetrics {
             counters: vec![(s, a)],
             hists: vec![HistSummary {
                 name: "read_latency_ns".to_string(),
@@ -134,13 +117,13 @@ fn response_from(
                 p99: a,
             }],
         },
-        11 => Response::Resumed {
+        10 => Response::Resumed {
             session_id: a,
             session_token: b,
             cur_tick: a ^ b,
             gap_pumps: b,
         },
-        12 => Response::TickKeyframe {
+        11 => Response::TickKeyframe {
             tick: a,
             time_ns: b,
             temp_mc: a as i64,
@@ -159,7 +142,7 @@ fn response_from(
                 },
             ],
         },
-        13 => Response::TickDelta {
+        12 => Response::TickDelta {
             base_tick: a,
             tick: a.wrapping_add(1),
             d_time_ns: b,
@@ -168,10 +151,10 @@ fn response_from(
             crc: b.rotate_left(33),
             cpu_deltas: vec![(a as i64, -(c as i64)), (i64::MIN, i64::MAX)],
         },
-        14 => Response::Overloaded {
+        13 => Response::Overloaded {
             retry_after_pumps: c,
         },
-        15 => Response::RangeReply {
+        14 => Response::RangeReply {
             series: d % 10,
             agg: d % 6,
             tier: d % 4,
@@ -209,10 +192,11 @@ fn response_from(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// Every request variant survives encode → decode unchanged.
+    /// Every request variant survives encode → decode unchanged, with
+    /// and without the header.
     #[test]
     fn requests_round_trip(
-        sel in 0u8..18,
+        sel in 0u8..REQUESTS,
         a in 0u64..u64::MAX,
         b in 0u64..u64::MAX,
         c in 0u32..u32::MAX,
@@ -221,14 +205,17 @@ proptest! {
     ) {
         let req = request_from(sel, a, b, c, d, e);
         let frame = req.encode();
-        prop_assert_eq!(Request::decode(&frame).unwrap(), req);
+        prop_assert_eq!(Request::decode_framed(&frame).unwrap(), (None, req.clone()));
+        let header = header_from(a, c, d);
+        let frame = req.encode_with(&header);
+        prop_assert_eq!(Request::decode_framed(&frame).unwrap(), (Some(header), req));
     }
 
-    /// Every response variant survives encode → decode unchanged, and
-    /// SeqReply envelopes carry a checksum that matches their payload.
+    /// Every response variant survives encode → decode unchanged, with
+    /// and without the header.
     #[test]
     fn responses_round_trip(
-        sel in 0u8..18,
+        sel in 0u8..16,
         a in 0u64..u64::MAX,
         b in 0u64..u64::MAX,
         c in 0u32..u32::MAX,
@@ -240,36 +227,12 @@ proptest! {
             0..6,
         ),
     ) {
-        let resp = if sel == 17 {
-            Response::seq_reply(c, &response_from(d, a, b, c, d, e, s, vals))
-        } else {
-            response_from(sel, a, b, c, d, e, s, vals)
-        };
+        let resp = response_from(sel, a, b, c, d, e, s, vals);
         let frame = resp.encode();
-        let decoded = Response::decode(&frame).unwrap();
-        if let Response::SeqReply { crc, inner, .. } = &decoded {
-            prop_assert_eq!(*crc, fnv64(inner));
-        }
-        prop_assert_eq!(decoded, resp);
-    }
-
-    /// A nested Traced envelope still round-trips the *codec* cleanly
-    /// (decode is structural; outermost-only is server policy, answered
-    /// with a typed BAD_FRAME — see the history integration tests) and
-    /// its context stays peekable without recursion.
-    #[test]
-    fn nested_traced_envelopes_decode_without_recursion(
-        a in 0u64..u64::MAX,
-        b in 0u64..u64::MAX,
-        c in 0u32..u32::MAX,
-        d in 0u8..u8::MAX,
-    ) {
-        let ctx = TraceCtx { trace_id: a, parent_span: c, sampled: d & 1 == 1 };
-        let inner = Request::traced(ctx, &Request::Read { sub_id: c, submit_ns: b });
-        let nested = Request::Traced { ctx, inner: inner.encode() };
-        let frame = nested.encode();
-        prop_assert_eq!(Request::decode(&frame).unwrap(), nested);
-        prop_assert_eq!(TraceCtx::peek(&frame), Some(ctx));
+        prop_assert_eq!(Response::decode_framed(&frame).unwrap(), (None, resp.clone()));
+        let header = header_from(a, c, d);
+        let frame = resp.encode_with(&header);
+        prop_assert_eq!(Response::decode_framed(&frame).unwrap(), (Some(header), resp));
     }
 
     /// Any strict prefix of a RangeReply or Health frame is a typed
@@ -277,7 +240,7 @@ proptest! {
     /// little as every older variant.
     #[test]
     fn truncated_observability_responses_are_typed_errors(
-        sel in 15u8..17,
+        sel in 14u8..16,
         a in 0u64..u64::MAX,
         b in 0u64..u64::MAX,
         c in 0u32..u32::MAX,
@@ -294,12 +257,18 @@ proptest! {
     /// prefix no longer matches, so nothing partial ever half-decodes.
     #[test]
     fn truncated_frames_are_typed_errors(
-        sel in 0u8..18,
+        sel in 0u8..REQUESTS,
         a in 0u64..u64::MAX,
         c in 0u32..u32::MAX,
         cut in 0.0f64..1.0,
+        headed in 0u8..2,
     ) {
-        let frame = request_from(sel, a, a ^ 3, c, 7, 1).encode();
+        let req = request_from(sel, a, a ^ 3, c, 7, 1);
+        let frame = if headed == 1 {
+            req.encode_with(&header_from(a, c, 7))
+        } else {
+            req.encode()
+        };
         let keep = (frame.len() as f64 * cut) as usize;
         prop_assert!(keep < frame.len());
         prop_assert!(Request::decode(&frame[..keep]).is_err());
@@ -307,32 +276,32 @@ proptest! {
     }
 
     /// A single flipped bit anywhere in a valid frame never panics the
-    /// decoder — it yields a typed error or another well-formed value
-    /// (which is why RPCs ride in checksummed WithSeq envelopes).
+    /// decoder — it yields a typed error or another well-formed value.
+    /// In a header frame, any flip outside the length prefix fails to
+    /// decode or fails the checksum: it never passes with a different
+    /// tag, seq, trace context or payload.
     #[test]
     fn bit_flips_never_panic(
-        sel in 0u8..18,
+        sel in 0u8..REQUESTS,
         a in 0u64..u64::MAX,
         c in 0u32..u32::MAX,
         pos in 0.0f64..1.0,
         bit in 0u8..8,
     ) {
-        let mut frame = request_from(sel, a, a ^ 5, c, 3, 2).encode();
+        let req = request_from(sel, a, a ^ 5, c, 3, 2);
+        let mut frame = req.encode();
         let i = (frame.len() as f64 * pos) as usize % frame.len();
         frame[i] ^= 1 << bit;
         let _ = Request::decode(&frame);
         let _ = Response::decode(&frame);
-        // A flip inside a WithSeq payload must not produce a frame
-        // whose checksum still validates against a *different* inner.
-        if i >= 5 {
-            if let Ok(Request::WithSeq { crc, inner, .. }) = Request::decode(&frame) {
-                let orig = request_from(sel, a, a ^ 5, c, 3, 2);
-                if let Request::WithSeq { inner: orig_inner, .. } = orig {
-                    if inner != orig_inner {
-                        prop_assert_ne!(crc, fnv64(&inner));
-                    }
-                }
-            }
+
+        let mut frame = req.encode_with(&header_from(a, c, 3));
+        let i = 4 + (((frame.len() - 4) as f64 * pos) as usize % (frame.len() - 4));
+        frame[i] ^= 1 << bit;
+        prop_assert!(Request::decode_framed(&frame).is_err(), "flip at byte {}", i);
+        prop_assert!(Response::decode_framed(&frame).is_err(), "flip at byte {}", i);
+        if frame[4] & metricsd::wire::HEADER_BIT != 0 {
+            prop_assert_eq!(Request::decode_framed(&frame), Err(WireError::CHECKSUM));
         }
     }
 
@@ -374,7 +343,7 @@ proptest! {
     /// to exactly the original frame sequence in order.
     #[test]
     fn frame_decoder_survives_arbitrary_chunking(
-        sels in proptest::collection::vec(0u8..18, 1..8),
+        sels in proptest::collection::vec(0u8..REQUESTS, 1..8),
         a in 0u64..u64::MAX,
         c in 0u32..u32::MAX,
         cuts in proptest::collection::vec(0usize..4096, 0..12),
@@ -414,7 +383,7 @@ proptest! {
     /// possible read pattern — yields the same frames as one big read.
     #[test]
     fn frame_decoder_byte_at_a_time_matches_bulk(
-        sels in proptest::collection::vec(0u8..18, 1..5),
+        sels in proptest::collection::vec(0u8..REQUESTS, 1..5),
         a in 0u64..u64::MAX,
         c in 0u32..u32::MAX,
     ) {
@@ -450,7 +419,7 @@ proptest! {
     /// panic, and never a torn or invented frame.
     #[test]
     fn frame_decoder_trailing_garbage_never_desyncs(
-        sels in proptest::collection::vec(0u8..18, 1..5),
+        sels in proptest::collection::vec(0u8..REQUESTS, 1..5),
         a in 0u64..u64::MAX,
         c in 0u32..u32::MAX,
         garbage in proptest::collection::vec(0u8..u8::MAX, 1..48),

@@ -93,15 +93,16 @@ echo "== trace smoke (400-tick traced raptor run, validated chrome JSON) =="
 cargo run --offline --release -p bench-harness --bin tickbench -- --trace-smoke
 
 echo "== metricsd load smoke (quick, emits BENCH_metricsd.json) =="
-# Hard gates inside: counter digests bit-identical across 1/4/8 worker
+# Hard gates inside: counter digests bit-identical across 1/4/8
 # shards AND vs a serial single-client reference; the deliberately slow
 # consumer must be evicted while zero healthy sessions are; the 100k
 # session high-fanout phase must keep every sampled client mirror
 # CRC-synced with zero evictions. Performance gates (best-of-3 reps):
 # 8-shard reads/s must stay within 5% of 1-shard (shard fan-out is flat
-# by design — the reactor serves shards inline when only one core is
-# available, so any gap is a serving-layer regression, cf. the 30%
-# per-pump thread-spawn bug), and per-core reads/s must clear a floor
+# by design — the pump thread serves every shard inline, so any gap is
+# a serving-layer regression, cf. the 30% per-pump thread-spawn bug and
+# the worker pool that ran 8 shards at ~0.5x on 2 vCPUs), and per-core
+# reads/s must clear a floor
 # set at ~1/6 of the measured rate to absorb slow CI hosts. The query
 # phase additionally gates the observability stack: QueryRange answers
 # ±0 vs local accounting and bit-identical across shard counts, SLO
