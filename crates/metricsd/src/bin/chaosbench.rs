@@ -30,95 +30,28 @@
 //! chaosbench [--quick] [--clients N] [--rounds R] [--out PATH]
 //! ```
 
+mod common;
+
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use metricsd::queue::ClientPipe;
-use metricsd::wire::{agg, fnv64, metrics, series, Request, Response};
+use metricsd::wire::{agg, fnv64, series, Request, Response};
 use metricsd::{
     ChaosConfig, ChaosStats, ChaosTransport, Connector, Daemon, DaemonConfig, MirrorOutcome,
     ResilientClient, ResilientConfig, ResilientStats, SloSpec, StreamMirror,
 };
-use simcpu::machine::MachineSpec;
-use simcpu::phase::Phase;
-use simcpu::types::{CpuId, CpuMask};
-use simos::faults::{FaultKind, FaultPlan};
-use simos::kernel::{Kernel, KernelConfig, KernelHandle};
-use simos::task::{Op, ScriptedProgram};
+use simtrace::TraceConfig;
 
-const SEED: u64 = 42;
+use common::{boot_machine, final_values_digest, session_mask, session_metrics};
+
 const TICKS_PER_PUMP: u32 = 10;
 /// Quiescent pumps allowed for setup / drain before declaring a wedge.
 const PHASE_CAP: u64 = 4000;
 
-fn session_mask(i: usize, n_cpus: usize) -> u64 {
-    let width = n_cpus.min(64);
-    let a = i % width;
-    let b = (i * 7 + 3) % width;
-    (1u64 << a) | (1u64 << b)
-}
-
-fn session_metrics(i: usize) -> u8 {
-    (i % metrics::ALL as usize) as u8 + 1
-}
-
 fn session_cadence(i: usize) -> u64 {
     1 + (i % 4) as u64
-}
-
-/// Same machine as loadgen: fixed seed, standing workload, and a fault
-/// plan (hotplug + flaky sysfs + RAPL wrap) active *inside the kernel*
-/// while the transport layer above it is being tortured.
-fn boot_machine() -> KernelHandle {
-    let kernel = Kernel::boot_handle(
-        MachineSpec::raptor_lake_i7_13700(),
-        KernelConfig {
-            seed: SEED,
-            ..KernelConfig::default()
-        },
-    );
-    {
-        let mut k = kernel.lock();
-        let n_cpus = k.machine().n_cpus();
-        for cpu in (0..n_cpus).step_by(3) {
-            k.spawn(
-                &format!("w{cpu}"),
-                Box::new(ScriptedProgram::new([
-                    Op::Compute(Phase::scalar(u64::MAX / 4)),
-                    Op::Exit,
-                ])),
-                CpuMask::from_cpus([cpu]),
-                0,
-            );
-        }
-        k.install_faults(
-            &FaultPlan::new(SEED)
-                .at(
-                    100_000_000,
-                    FaultKind::CpuOffline {
-                        cpu: CpuId(17),
-                        down_ns: Some(150_000_000),
-                    },
-                )
-                .at(150_000_000, FaultKind::SysfsFlaky { dur_ns: 60_000_000 })
-                .at(
-                    250_000_000,
-                    FaultKind::RaplWrapBurst {
-                        wraps: 2,
-                        extra_uj: 5_000_000,
-                    },
-                ),
-        );
-    }
-    kernel
-}
-
-fn fnv1a(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x100000001b3);
-    }
 }
 
 type Dial = Box<dyn FnMut() -> Option<ChaosTransport<ClientPipe>>>;
@@ -253,14 +186,11 @@ fn run_scenario(
     rounds: u64,
 ) -> ScenarioResult {
     let dcfg = DaemonConfig {
-        // Overload scenarios concentrate the whole fleet on one shard
-        // with a budget below the steady-state arrival rate, so the
-        // daemon must shed every pump — with a typed Overloaded, never
-        // by eviction. Shard count cannot change the counts (loadgen
-        // proves digests are shard-invariant).
-        shards: if overload { 1 } else { 4 },
+        // Overload scenarios give the daemon a pump budget below the
+        // fleet's steady-state arrival rate, so it must shed every pump
+        // — with a typed Overloaded, never by eviction.
         ticks_per_pump: TICKS_PER_PUMP,
-        shard_budget_per_pump: if overload { 2 } else { 0 },
+        pump_budget: if overload { 2 } else { 0 },
         deadline_pumps: if overload { 3 } else { 0 },
         // An impossible p99 target keeps the SLO watchdog busy while
         // the transport misbehaves; `GetHealth` rows must stay typed
@@ -268,7 +198,7 @@ fn run_scenario(
         slos: vec![SloSpec::p99_latency_ns(1, 4)],
         ..DaemonConfig::default()
     };
-    let mut daemon = Daemon::new(boot_machine(), dcfg);
+    let mut daemon = Daemon::new(boot_machine(TraceConfig::from_env()), dcfg);
     let n_cpus = daemon.n_cpus() as usize;
     let connector = daemon.connector();
     let scenario_seed = fnv64(name.as_bytes());
@@ -515,11 +445,10 @@ fn run_scenario(
         }
         daemon.pump_quiescent();
     }
-    // One extra pump so the shards' last self-metrics are absorbed
-    // into the master registry.
-    daemon.pump_quiescent();
-
-    let mut digest: u64 = 0xcbf29ce484222325;
+    let digest = final_values_digest(
+        bots.iter()
+            .map(|b| b.final_vals.as_deref().expect("final read present")),
+    );
     let mut begun = 0u64;
     let mut completed = 0u64;
     let mut client = ResilientStats::default();
@@ -538,11 +467,6 @@ fn run_scenario(
             stream_keyframes += m.keyframes;
             stream_deltas += m.deltas;
             stream_desyncs += m.desyncs;
-        }
-        fnv1a(&mut digest, &(i as u64).to_le_bytes());
-        for (metric, value) in b.final_vals.as_ref().expect("final read present") {
-            fnv1a(&mut digest, &[*metric]);
-            fnv1a(&mut digest, &value.to_le_bytes());
         }
         let s = b.c.stats();
         assert_eq!(

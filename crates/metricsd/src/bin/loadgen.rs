@@ -1,47 +1,49 @@
 //! loadgen — drive thousands of simulated client sessions against the
 //! daemon and prove the serving layer does not perturb the measurement.
 //!
-//! For each shard count in {1, 4, 8} it boots an identical
-//! kernel (same spec, seed, workload, fault plan), connects N sessions
-//! plus one deliberately slow streaming consumer (tiny outbox, never
-//! drains — it must be evicted, not wedge the daemon), runs T lockstep
-//! pumps with a deterministic per-session read cadence, then reads every
-//! subscription one final time and digests the counter values (FNV-1a).
+//! It boots a kernel (fixed spec, seed, workload and fault plan),
+//! connects N sessions plus one deliberately slow streaming consumer
+//! (tiny outbox, never drains — it must be evicted, not wedge the
+//! daemon), runs T lockstep pumps with a deterministic per-session read
+//! cadence, then reads every subscription one final time and digests
+//! the counter values (FNV-1a).
 //!
-//! The digests must be bit-identical across 1/4/8 shards AND match a
-//! serial reference: a single client session holding all N
-//! subscriptions on a 1-shard daemon. Throughput and latency are
-//! allowed to differ; counts are not.
+//! The digest must match a serial reference: a single client session
+//! holding all N subscriptions on an identically booted daemon.
+//! Throughput and latency are allowed to differ; counts are not.
 //!
 //! Two latency views are reported side by side:
 //!
 //! * **sim-ns** — the daemon's virtual serving clock (snapshot time +
-//!   position in the shard's queue). Deterministic, byte-identical
+//!   position in the pump's serve order). Deterministic, byte-identical
 //!   across runs; this is the *modelled* latency.
 //! * **wall-clock ns** — request→response time measured at the client
 //!   with a real clock (post `Read` → drain `Counters`, FIFO per
 //!   session). Noisy, host-dependent; this is the *actual* latency.
 //!
-//! Each shard config runs `--reps` times (digests must match every
-//! rep); the best rep by throughput is reported, which filters
-//! scheduler noise out of the scaling comparison.
+//! The fleet runs `--reps` times (the digest must match every rep); the
+//! best rep by throughput is reported, which filters scheduler noise out
+//! of the throughput floor.
 //!
 //! A separate **high-fanout** phase drives 100k+ concurrent sessions —
 //! almost all push-stream subscribers ([`Request::StreamDeltas`]), plus
-//! a small reader pool — through the same daemon at 8 shards, counting
-//! delivered frames and verifying sampled client mirrors stay
-//! CRC-synced. Zero evictions are tolerated there: every session
-//! drains, so any eviction is a stall-grace calibration bug.
+//! a small reader pool — through the same daemon, counting delivered
+//! frames and verifying sampled client mirrors stay CRC-synced. Zero
+//! evictions are tolerated there: every session drains, so any eviction
+//! is a stall-grace calibration bug.
 //!
 //! Emits `BENCH_metricsd.json`. Exit status is non-zero on any digest
-//! mismatch, eviction-ledger mismatch, or (with `--gate-scaling` /
-//! `--floor-per-core`) a violated performance gate.
+//! mismatch, eviction-ledger mismatch, or (with `--floor-per-core` /
+//! `--floor-queries`) a violated throughput floor.
 //!
 //! ```text
 //! loadgen [--quick] [--sessions N] [--pumps T] [--reps R] [--out PATH]
-//!         [--gate-scaling] [--floor-per-core N]
-//!         [--fanout-sessions N] [--fanout-pumps T] [--no-fanout]
+//!         [--floor-per-core N] [--fanout-sessions N] [--fanout-pumps T]
+//!         [--no-fanout] [--query-smoke] [--floor-queries N]
+//!         [--trace-out PATH]
 //! ```
+
+mod common;
 
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -49,16 +51,11 @@ use std::time::Instant;
 use metricsd::queue::ClientPipe;
 use metricsd::wire::{agg, metrics, series, Request, Response, MAX_RANGE_POINTS};
 use metricsd::{Daemon, DaemonConfig, MetricsClient, MirrorOutcome, SloSpec, StreamMirror};
-use simcpu::machine::MachineSpec;
-use simcpu::phase::Phase;
-use simcpu::types::{CpuId, CpuMask};
-use simos::faults::{FaultKind, FaultPlan};
-use simos::kernel::{Kernel, KernelConfig, KernelHandle};
-use simos::task::{Op, ScriptedProgram};
 use simtrace::metrics::{percentile_of_sorted, Histogram};
 use simtrace::{EventKind, TraceConfig};
 
-const SEED: u64 = 42;
+use common::{boot_machine, final_values_digest, session_mask, session_metrics};
+
 const TICKS_PER_PUMP: u32 = 20;
 /// Outbox-full pumps tolerated before eviction. Explicit (not the
 /// config default) because the whole bench is calibrated against it:
@@ -66,95 +63,78 @@ const TICKS_PER_PUMP: u32 = 20;
 /// the slow consumer must cross it well before the run ends.
 const STALL_GRACE_PUMPS: u32 = 8;
 
+type Client = MetricsClient<ClientPipe>;
+
 fn cores() -> u64 {
     std::thread::available_parallelism()
         .map(|n| n.get() as u64)
         .unwrap_or(1)
 }
 
-/// Deterministic per-session subscription shape.
-fn session_mask(i: usize, n_cpus: usize) -> u64 {
-    let width = n_cpus.min(64);
-    let a = i % width;
-    let b = (i * 7 + 3) % width;
-    (1u64 << a) | (1u64 << b)
-}
-
-fn session_metrics(i: usize) -> u8 {
-    (i % metrics::ALL as usize) as u8 + 1
-}
-
 fn session_cadence(i: usize) -> u64 {
     1 + (i % 7) as u64
 }
 
-/// Identical machine for every configuration: fixed seed, standing
-/// workload, and a fault plan that exercises hotplug + flaky sysfs +
-/// RAPL wrap bursts while serving.
-fn boot_machine() -> KernelHandle {
-    boot_with(KernelConfig {
-        seed: SEED,
-        ..KernelConfig::default()
-    })
-}
-
-/// Same machine with the flight recorder forced on (the query/tracing
-/// phase needs spans regardless of `SIM_TRACE`).
-fn boot_machine_traced(trace: TraceConfig) -> KernelHandle {
-    boot_with(KernelConfig {
-        seed: SEED,
-        trace,
-        ..KernelConfig::default()
-    })
-}
-
-fn boot_with(cfg: KernelConfig) -> KernelHandle {
-    let kernel = Kernel::boot_handle(MachineSpec::raptor_lake_i7_13700(), cfg);
-    {
-        let mut k = kernel.lock();
-        let n_cpus = k.machine().n_cpus();
-        for cpu in (0..n_cpus).step_by(3) {
-            k.spawn(
-                &format!("w{cpu}"),
-                Box::new(ScriptedProgram::new([
-                    Op::Compute(Phase::scalar(u64::MAX / 4)),
-                    Op::Exit,
-                ])),
-                CpuMask::from_cpus([cpu]),
-                0,
-            );
-        }
-        k.install_faults(
-            &FaultPlan::new(SEED)
-                .at(
-                    100_000_000,
-                    FaultKind::CpuOffline {
-                        cpu: CpuId(17),
-                        down_ns: Some(150_000_000),
-                    },
-                )
-                .at(150_000_000, FaultKind::SysfsFlaky { dur_ns: 60_000_000 })
-                .at(
-                    250_000_000,
-                    FaultKind::RaplWrapBurst {
-                        wraps: 2,
-                        extra_uj: 5_000_000,
-                    },
-                ),
-        );
-    }
-    kernel
-}
-
-fn fnv1a(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x100000001b3);
+/// Client i's subscription, the same shape in every phase.
+fn subscribe(i: usize, n_cpus: usize) -> Request {
+    Request::Subscribe {
+        cpu_mask: session_mask(i, n_cpus),
+        metrics: session_metrics(i),
     }
 }
 
-struct ConfigResult {
-    shards: usize,
+fn hello(c: &mut Client) {
+    c.post(&Request::Hello {
+        proto: metricsd::PROTO_VERSION,
+    })
+    .expect("post hello");
+}
+
+/// One setup pump: `post(i, client)` queues client i's requests, the
+/// daemon serves them, and every reply is drained. Returns, per client,
+/// the ids its `Subscribe`s were granted, in order.
+fn setup_pump(
+    daemon: &mut Daemon,
+    clients: &mut [Client],
+    mut post: impl FnMut(usize, &mut Client),
+) -> Vec<Vec<u32>> {
+    for (i, c) in clients.iter_mut().enumerate() {
+        post(i, c);
+    }
+    daemon.pump();
+    clients
+        .iter_mut()
+        .map(|c| {
+            let mut ids = Vec::new();
+            while let Ok(Some(resp)) = c.try_take() {
+                if let Response::Subscribed { sub_id, .. } = resp {
+                    if sub_id != 0 {
+                        ids.push(sub_id);
+                    }
+                }
+            }
+            ids
+        })
+        .collect()
+}
+
+/// The subscribe pump of the fleet and query phases: client i takes
+/// subscription shape i. Returns each client's subscription id.
+fn subscribe_all(daemon: &mut Daemon, clients: &mut [Client]) -> Vec<u32> {
+    let n_cpus = daemon.n_cpus() as usize;
+    setup_pump(daemon, clients, |i, c| {
+        c.post(&subscribe(i, n_cpus)).expect("post subscribe")
+    })
+    .into_iter()
+    .enumerate()
+    .map(|(i, ids)| {
+        *ids.first()
+            .unwrap_or_else(|| panic!("session {i} subscribed"))
+    })
+    .collect()
+}
+
+struct FleetResult {
     reads: u64,
     wall_s: f64,
     /// Daemon's virtual serving clock, sorted.
@@ -167,7 +147,12 @@ struct ConfigResult {
     /// a healthy session being evicted means the stall grace is
     /// miscalibrated for the workload.
     healthy_evictions: u64,
-    reps_run: u64,
+}
+
+impl FleetResult {
+    fn reads_per_sec(&self) -> f64 {
+        self.reads as f64 / self.wall_s.max(1e-9)
+    }
 }
 
 /// Drain every pending reply on a client, recording Counters for the
@@ -175,7 +160,7 @@ struct ConfigResult {
 /// of every in-flight Read, FIFO — replies to a session come back in
 /// request order, so front-of-queue is always the match.
 fn drain(
-    c: &mut MetricsClient<ClientPipe>,
+    c: &mut Client,
     posted: &mut VecDeque<Instant>,
     latencies: &mut Vec<u64>,
     wall_latencies: &mut Vec<u64>,
@@ -198,52 +183,28 @@ fn drain(
     }
 }
 
-/// One full load run against a daemon with `shards` shards.
-fn run_once(shards: usize, n_sessions: usize, pumps: u64) -> ConfigResult {
+/// One full load run of `n_sessions` sessions plus the slow consumer.
+fn run_once(n_sessions: usize, pumps: u64) -> FleetResult {
     let mut daemon = Daemon::new(
-        boot_machine(),
+        boot_machine(TraceConfig::from_env()),
         DaemonConfig {
-            shards,
             ticks_per_pump: TICKS_PER_PUMP,
             stall_grace_pumps: STALL_GRACE_PUMPS,
             ..DaemonConfig::default()
         },
     );
-    let n_cpus = daemon.n_cpus() as usize;
     let connector = daemon.connector();
 
-    let mut clients: Vec<MetricsClient<ClientPipe>> = (0..n_sessions)
+    let mut clients: Vec<Client> = (0..n_sessions)
         .map(|_| MetricsClient::new(connector.connect()))
         .collect();
-    // The slow consumer: tiny outbox, delta-streams every pump, never
-    // drains.
+    // The slow consumer: tiny outbox, delta-streams every pump, and
+    // stops draining once its stream is set up.
     let mut slow = MetricsClient::new(connector.connect_with_outbox_cap(2));
 
-    // Pump 1: hellos.
-    for c in clients.iter_mut() {
-        c.post(&Request::Hello {
-            proto: metricsd::PROTO_VERSION,
-        })
-        .expect("post hello");
-    }
-    slow.post(&Request::Hello {
-        proto: metricsd::PROTO_VERSION,
-    })
-    .expect("post hello");
-    daemon.pump();
-    for c in clients.iter_mut() {
-        while let Ok(Some(_)) = c.try_take() {}
-    }
+    hello(&mut slow);
+    setup_pump(&mut daemon, &mut clients, |_, c| hello(c));
     while let Ok(Some(_)) = slow.try_take() {}
-
-    // Pump 2: subscriptions (baseline snapshot identical across configs).
-    for (i, c) in clients.iter_mut().enumerate() {
-        c.post(&Request::Subscribe {
-            cpu_mask: session_mask(i, n_cpus),
-            metrics: session_metrics(i),
-        })
-        .expect("post subscribe");
-    }
     slow.post(&Request::Subscribe {
         cpu_mask: 1,
         metrics: metrics::ALL,
@@ -251,17 +212,7 @@ fn run_once(shards: usize, n_sessions: usize, pumps: u64) -> ConfigResult {
     .expect("post subscribe");
     slow.post(&Request::StreamDeltas { every_pumps: 1 })
         .expect("post stream-deltas");
-    daemon.pump();
-    let mut sub_ids = vec![0u32; n_sessions];
-    for (i, c) in clients.iter_mut().enumerate() {
-        while let Ok(Some(resp)) = c.try_take() {
-            if let Response::Subscribed { sub_id, .. } = resp {
-                sub_ids[i] = sub_id;
-            }
-        }
-        assert!(sub_ids[i] != 0, "session {i} got its subscription");
-    }
-    // The slow consumer stops draining here, for good.
+    let sub_ids = subscribe_all(&mut daemon, &mut clients);
 
     // Steady state: deterministic read cadence, thousands in flight.
     let mut latencies: Vec<u64> = Vec::new();
@@ -323,11 +274,12 @@ fn run_once(shards: usize, n_sessions: usize, pumps: u64) -> ConfigResult {
     let wall_s = t0.elapsed().as_secs_f64();
 
     // Self-metrics cross-check: the daemon's wire-served read-latency
-    // histogram (one extra pump so the final reads are absorbed) must
-    // match a local histogram over the very latencies this run observed,
-    // and the clock-inversion counter must be zero — client submit times
-    // always trail the virtual serve clock. Wall-clock timing must never
-    // leak in here: the wire histogram is all sim-ns.
+    // histogram (one extra pump, because the reply is frozen at the start
+    // of the pump that serves it) must match a local histogram over the
+    // very latencies this run observed, and the clock-inversion counter
+    // must be zero — client submit times always trail the virtual serve
+    // clock. Wall-clock timing must never leak in here: the wire
+    // histogram is all sim-ns.
     clients[0]
         .post(&Request::GetSelfMetrics)
         .expect("post self-metrics");
@@ -346,10 +298,7 @@ fn run_once(shards: usize, n_sessions: usize, pumps: u64) -> ConfigResult {
     }
     simtrace::postmortem::stash(simtrace::text_dump(&daemon.trace_tracks(), 32));
     let wire_hist = wire_hist.expect("daemon served a read_latency_ns histogram");
-    let mut local = Histogram::new();
-    for &v in &latencies {
-        local.observe(v);
-    }
+    let local = Histogram::from_values(&latencies);
     assert_eq!(wire_hist.count, local.count(), "read count over the wire");
     assert_eq!(wire_hist.min, local.min(), "latency min over the wire");
     assert_eq!(wire_hist.max, local.max(), "latency max over the wire");
@@ -358,14 +307,7 @@ fn run_once(shards: usize, n_sessions: usize, pumps: u64) -> ConfigResult {
     assert_eq!(wire_hist.p99, local.percentile(0.99), "p99 over the wire");
     assert_eq!(wire_inversions, 0, "no latency inversions expected");
 
-    let mut digest: u64 = 0xcbf29ce484222325;
-    for (i, vals) in last.iter().enumerate() {
-        fnv1a(&mut digest, &(i as u64).to_le_bytes());
-        for (metric, value) in vals {
-            fnv1a(&mut digest, &[*metric]);
-            fnv1a(&mut digest, &value.to_le_bytes());
-        }
-    }
+    let digest = final_values_digest(last.iter().map(Vec::as_slice));
 
     // The slow consumer must have been evicted — daemon still serving,
     // its queue closed with a best-effort Evicted notice at the tail.
@@ -385,8 +327,7 @@ fn run_once(shards: usize, n_sessions: usize, pumps: u64) -> ConfigResult {
 
     latencies.sort_unstable();
     wall_latencies.sort_unstable();
-    ConfigResult {
-        shards,
+    FleetResult {
         reads,
         wall_s,
         latencies_ns: latencies,
@@ -394,51 +335,31 @@ fn run_once(shards: usize, n_sessions: usize, pumps: u64) -> ConfigResult {
         digest,
         evicted_slow_consumer: evicted,
         healthy_evictions: evictions.saturating_sub(1),
-        reps_run: 1,
     }
 }
 
-/// Run every shard config `reps` times with the reps *interleaved*
-/// (1, 4, 8, 1, 4, 8, …) so a transient host slowdown hits each config
-/// equally instead of swallowing one config's entire rep budget.
-/// Digests (and the eviction ledger) must be identical every rep; the
-/// best rep by reads/s is kept per config so the scaling comparison
-/// measures the daemon, not a scheduler hiccup.
-fn run_best_of(
-    shard_counts: &[usize],
-    n_sessions: usize,
-    pumps: u64,
-    reps: u64,
-) -> Vec<ConfigResult> {
-    let mut best: Vec<Option<ConfigResult>> = shard_counts.iter().map(|_| None).collect();
+/// Run the fleet `reps` times. The digest (and the eviction ledger)
+/// must be identical every rep; the best rep by reads/s is kept, so the
+/// throughput floor measures the daemon, not a scheduler hiccup.
+fn run_best_of(n_sessions: usize, pumps: u64, reps: u64) -> FleetResult {
+    let mut best: Option<FleetResult> = None;
     for rep in 0..reps.max(1) {
-        for (slot, &shards) in shard_counts.iter().enumerate() {
-            let r = run_once(shards, n_sessions, pumps);
-            assert_eq!(
-                r.healthy_evictions, 0,
-                "shards={shards} rep={rep}: healthy session evicted (stall grace miscalibrated)"
-            );
-            if let Some(b) = &best[slot] {
-                assert_eq!(
-                    b.digest, r.digest,
-                    "shards={shards}: digest changed between reps {rep}"
-                );
-            }
-            let better = best[slot]
-                .as_ref()
-                .is_none_or(|b| r.reads as f64 / r.wall_s > b.reads as f64 / b.wall_s);
-            if better {
-                best[slot] = Some(r);
-            }
+        let r = run_once(n_sessions, pumps);
+        assert_eq!(
+            r.healthy_evictions, 0,
+            "rep={rep}: healthy session evicted (stall grace miscalibrated)"
+        );
+        if let Some(b) = &best {
+            assert_eq!(b.digest, r.digest, "digest changed between reps {rep}");
+        }
+        if best
+            .as_ref()
+            .is_none_or(|b| r.reads_per_sec() > b.reads_per_sec())
+        {
+            best = Some(r);
         }
     }
-    best.into_iter()
-        .map(|b| {
-            let mut r = b.expect("at least one rep");
-            r.reps_run = reps.max(1);
-            r
-        })
-        .collect()
+    best.expect("at least one rep")
 }
 
 struct FanoutResult {
@@ -454,18 +375,17 @@ struct FanoutResult {
     evictions: u64,
 }
 
-/// High-fanout phase: `n_sessions` concurrent sessions on an 8-shard
-/// daemon, almost all of them `StreamDeltas` push subscribers (one
-/// pre-encoded frame shared by every subscriber per pump), plus a small
-/// pool of classic readers measured with wall-clock latency. Every 16th
-/// subscriber runs a full [`StreamMirror`] and must end CRC-synced.
+/// High-fanout phase: `n_sessions` concurrent sessions, almost all of
+/// them `StreamDeltas` push subscribers (one pre-encoded frame shared by
+/// every subscriber per pump), plus a small pool of classic readers
+/// measured with wall-clock latency. Every 16th subscriber runs a full
+/// [`StreamMirror`] and must end CRC-synced.
 fn run_fanout(n_sessions: usize, pumps: u64) -> FanoutResult {
     const READERS: usize = 512;
     const MIRROR_EVERY: usize = 16;
     let mut daemon = Daemon::new(
-        boot_machine(),
+        boot_machine(TraceConfig::from_env()),
         DaemonConfig {
-            shards: 8,
             ticks_per_pump: TICKS_PER_PUMP,
             stall_grace_pumps: STALL_GRACE_PUMPS,
             ..DaemonConfig::default()
@@ -475,46 +395,24 @@ fn run_fanout(n_sessions: usize, pumps: u64) -> FanoutResult {
     let connector = daemon.connector();
     let readers = READERS.min(n_sessions);
 
-    let mut clients: Vec<MetricsClient<ClientPipe>> = (0..n_sessions)
+    let mut clients: Vec<Client> = (0..n_sessions)
         .map(|_| MetricsClient::new(connector.connect()))
         .collect();
 
-    // Setup pump 1: hellos.
-    for c in clients.iter_mut() {
-        c.post(&Request::Hello {
-            proto: metricsd::PROTO_VERSION,
-        })
-        .expect("post hello");
-    }
-    daemon.pump();
-    for c in clients.iter_mut() {
-        while let Ok(Some(_)) = c.try_take() {}
-    }
-
-    // Setup pump 2: everyone subscribes to the delta stream; the reader
-    // pool also takes a counter subscription.
-    for (i, c) in clients.iter_mut().enumerate() {
+    // Setup: everyone subscribes to the delta stream; the reader pool
+    // also takes a counter subscription.
+    setup_pump(&mut daemon, &mut clients, |_, c| hello(c));
+    let sub_ids: Vec<u32> = setup_pump(&mut daemon, &mut clients, |i, c| {
         c.post(&Request::StreamDeltas { every_pumps: 1 })
             .expect("post stream-deltas");
         if i < readers {
-            c.post(&Request::Subscribe {
-                cpu_mask: session_mask(i, n_cpus),
-                metrics: session_metrics(i),
-            })
-            .expect("post subscribe");
+            c.post(&subscribe(i, n_cpus)).expect("post subscribe");
         }
-    }
-    daemon.pump();
-    let mut sub_ids = vec![0u32; readers];
-    for (i, c) in clients.iter_mut().enumerate() {
-        while let Ok(Some(resp)) = c.try_take() {
-            if let Response::Subscribed { sub_id, .. } = resp {
-                if i < readers && sub_id != 0 {
-                    sub_ids[i] = sub_id;
-                }
-            }
-        }
-    }
+    })
+    .into_iter()
+    .take(readers)
+    .map(|ids| ids.first().copied().unwrap_or(0))
+    .collect();
 
     // Steady state: every subscriber drains its push each pump (sampled
     // ones through a full mirror), readers post a Read each pump.
@@ -590,15 +488,13 @@ fn run_fanout(n_sessions: usize, pumps: u64) -> FanoutResult {
     }
 }
 
-/// Serial reference: ONE client session holding all N subscriptions on
-/// a 1-shard daemon, same kernel, same pump count. Sessions never touch
-/// the kernel, so its final counter values must match the load runs
-/// bit-for-bit.
+/// Serial reference: ONE client session holding all N subscriptions,
+/// same kernel, same pump count. Sessions never touch the kernel, so its
+/// final counter values must match the fleet's bit-for-bit.
 fn run_reference(n_sessions: usize, pumps: u64) -> u64 {
     let mut daemon = Daemon::new(
-        boot_machine(),
+        boot_machine(TraceConfig::from_env()),
         DaemonConfig {
-            shards: 1,
             ticks_per_pump: TICKS_PER_PUMP,
             inbox_cap: n_sessions + 16,
             outbox_cap: n_sessions + 16,
@@ -607,31 +503,17 @@ fn run_reference(n_sessions: usize, pumps: u64) -> u64 {
         },
     );
     let n_cpus = daemon.n_cpus() as usize;
-    let connector = daemon.connector();
-    let mut c = MetricsClient::new(connector.connect());
+    let mut clients = [MetricsClient::new(daemon.connector().connect())];
 
-    c.post(&Request::Hello {
-        proto: metricsd::PROTO_VERSION,
-    })
-    .expect("post hello");
-    daemon.pump();
-    while let Ok(Some(_)) = c.try_take() {}
-
-    for i in 0..n_sessions {
-        c.post(&Request::Subscribe {
-            cpu_mask: session_mask(i, n_cpus),
-            metrics: session_metrics(i),
-        })
-        .expect("post subscribe");
-    }
-    daemon.pump();
-    let mut sub_ids = Vec::with_capacity(n_sessions);
-    while let Ok(Some(resp)) = c.try_take() {
-        if let Response::Subscribed { sub_id, .. } = resp {
-            sub_ids.push(sub_id);
+    setup_pump(&mut daemon, &mut clients, |_, c| hello(c));
+    let sub_ids = setup_pump(&mut daemon, &mut clients, |_, c| {
+        for i in 0..n_sessions {
+            c.post(&subscribe(i, n_cpus)).expect("post subscribe");
         }
-    }
+    })
+    .remove(0);
     assert_eq!(sub_ids.len(), n_sessions, "reference subscriptions");
+    let c = &mut clients[0];
 
     // Same number of pumps; no reads needed — reads are kernel-free.
     for _ in 0..pumps {
@@ -656,20 +538,10 @@ fn run_reference(n_sessions: usize, pumps: u64) -> u64 {
             per_sub[idx] = values.iter().map(|v| (v.metric, v.value)).collect();
         }
     }
-
-    let mut digest: u64 = 0xcbf29ce484222325;
-    for (i, vals) in per_sub.iter().enumerate() {
-        fnv1a(&mut digest, &(i as u64).to_le_bytes());
-        for (metric, value) in vals {
-            fnv1a(&mut digest, &[*metric]);
-            fnv1a(&mut digest, &value.to_le_bytes());
-        }
-    }
-    digest
+    final_values_digest(per_sub.iter().map(Vec::as_slice))
 }
 
 struct QueryPhaseResult {
-    shards: usize,
     /// Counters replies observed locally — must equal the wire SUM.
     reads: u64,
     /// RangeReply frames served during the throughput storm.
@@ -690,17 +562,14 @@ struct QueryPhaseResult {
 }
 
 /// History/SLO/tracing phase: a deliberately small, fully deterministic
-/// run (serve_ns = 0, so the latency histogram is independent of shard
-/// geometry) that proves
+/// run that proves
 ///
 /// * `QueryRange` answers match the client's own local accounting ±0,
-/// * answers and the whole history digest are bit-identical across
-///   shard counts,
 /// * an impossible p99 target induces `SloBreach`es whose exemplar
 ///   trace id resolves to spans recorded on both sides of the wire,
 /// * the Perfetto export stitches sampled requests across the
-///   client/shard/collector tracks with flow arrows.
-fn run_query_phase(shards: usize, n_sessions: usize, pumps: u64, traced: bool) -> QueryPhaseResult {
+///   client/serve/collector tracks with flow arrows.
+fn run_query_phase(n_sessions: usize, pumps: u64, traced: bool) -> QueryPhaseResult {
     const SAMPLE_EVERY: u32 = 4;
     const STORM_PUMPS: u64 = 8;
     const STORM_QUERIES_PER_SESSION: u32 = 8;
@@ -710,14 +579,14 @@ fn run_query_phase(shards: usize, n_sessions: usize, pumps: u64, traced: bool) -
         TraceConfig::default()
     };
     let mut daemon = Daemon::new(
-        boot_machine_traced(trace_cfg.clone()),
+        boot_machine(trace_cfg.clone()),
         DaemonConfig {
-            shards,
             ticks_per_pump: TICKS_PER_PUMP,
             stall_grace_pumps: STALL_GRACE_PUMPS,
             // Zero queueing term: latency depends only on snapshot
-            // time, never on position in a shard's queue, so the
-            // histogram (and every percentile query) is shard-invariant.
+            // time, never on position in the serve order, which keeps
+            // the recorded p99 and history digests comparable with
+            // earlier runs of this phase.
             serve_ns: 0,
             slos: vec![
                 // 1 sim-ns p99 is impossible once any read is served:
@@ -729,9 +598,8 @@ fn run_query_phase(shards: usize, n_sessions: usize, pumps: u64, traced: bool) -
             ..DaemonConfig::default()
         },
     );
-    let n_cpus = daemon.n_cpus() as usize;
     let connector = daemon.connector();
-    let mut clients: Vec<MetricsClient<ClientPipe>> = (0..n_sessions)
+    let mut clients: Vec<Client> = (0..n_sessions)
         .map(|_| MetricsClient::new(connector.connect()))
         .collect();
     if traced {
@@ -739,34 +607,8 @@ fn run_query_phase(shards: usize, n_sessions: usize, pumps: u64, traced: bool) -
             c.enable_tracing(&trace_cfg, SAMPLE_EVERY);
         }
     }
-
-    for c in clients.iter_mut() {
-        c.post(&Request::Hello {
-            proto: metricsd::PROTO_VERSION,
-        })
-        .expect("post hello");
-    }
-    daemon.pump();
-    for c in clients.iter_mut() {
-        while let Ok(Some(_)) = c.try_take() {}
-    }
-    for (i, c) in clients.iter_mut().enumerate() {
-        c.post(&Request::Subscribe {
-            cpu_mask: session_mask(i, n_cpus),
-            metrics: session_metrics(i),
-        })
-        .expect("post subscribe");
-    }
-    daemon.pump();
-    let mut sub_ids = vec![0u32; n_sessions];
-    for (i, c) in clients.iter_mut().enumerate() {
-        while let Ok(Some(resp)) = c.try_take() {
-            if let Response::Subscribed { sub_id, .. } = resp {
-                sub_ids[i] = sub_id;
-            }
-        }
-        assert!(sub_ids[i] != 0, "query phase: session {i} subscribed");
-    }
+    setup_pump(&mut daemon, &mut clients, |_, c| hello(c));
+    let sub_ids = subscribe_all(&mut daemon, &mut clients);
 
     // Steady state: every session reads every pump (sampled requests
     // carry their trace context in the frame header); the local
@@ -844,14 +686,11 @@ fn run_query_phase(shards: usize, n_sessions: usize, pumps: u64, traced: bool) -
     let wire_sum = wire_sum.expect("SUM(READS) answered");
     let wire_p99 = wire_p99.expect("P99(LATENCY_NS) answered");
     let (_, slos) = health.expect("GetHealth answered");
-    assert_eq!(
-        wire_sum, reads,
-        "shards={shards}: wire SUM(READS) != locally observed reads"
-    );
+    assert_eq!(wire_sum, reads, "wire SUM(READS) != locally observed reads");
     assert_eq!(
         wire_p99,
         local.percentile(0.99),
-        "shards={shards}: wire p99 != local histogram p99"
+        "wire p99 != local histogram p99"
     );
     let breaches: u64 = slos.iter().map(|s| s.breaches).sum();
     let p99_row = slos
@@ -864,11 +703,11 @@ fn run_query_phase(shards: usize, n_sessions: usize, pumps: u64, traced: bool) -
         .expect("eviction SLO row present");
     assert!(
         p99_row.breaches >= 1,
-        "shards={shards}: impossible p99 target never breached"
+        "impossible p99 target never breached"
     );
     assert_eq!(
         evict_row.breaches, 0,
-        "shards={shards}: eviction SLO breached without evictions"
+        "eviction SLO breached without evictions"
     );
     let exemplar_trace_id = p99_row.exemplar_trace_id;
 
@@ -880,10 +719,7 @@ fn run_query_phase(shards: usize, n_sessions: usize, pumps: u64, traced: bool) -
             .any(|e| matches!(e.kind, EventKind::SpanBegin) && e.a == id)
     };
     let exemplar_resolved = if traced {
-        assert!(
-            exemplar_trace_id != 0,
-            "shards={shards}: traced run produced no exemplar"
-        );
+        assert!(exemplar_trace_id != 0, "traced run produced no exemplar");
         let in_daemon = daemon_tracks
             .iter()
             .any(|t| has_span(&t.events, exemplar_trace_id));
@@ -892,15 +728,12 @@ fn run_query_phase(shards: usize, n_sessions: usize, pumps: u64, traced: bool) -
             .any(|c| has_span(&c.trace_track().events, exemplar_trace_id));
         assert!(
             in_daemon && in_client,
-            "shards={shards}: exemplar {exemplar_trace_id:#x} did not resolve \
+            "exemplar {exemplar_trace_id:#x} did not resolve \
              (daemon={in_daemon} client={in_client})"
         );
         true
     } else {
-        assert_eq!(
-            exemplar_trace_id, 0,
-            "shards={shards}: untraced run leaked an exemplar"
-        );
+        assert_eq!(exemplar_trace_id, 0, "untraced run leaked an exemplar");
         false
     };
 
@@ -915,7 +748,7 @@ fn run_query_phase(shards: usize, n_sessions: usize, pumps: u64, traced: bool) -
         assert!(jsonw::validate(&json), "Perfetto export is valid JSON");
         assert!(
             json.contains("\"ph\":\"s\"") && json.contains("\"ph\":\"f\""),
-            "shards={shards}: no flow arrows in the Perfetto export"
+            "no flow arrows in the Perfetto export"
         );
         (true, json)
     } else {
@@ -951,12 +784,11 @@ fn run_query_phase(shards: usize, n_sessions: usize, pumps: u64, traced: bool) -
     assert_eq!(
         queries,
         n_sessions as u64 * STORM_PUMPS * STORM_QUERIES_PER_SESSION as u64,
-        "shards={shards}: storm queries lost"
+        "storm queries lost"
     );
 
     let history_digest = daemon.history().digest();
     QueryPhaseResult {
-        shards,
         reads,
         queries,
         storm_wall_s,
@@ -977,70 +809,45 @@ struct QuerySuite {
     exemplar_resolved: bool,
 }
 
-/// Run the query phase traced at 1/4/8 shards plus an untraced 1-shard
-/// control; assert every cross-config invariant. Returns the summary
-/// for the bench JSON and optionally writes the Perfetto timeline.
+/// Run the query phase traced, plus an untraced control that must serve
+/// the same reads and p99. Returns the summary for the bench JSON and
+/// optionally writes the Perfetto timeline.
 fn run_query_suite(n_sessions: usize, pumps: u64, trace_out: Option<&str>) -> QuerySuite {
-    let traced: Vec<QueryPhaseResult> = [1usize, 4, 8]
-        .iter()
-        .map(|&s| run_query_phase(s, n_sessions, pumps, true))
-        .collect();
-    for r in &traced {
-        eprintln!(
-            "  query shards={}: {} reads, p99={}ns, {} queries in {:.3}s ({:.0}/s), \
-             breaches={}, exemplar={:#x}, history_digest={:016x}",
-            r.shards,
-            r.reads,
-            r.p99_sim_ns,
-            r.queries,
-            r.storm_wall_s,
-            r.queries as f64 / r.storm_wall_s.max(1e-9),
-            r.breaches,
-            r.exemplar_trace_id,
-            r.history_digest,
-        );
-    }
-    let base = &traced[0];
-    for r in &traced[1..] {
-        assert_eq!(
-            r.p99_sim_ns, base.p99_sim_ns,
-            "QueryRange p99 differs across shard counts"
-        );
-        assert_eq!(
-            r.history_digest, base.history_digest,
-            "history digest differs across shard counts"
-        );
-        assert_eq!(r.reads, base.reads, "reads differ across shard counts");
-        assert_eq!(
-            r.exemplar_trace_id, base.exemplar_trace_id,
-            "SLO exemplar differs across shard counts"
-        );
-    }
+    let r = run_query_phase(n_sessions, pumps, true);
+    let queries_per_sec = r.queries as f64 / r.storm_wall_s.max(1e-9);
+    eprintln!(
+        "  query: {} reads, p99={}ns, {} queries in {:.3}s ({:.0}/s), \
+         breaches={}, exemplar={:#x}, history_digest={:016x}",
+        r.reads,
+        r.p99_sim_ns,
+        r.queries,
+        r.storm_wall_s,
+        queries_per_sec,
+        r.breaches,
+        r.exemplar_trace_id,
+        r.history_digest,
+    );
     // Tracing must not perturb the measurement: the untraced control
     // reports the same reads and p99 (its history digest differs only
     // by the exemplar ids, which is why it is not compared).
-    let control = run_query_phase(1, n_sessions, pumps, false);
+    let control = run_query_phase(n_sessions, pumps, false);
     assert_eq!(
-        control.reads, base.reads,
+        control.reads, r.reads,
         "tracing changed the number of reads served"
     );
     assert_eq!(
-        control.p99_sim_ns, base.p99_sim_ns,
+        control.p99_sim_ns, r.p99_sim_ns,
         "tracing changed the served latency distribution"
     );
     if let Some(path) = trace_out {
-        std::fs::write(path, &base.perfetto_json).expect("write trace JSON");
+        std::fs::write(path, &r.perfetto_json).expect("write trace JSON");
         eprintln!("  wrote {path}");
     }
-    let best_qps = traced
-        .iter()
-        .map(|r| r.queries as f64 / r.storm_wall_s.max(1e-9))
-        .fold(0.0f64, f64::max);
     QuerySuite {
-        queries_per_sec: best_qps,
-        p99_sim_ns: base.p99_sim_ns,
-        breaches: base.breaches,
-        exemplar_resolved: base.exemplar_resolved && base.flow_json_ok,
+        queries_per_sec,
+        p99_sim_ns: r.p99_sim_ns,
+        breaches: r.breaches,
+        exemplar_resolved: r.exemplar_resolved && r.flow_json_ok,
     }
 }
 
@@ -1052,13 +859,6 @@ fn main() {
     let mut pumps: Option<u64> = None;
     let mut reps: Option<u64> = None;
     let mut out = "BENCH_metricsd.json".to_string();
-    let mut gate_scaling = false;
-    // Wall-clock noise margin for the scaling gate. Serving is flat
-    // across shard counts by design, so the two rates are equal in
-    // expectation and a strict `>=` would flip on timer jitter; 5%
-    // absorbs that while still catching real regressions (the per-pump
-    // thread-spawn bug this guards against cost 30%).
-    let mut scaling_tolerance = 0.05;
     let mut floor_per_core: Option<f64> = None;
     let mut fanout_sessions: Option<usize> = None;
     let mut fanout_pumps: Option<u64> = None;
@@ -1077,14 +877,6 @@ fn main() {
             "--pumps" => pumps = Some(args.next().expect("--pumps T").parse().expect("count")),
             "--reps" => reps = Some(args.next().expect("--reps R").parse().expect("count")),
             "--out" => out = args.next().expect("--out PATH"),
-            "--gate-scaling" => gate_scaling = true,
-            "--scaling-tolerance" => {
-                scaling_tolerance = args
-                    .next()
-                    .expect("--scaling-tolerance FRAC")
-                    .parse()
-                    .expect("fraction");
-            }
             "--floor-per-core" => {
                 floor_per_core = Some(
                     args.next()
@@ -1123,9 +915,8 @@ fn main() {
             "--help" | "-h" => {
                 eprintln!(
                     "usage: loadgen [--quick] [--sessions N] [--pumps T] [--reps R] [--out PATH]\n\
-                     \u{20}      [--gate-scaling] [--scaling-tolerance FRAC] [--floor-per-core N]\n\
-                     \u{20}      [--fanout-sessions N] [--fanout-pumps T] [--no-fanout]\n\
-                     \u{20}      [--query-smoke] [--floor-queries N] [--trace-out PATH]"
+                     \u{20}      [--floor-per-core N] [--fanout-sessions N] [--fanout-pumps T]\n\
+                     \u{20}      [--no-fanout] [--query-smoke] [--floor-queries N] [--trace-out PATH]"
                 );
                 return;
             }
@@ -1143,9 +934,9 @@ fn main() {
     let n_cores = cores();
 
     // Fast path for tier-1: just the query/SLO/tracing phase, with its
-    // full cross-shard + exemplar + flow-export assertions.
+    // full exemplar + flow-export assertions.
     if query_smoke {
-        eprintln!("loadgen: query smoke, shards 1/4/8 + untraced control");
+        eprintln!("loadgen: query smoke, traced + untraced control");
         let suite = run_query_suite(64, 24, trace_out.as_deref());
         if let Some(floor) = floor_queries {
             if suite.queries_per_sec < floor {
@@ -1164,28 +955,27 @@ fn main() {
     }
 
     eprintln!(
-        "loadgen: {n_sessions} sessions, {pumps} pumps, {reps} reps, \
-         shards 1/4/8 + serial reference ({n_cores} cores)"
+        "loadgen: {n_sessions} sessions, {pumps} pumps, {reps} reps \
+         + serial reference ({n_cores} cores)"
     );
-    let results = run_best_of(&[1, 4, 8], n_sessions, pumps, reps);
-    for r in &results {
-        eprintln!(
-            "  shards={}: {} reads in {:.3}s ({:.0} reads/s, {:.0}/core), \
-                 sim p50={}ns p99={}ns, wall p50={}ns p99={}ns, \
-                 digest={:016x}, evicted_slow_consumer={}",
-            r.shards,
-            r.reads,
-            r.wall_s,
-            r.reads as f64 / r.wall_s.max(1e-9),
-            r.reads as f64 / r.wall_s.max(1e-9) / n_cores as f64,
-            percentile_of_sorted(&r.latencies_ns, 0.50),
-            percentile_of_sorted(&r.latencies_ns, 0.99),
-            percentile_of_sorted(&r.wall_latencies_ns, 0.50),
-            percentile_of_sorted(&r.wall_latencies_ns, 0.99),
-            r.digest,
-            r.evicted_slow_consumer
-        );
-    }
+    let fleet = run_best_of(n_sessions, pumps, reps);
+    let rps = fleet.reads_per_sec();
+    let per_core = rps / n_cores as f64;
+    eprintln!(
+        "  fleet: {} reads in {:.3}s ({:.0} reads/s, {:.0}/core), \
+             sim p50={}ns p99={}ns, wall p50={}ns p99={}ns, \
+             digest={:016x}, evicted_slow_consumer={}",
+        fleet.reads,
+        fleet.wall_s,
+        rps,
+        per_core,
+        percentile_of_sorted(&fleet.latencies_ns, 0.50),
+        percentile_of_sorted(&fleet.latencies_ns, 0.99),
+        percentile_of_sorted(&fleet.wall_latencies_ns, 0.50),
+        percentile_of_sorted(&fleet.wall_latencies_ns, 0.99),
+        fleet.digest,
+        fleet.evicted_slow_consumer
+    );
     let reference = run_reference(n_sessions, pumps);
     eprintln!("  serial reference digest={reference:016x}");
 
@@ -1213,34 +1003,15 @@ fn main() {
         Some(f)
     };
 
-    eprintln!("loadgen: query/SLO phase, shards 1/4/8 + untraced control");
+    eprintln!("loadgen: query/SLO phase, traced + untraced control");
     let query_suite = run_query_suite(
         if quick { 64 } else { 128 },
         if quick { 24 } else { 32 },
         trace_out.as_deref(),
     );
 
-    let digests_match = results.iter().all(|r| r.digest == reference);
-    let evictions_ok = results
-        .iter()
-        .all(|r| r.evicted_slow_consumer && r.healthy_evictions == 0);
-    let rps = |r: &ConfigResult| r.reads as f64 / r.wall_s.max(1e-9);
-    let rps_1 = results
-        .iter()
-        .find(|r| r.shards == 1)
-        .map(rps)
-        .unwrap_or(0.0);
-    let rps_8 = results
-        .iter()
-        .find(|r| r.shards == 8)
-        .map(rps)
-        .unwrap_or(0.0);
-    let scaling_ok = rps_8 >= rps_1;
-    let scaling_gate_ok = rps_8 >= rps_1 * (1.0 - scaling_tolerance);
-    let min_per_core = results
-        .iter()
-        .map(|r| rps(r) / n_cores as f64)
-        .fold(f64::INFINITY, f64::min);
+    let digests_match = fleet.digest == reference;
+    let evictions_ok = fleet.evicted_slow_consumer && fleet.healthy_evictions == 0;
 
     let mut w = jsonw::JsonWriter::new();
     w.begin_obj();
@@ -1252,37 +1023,32 @@ fn main() {
     w.field_u64("ticks_per_pump", TICKS_PER_PUMP as u64);
     w.field_u64("stall_grace_pumps", STALL_GRACE_PUMPS as u64);
     w.field_u64("cores", n_cores);
-    w.key("configs");
-    w.begin_arr();
-    for r in &results {
-        w.begin_obj();
-        w.field_u64("shards", r.shards as u64);
-        w.field_u64("reads", r.reads);
-        w.field_f64("wall_s", r.wall_s);
-        w.field_f64("reads_per_sec", rps(r));
-        w.field_f64("reads_per_sec_per_core", rps(r) / n_cores as f64);
-        w.field_u64(
-            "p50_latency_sim_ns",
-            percentile_of_sorted(&r.latencies_ns, 0.50),
-        );
-        w.field_u64(
-            "p99_latency_sim_ns",
-            percentile_of_sorted(&r.latencies_ns, 0.99),
-        );
-        w.field_u64(
-            "p50_latency_wall_ns",
-            percentile_of_sorted(&r.wall_latencies_ns, 0.50),
-        );
-        w.field_u64(
-            "p99_latency_wall_ns",
-            percentile_of_sorted(&r.wall_latencies_ns, 0.99),
-        );
-        w.field_str("digest", &format!("{:016x}", r.digest));
-        w.field_bool("evicted_slow_consumer", r.evicted_slow_consumer);
-        w.field_u64("healthy_evictions", r.healthy_evictions);
-        w.end_obj();
-    }
-    w.end_arr();
+    w.key("fleet");
+    w.begin_obj();
+    w.field_u64("reads", fleet.reads);
+    w.field_f64("wall_s", fleet.wall_s);
+    w.field_f64("reads_per_sec", rps);
+    w.field_f64("reads_per_sec_per_core", per_core);
+    w.field_u64(
+        "p50_latency_sim_ns",
+        percentile_of_sorted(&fleet.latencies_ns, 0.50),
+    );
+    w.field_u64(
+        "p99_latency_sim_ns",
+        percentile_of_sorted(&fleet.latencies_ns, 0.99),
+    );
+    w.field_u64(
+        "p50_latency_wall_ns",
+        percentile_of_sorted(&fleet.wall_latencies_ns, 0.50),
+    );
+    w.field_u64(
+        "p99_latency_wall_ns",
+        percentile_of_sorted(&fleet.wall_latencies_ns, 0.99),
+    );
+    w.field_str("digest", &format!("{:016x}", fleet.digest));
+    w.field_bool("evicted_slow_consumer", fleet.evicted_slow_consumer);
+    w.field_u64("healthy_evictions", fleet.healthy_evictions);
+    w.end_obj();
     if let Some(f) = &fanout {
         w.key("fanout");
         w.begin_obj();
@@ -1319,10 +1085,6 @@ fn main() {
     w.field_str("serial_reference_digest", &format!("{reference:016x}"));
     w.field_bool("digests_match", digests_match);
     w.field_bool("evictions_ok", evictions_ok);
-    w.field_bool("scaling_ok", scaling_ok);
-    w.field_bool("scaling_gate_ok", scaling_gate_ok);
-    w.field_f64("scaling_tolerance", scaling_tolerance);
-    w.field_f64("min_reads_per_sec_per_core", min_per_core);
     w.end_obj();
     let json = w.finish();
     assert!(jsonw::validate(&json), "loadgen emits valid JSON");
@@ -1331,24 +1093,16 @@ fn main() {
     eprintln!("wrote {out}");
 
     if !digests_match {
-        eprintln!("FAIL: shard digests diverge from the serial reference");
+        eprintln!("FAIL: fleet digest diverges from the serial reference");
         std::process::exit(1);
     }
     if !evictions_ok {
         eprintln!("FAIL: eviction ledger wrong (missing slow-consumer eviction or a healthy one)");
         std::process::exit(1);
     }
-    if gate_scaling && !scaling_gate_ok {
-        eprintln!(
-            "FAIL: 8-shard throughput regressed below 1-shard \
-             ({rps_8:.0} < {rps_1:.0} - {:.0}%)",
-            scaling_tolerance * 100.0
-        );
-        std::process::exit(1);
-    }
     if let Some(floor) = floor_per_core {
-        if min_per_core < floor {
-            eprintln!("FAIL: per-core throughput floor violated ({min_per_core:.0} < {floor:.0})");
+        if per_core < floor {
+            eprintln!("FAIL: per-core throughput floor violated ({per_core:.0} < {floor:.0})");
             std::process::exit(1);
         }
     }

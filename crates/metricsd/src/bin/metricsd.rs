@@ -1,15 +1,14 @@
 //! metricsd — serve simulated PAPI counters to many clients over TCP.
 //!
 //! Boots a simulated machine with a deterministic background workload,
-//! starts the sharded daemon, binds a TCP-loopback listener, and pumps.
+//! starts the daemon, binds a TCP-loopback listener, and pumps.
 //!
 //! ```text
-//! metricsd [--listen ADDR] [--shards N] [--pumps N] [--pump-ms MS]
+//! metricsd [--listen ADDR] [--pumps N] [--pump-ms MS]
 //!          [--machine NAME] [--sched NAME]
 //! ```
 //!
-//! The pump thread serves every shard inline; shard count fixes request
-//! interleaving, and served counts are identical at any value.
+//! The pump thread serves every session inline, in admission order.
 //!
 //! `--sched` picks the kernel scheduler from the `simsched` registry
 //! (`cfs|cfs_unaware|vtime|capacity|thermal`); unknown names are
@@ -25,7 +24,6 @@ use simos::SchedName;
 
 fn main() {
     let mut listen = "127.0.0.1:0".to_string();
-    let mut shards = 4usize;
     let mut pumps = 2000u64;
     let mut pump_ms = 5u64;
     let mut machine = "raptor".to_string();
@@ -35,13 +33,6 @@ fn main() {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--listen" => listen = args.next().expect("--listen ADDR"),
-            "--shards" => {
-                shards = args
-                    .next()
-                    .expect("--shards N")
-                    .parse()
-                    .expect("shard count")
-            }
             "--pumps" => pumps = args.next().expect("--pumps N").parse().expect("pump count"),
             "--pump-ms" => {
                 pump_ms = args
@@ -62,8 +53,8 @@ fn main() {
             }
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: metricsd [--listen ADDR] [--shards N] [--pumps N] \
-                     [--pump-ms MS] [--machine raptor|skylake] [--sched NAME]"
+                    "usage: metricsd [--listen ADDR] [--pumps N] [--pump-ms MS] \
+                     [--machine raptor|skylake] [--sched NAME]"
                 );
                 return;
             }
@@ -102,20 +93,10 @@ fn main() {
         );
     }
 
-    let mut daemon = Daemon::new(
-        kernel,
-        DaemonConfig {
-            shards,
-            ..DaemonConfig::default()
-        },
-    );
+    let mut daemon = Daemon::new(kernel, DaemonConfig::default());
     let listener =
         metricsd::tcp::Listener::spawn(daemon.connector(), &listen).expect("bind listener");
-    println!(
-        "metricsd listening on {} ({} shards)",
-        listener.addr(),
-        shards
-    );
+    println!("metricsd listening on {}", listener.addr());
 
     for _ in 0..pumps {
         daemon.pump();

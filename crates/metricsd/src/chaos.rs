@@ -31,11 +31,6 @@
 //! schedule is fully deterministic. Over TCP the draw sequence is still
 //! per-frame deterministic, but wall-clock timing can reorder which
 //! frame meets which draw; use the pipe when bit-replayability matters.
-//!
-//! Env knobs (strict, like `SIM_SCHED` / `SIM_TRACE`): `SIM_CHAOS`
-//! selects a preset by name, `SIM_CHAOS_SEED` sets the base seed.
-//! Unknown values panic — a typo'd knob silently injecting nothing is
-//! how "survived chaos" claims go wrong.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -138,45 +133,6 @@ impl ChaosConfig {
             }),
             _ => None,
         }
-    }
-
-    /// Parse a `SIM_CHAOS` value: a preset name, optionally with a
-    /// `@<seed>` suffix (`"mix@7"`).
-    pub fn parse(s: &str) -> Option<ChaosConfig> {
-        let s = s.trim();
-        match s.split_once('@') {
-            None => ChaosConfig::preset(s),
-            Some((name, seed)) => {
-                let seed: u64 = seed.parse().ok()?;
-                Some(ChaosConfig::preset(name)?.with_seed(seed))
-            }
-        }
-    }
-
-    /// Read `SIM_CHAOS` (default: off) and `SIM_CHAOS_SEED` (default:
-    /// 0, overridden by a `@seed` suffix on `SIM_CHAOS`).
-    ///
-    /// Panics on an unknown value — a typo'd knob silently injecting
-    /// nothing is how "survived chaos" claims get mislabelled.
-    pub fn from_env() -> ChaosConfig {
-        let mut cfg = match std::env::var("SIM_CHAOS") {
-            Err(_) => ChaosConfig::off(),
-            Ok(v) => ChaosConfig::parse(&v).unwrap_or_else(|| {
-                panic!(
-                    "SIM_CHAOS: unknown value {v:?} \
-                     (expected off|reset|stall|short|truncate|corrupt|delay|mix|heavy, \
-                     optionally with @<seed>)"
-                )
-            }),
-        };
-        if let Ok(v) = std::env::var("SIM_CHAOS_SEED") {
-            let seed: u64 = v
-                .trim()
-                .parse()
-                .unwrap_or_else(|_| panic!("SIM_CHAOS_SEED: unknown value {v:?} (expected a u64)"));
-            cfg = cfg.with_seed(seed);
-        }
-        cfg
     }
 
     /// Same rates, different seed (per-session plans).
@@ -282,14 +238,6 @@ impl<T: Transport> ChaosTransport<T> {
             stats: ChaosStats::default(),
             shared: None,
         }
-    }
-
-    /// Wrap `inner` with the preset selected by `SIM_CHAOS` /
-    /// `SIM_CHAOS_SEED` — the one-line opt-in for any client boot
-    /// path. With the env unset this is a pure passthrough (the `off`
-    /// preset moves every frame untouched).
-    pub fn from_env(inner: T) -> ChaosTransport<T> {
-        ChaosTransport::new(inner, ChaosConfig::from_env())
     }
 
     /// Accumulate this transport's stats into `sink` when it drops.
@@ -741,21 +689,13 @@ mod tests {
     }
 
     #[test]
-    fn parse_presets_and_seed_suffix() {
-        assert_eq!(ChaosConfig::parse("off"), Some(ChaosConfig::off()));
-        assert!(ChaosConfig::parse("mix").is_some());
-        let seeded = ChaosConfig::parse("mix@77").unwrap();
-        assert_eq!(seeded.seed, 77);
-        assert_eq!(
-            ChaosConfig { seed: 0, ..seeded },
-            ChaosConfig::preset("mix").unwrap()
-        );
-        assert_eq!(ChaosConfig::parse("tyop"), None);
-        assert_eq!(ChaosConfig::parse("mix@notanumber"), None);
-        assert_eq!(ChaosConfig::parse(" heavy "), ChaosConfig::preset("heavy"));
+    fn presets_off_is_off_and_every_other_injects() {
         assert!(ChaosConfig::preset("off").unwrap().is_off());
-        for p in ["reset", "stall", "short", "truncate", "corrupt", "delay"] {
+        for p in [
+            "reset", "stall", "short", "truncate", "corrupt", "delay", "mix", "heavy",
+        ] {
             assert!(!ChaosConfig::preset(p).unwrap().is_off(), "{p} injects");
         }
+        assert_eq!(ChaosConfig::preset("tyop"), None);
     }
 }

@@ -210,7 +210,7 @@ impl<T: Transport> MetricsClient<T> {
         }
         // Stream pushes carry no header: the receipt span derives the
         // snapshot's flow id from the tick, exactly as the collector
-        // and the pushing shard did, so the hops link without any wire
+        // and the pushing daemon did, so the hops link without any wire
         // bytes.
         if self.trace.enabled() {
             if let Response::TickKeyframe { tick, .. } | Response::TickDelta { tick, .. } = resp {

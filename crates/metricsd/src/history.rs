@@ -1,9 +1,9 @@
 //! The time-series history store and SLO watchdog.
 //!
 //! `TickSnapshot`s are point-in-time; this module is the daemon's
-//! memory. Every pump folds the shards' serving scratch (reads, stale
-//! reads, latency histogram, eviction/shed counts) and the collector's
-//! per-cluster counter deltas into one [`Rollup`] frame, pushed into a
+//! memory. Every pump folds what it served (reads, stale reads, latency
+//! histogram, eviction/shed counts) and the collector's per-cluster
+//! counter deltas into one [`Rollup`] frame, pushed into a
 //! fixed-capacity ring with **power-of-two downsampling tiers**: tier 0
 //! holds one frame per pump; when [`TIER_FANOUT`] tier-N frames have
 //! been pushed, they merge into one tier-N+1 frame. Long horizons stay
@@ -12,20 +12,19 @@
 //! planner walks to a coarser tier instead of growing the frame.
 //!
 //! Determinism: a rollup is a pure function of the pump schedule and
-//! the serving outcome. Scratches absorb in shard order on the pump
-//! thread, histograms merge bucket-wise, and the breach exemplar is the
-//! max by `(latency, trace_id)` — all order-free reductions — so with
-//! the virtual serve-cost model disabled (`serve_ns = 0`) the history
-//! and every query reply are bit-identical across Auto/Off macro-ticks
-//! and 1/4/8 shards (asserted in `tests/history.rs`).
+//! the serving outcome. Histograms merge bucket-wise and the breach
+//! exemplar is the max by `(latency, trace_id)` — order-free reductions
+//! — so the history and every query reply are bit-identical across
+//! Auto/Off macro-ticks (asserted against pinned values in
+//! `tests/history.rs`).
 //!
 //! The **SLO watchdog** evaluates declarative [`SloSpec`] targets over
 //! a trailing window of tier-0 frames after every push. A breached
 //! window bumps the SLO's [`SloHealth`] row (served by `GetHealth`) and
 //! surfaces an *exemplar trace id* — the slowest sampled request inside
 //! the window — which resolves to recorded `SpanBegin`/`SpanEnd` spans
-//! on the client and shard tracks, linking the aggregate regression to
-//! one concrete slow request.
+//! on the client and serving tracks, linking the aggregate regression
+//! to one concrete slow request.
 //!
 //! [`Request::QueryRange`]: crate::wire::Request::QueryRange
 //! [`MAX_RANGE_POINTS`]: crate::wire::MAX_RANGE_POINTS
@@ -69,6 +68,21 @@ pub struct Rollup {
 }
 
 impl Rollup {
+    /// Fold one served read in. `trace_id` is nonzero only for sampled
+    /// traced requests — those are exemplar candidates.
+    #[inline]
+    pub(crate) fn observe_read(&mut self, latency_ns: u64, stale: bool, trace_id: u64) {
+        self.reads += 1;
+        if stale {
+            self.stale_reads += 1;
+        }
+        self.latency.observe(latency_ns);
+        if trace_id != 0 && (latency_ns, trace_id) > (self.slow_ns, self.exemplar) {
+            self.slow_ns = latency_ns;
+            self.exemplar = trace_id;
+        }
+    }
+
     fn merge(&mut self, o: &Rollup) {
         self.pump = self.pump.max(o.pump);
         self.first_tick = self.first_tick.min(o.first_tick);
@@ -107,51 +121,6 @@ impl Rollup {
 
     fn overlaps(&self, start_tick: u64, end_tick: u64) -> bool {
         self.first_tick <= end_tick && self.last_tick >= start_tick
-    }
-}
-
-/// Per-shard serving scratch for the pump in flight. `serve_shard`
-/// mutates its shard's scratch; the pump thread absorbs all scratches
-/// in shard order after serving, so the reduction is deterministic and
-/// never contended.
-#[derive(Debug, Clone, Default)]
-pub struct Scratch {
-    pub reads: u64,
-    pub stale_reads: u64,
-    pub evictions: u64,
-    pub sheds: u64,
-    pub latency: Histogram,
-    pub slow_ns: u64,
-    pub exemplar: u64,
-}
-
-impl Scratch {
-    /// Fold one served read in. `trace_id` is nonzero only for sampled
-    /// traced requests — those are exemplar candidates.
-    #[inline]
-    pub fn observe_read(&mut self, latency_ns: u64, stale: bool, trace_id: u64) {
-        self.reads += 1;
-        if stale {
-            self.stale_reads += 1;
-        }
-        self.latency.observe(latency_ns);
-        if trace_id != 0 && (latency_ns, trace_id) > (self.slow_ns, self.exemplar) {
-            self.slow_ns = latency_ns;
-            self.exemplar = trace_id;
-        }
-    }
-
-    pub(crate) fn absorb_into(&mut self, r: &mut Rollup) {
-        r.reads += self.reads;
-        r.stale_reads += self.stale_reads;
-        r.evictions += self.evictions;
-        r.sheds += self.sheds;
-        r.latency.merge(&self.latency);
-        if (self.slow_ns, self.exemplar) > (r.slow_ns, r.exemplar) {
-            r.slow_ns = self.slow_ns;
-            r.exemplar = self.exemplar;
-        }
-        *self = Scratch::default();
     }
 }
 

@@ -1,5 +1,5 @@
-//! metricsd — a sharded, multi-client counter-serving daemon over the
-//! simulated kernel.
+//! metricsd — a multi-client counter-serving daemon over the simulated
+//! kernel.
 //!
 //! Many tools want the same counters at the same time; giving each its
 //! own `Papi` instance over `Arc<Mutex<Kernel>>` serialises every read
@@ -7,15 +7,15 @@
 //! crate inverts the arrangement: a single [`snapshot::Collector`] does
 //! exactly one kernel pass per pump (the batching window), publishes an
 //! immutable [`snapshot::TickSnapshot`] to a [`snapshot::SnapshotCache`],
-//! and a sharded [`server::Daemon`] answers every client session from
-//! that snapshot — hot static queries (hardware info, preset list) are
+//! and the [`server::Daemon`] answers every client session from that
+//! snapshot — hot static queries (hardware info, preset list) are
 //! pre-encoded frames that never touch the kernel lock at all.
 //!
 //! Because sessions never touch the kernel, the kernel-op sequence —
 //! and therefore every served count — depends only on the pump schedule,
-//! not on how many sessions exist or how many shards serve them.
-//! `loadgen` exploits this: aggregate digests are bit-identical across
-//! 1/4/8 shards and match a collector-only serial reference.
+//! not on how many sessions exist or how subscriptions are spread over
+//! them. `loadgen` exploits this: a fleet of sessions digests
+//! bit-identically to one serial session holding every subscription.
 //!
 //! Transports: an in-process [`queue::ClientPipe`] (bounded frame queues
 //! in both directions, explicit backpressure, slow-consumer eviction)
@@ -33,10 +33,10 @@
 //! fault mix are bit-identical to the fault-free run.
 
 //!
-//! Serving (DESIGN.md §14): the pump thread serves every shard inline,
-//! in shard order — shard count is a determinism domain, not a thread
-//! count. Sessions flag their inboxes via an atomic readiness bit, and
-//! idle sessions are skipped without touching a lock. Subscribers get
+//! Serving (DESIGN.md §14): the pump thread serves one session table
+//! inline, in admission order. Sessions flag their inboxes via an
+//! atomic readiness bit, and idle sessions are skipped without touching
+//! a lock. Subscribers get
 //! counter pushes from one verb, delta-encoded streaming
 //! ([`wire::Request::StreamDeltas`]): one pre-encoded keyframe/delta
 //! pair per pump shared by every subscriber, with client-side
@@ -56,7 +56,7 @@ pub mod wire;
 
 pub use chaos::{ChaosConfig, ChaosStats, ChaosTransport};
 pub use client::{ClientError, MetricsClient, MirrorOutcome, StreamMirror, Transport};
-pub use history::{Breach, History, RangeResult, Rollup, Scratch, SloKind, SloSpec};
+pub use history::{Breach, History, RangeResult, Rollup, SloKind, SloSpec};
 pub use resilient::{ResilientClient, ResilientConfig, ResilientStats};
 pub use server::{Connector, Daemon, DaemonConfig};
 pub use snapshot::{Collector, CpuCounters, SnapshotCache, StreamFrames, TickSnapshot};

@@ -5,7 +5,7 @@
 //!
 //! * **Readiness** — every successful push sets a lock-free ready flag
 //!   the serving loop consumes with [`FrameQueue::take_ready`]. This is
-//!   the in-process analogue of epoll readiness: a shard's event loop
+//!   the in-process analogue of epoll readiness: the daemon's serve loop
 //!   skips sessions whose flag is clear instead of locking each inbox,
 //!   so 100k mostly-idle subscribers cost an atomic load per pump, not
 //!   a mutex acquisition.

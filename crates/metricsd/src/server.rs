@@ -1,17 +1,16 @@
-//! The daemon: sharded session registry, lockstep pump, backpressure.
+//! The daemon: one session table, lockstep pump, backpressure.
 //!
-//! A [`Daemon`] owns the [`Collector`] and a set of shards. Each
-//! connected session lives in exactly one shard (`session_id % shards`),
-//! and each `pump()`:
+//! A [`Daemon`] owns the [`Collector`] and one table of connected
+//! sessions in admission order, and each `pump()`:
 //!
-//! 1. admits pending connections into their shards,
+//! 1. admits pending connections to the end of the table,
 //! 2. advances the kernel once and publishes the new [`TickSnapshot`]
 //!    to the [`SnapshotCache`] (the single cache-invalidation point),
 //!    which also pre-encodes this pump's shared delta-stream frames,
-//! 3. serves every shard from the immutable snapshot, inline on the
-//!    pump thread in shard order. A shard is a *determinism* domain:
-//!    it fixes request interleaving and the virtual serving clock, and
-//!    served counts do not depend on how many there are,
+//! 3. serves every session from the immutable snapshot, inline on the
+//!    pump thread in table order. The k-th request or push served in
+//!    the pump completes on the virtual serving clock at snapshot time
+//!    plus `(k+1)·serve_ns`,
 //! 4. reaps closed and evicted sessions, **parks** sessions whose
 //!    transport died uncleanly, and TTL-reaps the parked table.
 //!
@@ -43,7 +42,7 @@
 //!   [`Request::Resume`] with the token from its `Welcome` and
 //!   continues where it left off; resumed subscriptions answer reads
 //!   as `ReadQuality::Scaled` until the client re-baselines them.
-//! * **Load shedding** — with `shard_budget_per_pump` or
+//! * **Load shedding** — with `pump_budget` or
 //!   `deadline_pumps` configured, excess or overdue queued requests
 //!   are answered with a typed [`Response::Overloaded`] (carrying a
 //!   retry hint) instead of being applied, evicted, or left to rot.
@@ -57,7 +56,7 @@ use simos::kernel::KernelHandle;
 use simtrace::metrics::Registry;
 use simtrace::{span, EventKind, TraceSink, Track};
 
-use crate::history::{History, Rollup, Scratch, SloSpec};
+use crate::history::{History, Rollup, SloSpec};
 use crate::queue::{ClientPipe, FrameQueue, PushError};
 use crate::snapshot::{Collector, SnapshotCache, StreamFrames, TickSnapshot};
 use crate::wire::{
@@ -72,9 +71,6 @@ const REPLY_CACHE: usize = 4;
 /// Daemon tuning knobs.
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
-    /// Shards serving sessions (aggregate counts are identical at any
-    /// value; latency distribution is not).
-    pub shards: usize,
     /// Kernel ticks simulated per pump — the batching window: every read
     /// arriving within one pump is served from the same kernel pass.
     pub ticks_per_pump: u32,
@@ -87,16 +83,16 @@ pub struct DaemonConfig {
     /// slow consumer. Healthy sessions that drain every pump never
     /// accumulate stalled pumps and are never evicted.
     pub stall_grace_pumps: u32,
-    /// Virtual serving cost per request (sim-ns), the queueing term in
-    /// reported latency.
+    /// Virtual serving cost per request or push (sim-ns), the queueing
+    /// term in reported latency.
     pub serve_ns: u64,
     /// Per-session request budget per pump (fairness cap).
     pub max_requests_per_pump: u32,
-    /// Total requests one shard serves per pump before it starts
+    /// Total requests the daemon serves per pump before it starts
     /// shedding (0 = unlimited). Shed requests are answered
     /// [`Response::Overloaded`] and **never applied**, so reissuing
     /// them is always safe.
-    pub shard_budget_per_pump: u32,
+    pub pump_budget: u32,
     /// Consecutive pumps a session may sit with queued-but-unserved
     /// requests before they are shed with [`Response::Overloaded`]
     /// (0 = no deadline).
@@ -117,14 +113,13 @@ pub struct DaemonConfig {
 impl Default for DaemonConfig {
     fn default() -> DaemonConfig {
         DaemonConfig {
-            shards: 4,
             ticks_per_pump: 20,
             outbox_cap: 64,
             inbox_cap: 64,
             stall_grace_pumps: 8,
             serve_ns: 500,
             max_requests_per_pump: 16,
-            shard_budget_per_pump: 0,
+            pump_budget: 0,
             deadline_pumps: 0,
             resume_ttl_pumps: 256,
             retry_after_pumps: 2,
@@ -200,20 +195,6 @@ fn session_token(id: u64) -> u64 {
     fnv64(&id.to_le_bytes())
 }
 
-struct Shard {
-    sessions: Vec<Session>,
-    reads_served: u64,
-    /// Per-shard flight recorder.
-    trace: TraceSink,
-    /// Per-shard self-metrics, absorbed into the daemon's master
-    /// registry at the start of each pump.
-    reg: Registry,
-    /// This pump's serving history (reads, latency histogram, exemplar
-    /// candidates), absorbed into the daemon's [`History`] in shard
-    /// order after serving.
-    scratch: Scratch,
-}
-
 /// Cross-thread connection intake, clonable into acceptor threads.
 #[derive(Clone)]
 pub struct Connector {
@@ -224,8 +205,8 @@ pub struct Connector {
 }
 
 impl Connector {
-    /// Open an in-process connection; the session is admitted to its
-    /// shard on the next pump.
+    /// Open an in-process connection; the session is admitted on the
+    /// next pump.
     pub fn connect(&self) -> ClientPipe {
         self.connect_with_outbox_cap(self.outbox_cap)
     }
@@ -260,8 +241,8 @@ impl Connector {
     }
 }
 
-/// Everything `serve_shard` needs beyond the shard itself, borrowed
-/// from the daemon for one pump.
+/// Everything serving needs beyond the session table, borrowed from
+/// the daemon for one pump.
 struct PumpCtx<'a> {
     snap: &'a TickSnapshot,
     stream: &'a StreamFrames,
@@ -277,20 +258,39 @@ struct PumpCtx<'a> {
     history: &'a History,
     parked: &'a mut HashMap<u64, ParkedSession>,
     pump: u64,
+    /// The serving flight recorder.
+    trace: &'a mut TraceSink,
+    /// The self-metrics registry. This pump's reply is already frozen
+    /// in `self_metrics`, so what serving records here surfaces on the
+    /// wire at the next pump.
+    reg: &'a mut Registry,
+    /// This pump's history frame; serving adds its reads, latencies,
+    /// sheds and evictions.
+    rollup: &'a mut Rollup,
+    /// Requests and pushes served so far this pump: the k-th completes
+    /// on the virtual clock at snapshot time + (k+1)·serve_ns.
+    served: u64,
 }
 
 pub struct Daemon {
     cfg: DaemonConfig,
     collector: Collector,
     cache: Arc<SnapshotCache>,
-    shards: Vec<Shard>,
+    /// Live sessions in admission order, which is the serve order.
+    sessions: Vec<Session>,
+    /// Requests served since boot (the `reads_served` gauge).
+    reads_served: u64,
     connector: Connector,
     /// Dead-transport sessions awaiting `Resume`, keyed by token.
     parked: HashMap<u64, ParkedSession>,
     pumps: u64,
     n_cpus: u32,
     tick_ns: u64,
+    /// Pump-level flight recorder (pumps, parks, SLO breaches).
     trace: TraceSink,
+    /// Serving flight recorder (serves, pushes, sheds, evictions, RPC
+    /// spans).
+    serve_trace: TraceSink,
     /// Rollup history + SLO watchdog.
     history: History,
     /// This pump's frozen `GetHealth` reply.
@@ -303,9 +303,7 @@ pub struct Daemon {
     prev_cluster: [[u64; 2]; 2],
     /// Snapshot time of the previous pump (rate denominators).
     prev_time_ns: u64,
-    /// Master self-metrics registry: shard registries are absorbed here
-    /// (in shard order) at the start of every pump, so GetSelfMetrics
-    /// answers reflect everything served through the previous pump.
+    /// The self-metrics registry, the one ledger of daemon counters.
     reg: Registry,
 }
 
@@ -353,15 +351,6 @@ impl Daemon {
         let first = collector_boot_snapshot(&collector);
         let prev_time_ns = first.time_ns;
         let cache = Arc::new(SnapshotCache::new(first, hw_frame, presets_frame));
-        let shards: Vec<Shard> = (0..cfg.shards.max(1))
-            .map(|_| Shard {
-                sessions: Vec::new(),
-                reads_served: 0,
-                trace: TraceSink::new(&trace_cfg),
-                reg: Registry::new(),
-                scratch: Scratch::default(),
-            })
-            .collect();
         let history = History::new(cfg.history_cap, cfg.slos.clone());
         let health_frame = Response::Health {
             pumps: 0,
@@ -378,12 +367,14 @@ impl Daemon {
             cfg,
             collector,
             cache,
-            shards,
+            sessions: Vec::new(),
+            reads_served: 0,
             parked: HashMap::new(),
             pumps: 0,
             n_cpus,
             tick_ns,
             trace: TraceSink::new(&trace_cfg),
+            serve_trace: TraceSink::new(&trace_cfg),
             history,
             health_frame,
             cluster_of,
@@ -409,8 +400,7 @@ impl Daemon {
         self.parked.len()
     }
 
-    /// Threads serving shards: always 1, the pump thread, which serves
-    /// every shard inline.
+    /// Threads serving sessions: always 1, the pump thread.
     pub fn workers(&self) -> usize {
         1
     }
@@ -431,37 +421,27 @@ impl Daemon {
 
     /// One serving round over `ticks` kernel ticks.
     pub fn pump_with_ticks(&mut self, ticks: u32) -> Arc<TickSnapshot> {
-        // 1. Admit pending connections to their shards.
-        let n_shards = self.shards.len();
-        for s in self.connector.pending.lock().drain(..) {
-            self.shards[(s.id % n_shards as u64) as usize]
-                .sessions
-                .push(s);
-        }
+        // 1. Admit pending connections, in connect order.
+        self.sessions.append(&mut self.connector.pending.lock());
 
         // 2. One kernel pass; publish the snapshot (cache invalidation).
         let snap = self.collector.advance(ticks);
         self.cache.publish(snap.clone());
         self.pumps += 1;
 
-        // 3. Serve every shard from the immutable snapshot, in shard
-        // order. Absorb shard self-metrics into the master registry
-        // (fixed shard order keeps merged views deterministic), refresh
-        // the gauges, and freeze this pump's GetSelfMetrics reply before
-        // serving begins: reads served below surface at the *next* pump.
-        for shard in &mut self.shards {
-            self.reg.absorb(&mut shard.reg);
-        }
-        let sessions = self.shards.iter().map(|s| s.sessions.len() as u64).sum();
-        let reads_served = self.shards.iter().map(|s| s.reads_served).sum();
+        // 3. Refresh the gauges and freeze this pump's GetSelfMetrics
+        // reply before serving begins: what is served below surfaces at
+        // the *next* pump. Then serve every session from the immutable
+        // snapshot, in table order.
         self.reg.set("pumps", self.pumps);
-        self.reg.set("sessions", sessions);
-        self.reg.set("reads_served", reads_served);
+        self.reg.set("sessions", self.sessions.len() as u64);
+        self.reg.set("reads_served", self.reads_served);
         self.reg.set("parked_sessions", self.parked.len() as u64);
         let self_metrics = self_metrics_frame(&self.reg);
         self.trace
             .record(snap.time_ns, EventKind::DaemonPump, 0, self.pumps, 0);
         let stream = self.cache.stream_frames();
+        let mut rollup = self.open_rollup(&snap);
         let mut ctx = PumpCtx {
             snap: &snap,
             stream: &stream,
@@ -473,47 +453,48 @@ impl Daemon {
             history: &self.history,
             parked: &mut self.parked,
             pump: self.pumps,
+            trace: &mut self.serve_trace,
+            reg: &mut self.reg,
+            rollup: &mut rollup,
+            served: 0,
         };
-        for shard in &mut self.shards {
-            serve_shard(shard, &mut ctx);
-        }
+        self.reads_served += serve(&mut self.sessions, &mut ctx);
 
         // 4. Reap: drop closed/evicted sessions, park dead transports.
-        for shard in &mut self.shards {
-            let sessions = std::mem::take(&mut shard.sessions);
-            for s in sessions {
-                if s.evicted {
-                    self.reg.inc("evictions", 1);
-                    continue;
-                }
-                if s.closed {
-                    continue;
-                }
-                if s.inbox.is_closed() && s.inbox.is_empty() {
-                    // Unclean transport death with nothing left to
-                    // serve: park for resume instead of dropping.
-                    self.trace
-                        .record(snap.time_ns, EventKind::ConnReset, 1, s.id, self.pumps);
-                    self.reg.inc("conn_parks", 1);
-                    s.outbox.close();
-                    self.parked.insert(
-                        s.token,
-                        ParkedSession {
-                            subs: s.subs,
-                            next_sub_id: s.next_sub_id,
-                            delta_every: s.delta_every,
-                            reply_cache: s.reply_cache,
-                            parked_at_pump: self.pumps,
-                        },
-                    );
-                    continue;
-                }
-                shard.sessions.push(s);
+        // Compacts the table in place: rebuilding it would hold a second
+        // copy of every session at the pump's memory peak.
+        let pumps = self.pumps;
+        self.sessions.retain_mut(|s| {
+            if s.evicted {
+                self.reg.inc("evictions", 1);
+                return false;
             }
-        }
+            if s.closed {
+                return false;
+            }
+            if s.inbox.is_closed() && s.inbox.is_empty() {
+                // Unclean transport death with nothing left to serve:
+                // park for resume instead of dropping.
+                self.trace
+                    .record(snap.time_ns, EventKind::ConnReset, 1, s.id, pumps);
+                self.reg.inc("conn_parks", 1);
+                s.outbox.close();
+                self.parked.insert(
+                    s.token,
+                    ParkedSession {
+                        subs: std::mem::take(&mut s.subs),
+                        next_sub_id: s.next_sub_id,
+                        delta_every: s.delta_every,
+                        reply_cache: std::mem::take(&mut s.reply_cache),
+                        parked_at_pump: pumps,
+                    },
+                );
+                return false;
+            }
+            true
+        });
         // TTL-reap the parked table.
         let ttl = self.cfg.resume_ttl_pumps;
-        let pumps = self.pumps;
         let mut reaped = 0u64;
         self.parked.retain(|_, p| {
             let keep = pumps.saturating_sub(p.parked_at_pump) <= ttl;
@@ -526,17 +507,37 @@ impl Daemon {
             self.reg.inc("parked_reaped", reaped);
         }
 
-        // 5. History: fold this pump's serving into one rollup frame.
-        // Runs after serving and reaping, so scratches absorb in shard
-        // order, the only deterministic order there is. Queries served
+        // 5. History: push this pump's rollup frame. Queries served
         // during pump N therefore see rollups through pump N-1.
+        let breaches = self.history.push(rollup);
+        for b in &breaches {
+            self.trace.record(
+                snap.time_ns,
+                EventKind::SloBreach,
+                b.slo as u32,
+                b.exemplar,
+                b.observed,
+            );
+            self.reg.inc("slo_breaches", 1);
+        }
+        self.health_frame = Response::Health {
+            pumps: self.pumps,
+            slos: self.history.health(),
+        }
+        .encode();
+        snap
+    }
+
+    /// This pump's history frame before serving: its tick and time span
+    /// and the per-cluster counter deltas since the previous pump.
+    fn open_rollup(&mut self, snap: &TickSnapshot) -> Rollup {
         let mut cluster = [[0u64; 2]; 2];
         for (i, c) in snap.cpus.iter().enumerate() {
             let cl = self.cluster_of.get(i).copied().unwrap_or(0) as usize;
             cluster[cl][0] += c.instructions;
             cluster[cl][1] += c.cycles;
         }
-        let mut rollup = Rollup {
+        let rollup = Rollup {
             pump: self.pumps,
             first_tick: snap.tick,
             last_tick: snap.tick,
@@ -560,42 +561,23 @@ impl Daemon {
         };
         self.prev_cluster = cluster;
         self.prev_time_ns = snap.time_ns;
-        for shard in &mut self.shards {
-            shard.scratch.absorb_into(&mut rollup);
-        }
-        let breaches = self.history.push(rollup);
-        for b in &breaches {
-            self.trace.record(
-                snap.time_ns,
-                EventKind::SloBreach,
-                b.slo as u32,
-                b.exemplar,
-                b.observed,
-            );
-            self.reg.inc("slo_breaches", 1);
-        }
-        self.health_frame = Response::Health {
-            pumps: self.pumps,
-            slos: self.history.health(),
-        }
-        .encode();
-        snap
+        rollup
     }
 
     pub fn n_cpus(&self) -> u32 {
         self.n_cpus
     }
 
-    /// The master self-metrics registry as of the last pump (shard
-    /// registries not yet absorbed are excluded, exactly like the wire
-    /// `GetSelfMetrics` view frozen at pump start).
+    /// The self-metrics registry as of the end of the last pump. The
+    /// wire `GetSelfMetrics` reply is this registry frozen at the start
+    /// of the pump that serves it.
     pub fn self_metrics(&self) -> &Registry {
         &self.reg
     }
 
     /// Every flight-recorder track: the kernel's (kernel/hw/per-CPU),
-    /// then the daemon pump track, the collector track, and one track
-    /// per shard.
+    /// then the daemon pump track, the collector track, and the serving
+    /// track.
     pub fn trace_tracks(&self) -> Vec<Track> {
         let mut tracks = {
             let k = self.collector.kernel().lock();
@@ -603,9 +585,7 @@ impl Daemon {
         };
         tracks.push(Track::new("daemon", self.trace.events()));
         tracks.push(Track::new("collector", self.collector.trace_events()));
-        for (i, shard) in self.shards.iter().enumerate() {
-            tracks.push(Track::new(format!("shard{i}"), shard.trace.events()));
-        }
+        tracks.push(Track::new("serve", self.serve_trace.events()));
         tracks
     }
 
@@ -657,30 +637,22 @@ fn collector_boot_snapshot(c: &Collector) -> Arc<TickSnapshot> {
     })
 }
 
-fn serve_shard(shard: &mut Shard, ctx: &mut PumpCtx) {
-    let Shard {
-        sessions,
-        reads_served,
-        trace,
-        reg,
-        scratch,
-    } = shard;
+/// Serve every session once, in table order; returns the number of
+/// requests served.
+fn serve(sessions: &mut [Session], ctx: &mut PumpCtx) -> u64 {
     let cfg = ctx.cfg;
     let snap = ctx.snap;
-    // Virtual serving clock for this shard this pump: request k in the
-    // shard completes at snapshot-time + (k+1)·serve_ns. More shards →
-    // shorter per-shard queues → lower reported tail latency.
-    let mut served_in_shard: u64 = 0;
+    let mut requests: u64 = 0;
     let mut pushes: u64 = 0;
     let mut examined: u64 = 0;
     let mut skipped: u64 = 0;
-    // Bounded-work admission: once the shard's pump budget is spent,
-    // remaining queued requests are shed (session-iteration order makes
-    // the shed set deterministic for a fixed schedule).
-    let mut shard_budget: u64 = if cfg.shard_budget_per_pump == 0 {
+    // Bounded-work admission: once the pump budget is spent, remaining
+    // queued requests are shed (table order makes the shed set
+    // deterministic for a fixed schedule).
+    let mut pump_budget: u64 = if cfg.pump_budget == 0 {
         u64::MAX
     } else {
-        cfg.shard_budget_per_pump as u64
+        cfg.pump_budget as u64
     };
     for session in sessions.iter_mut() {
         if session.closed || session.evicted {
@@ -718,15 +690,17 @@ fn serve_shard(shard: &mut Shard, ctx: &mut PumpCtx) {
             match session.outbox.push_shared(frame) {
                 Ok(()) => {
                     session.stream_base = Some(sf.tick);
-                    served_in_shard += 1;
+                    ctx.served += 1;
                     pushes += 1;
                     // The push hop of the snapshot's flow: collector
-                    // (producer) → shard (fan-out) → client (mirror),
+                    // (producer) → daemon (fan-out) → client (mirror),
                     // all deriving the same id from the tick alone.
                     let flow = span::snapshot_flow_id(sf.tick);
-                    trace.record(snap.time_ns, EventKind::SpanBegin, span::PUSH, flow, 0);
-                    trace.record(snap.time_ns, EventKind::SpanEnd, span::PUSH, flow, 0);
-                    reg.inc(
+                    ctx.trace
+                        .record(snap.time_ns, EventKind::SpanBegin, span::PUSH, flow, 0);
+                    ctx.trace
+                        .record(snap.time_ns, EventKind::SpanEnd, span::PUSH, flow, 0);
+                    ctx.reg.inc(
                         if is_delta {
                             "stream_delta_pushes"
                         } else {
@@ -747,7 +721,7 @@ fn serve_shard(shard: &mut Shard, ctx: &mut PumpCtx) {
         // Serve queued requests FIFO, up to the fairness cap, stopping
         // (not dropping) when the outbox has no room for a reply.
         let mut budget = cfg.max_requests_per_pump;
-        while budget > 0 && shard_budget > 0 && !session.closed {
+        while budget > 0 && pump_budget > 0 && !session.closed {
             if session.outbox.len() >= session.outbox.capacity() {
                 stalled = true;
                 break;
@@ -756,10 +730,10 @@ fn serve_shard(shard: &mut Shard, ctx: &mut PumpCtx) {
                 break;
             };
             budget -= 1;
-            shard_budget -= 1;
-            let reply = handle_frame(session, &frame, ctx, served_in_shard, trace, reg, scratch);
-            served_in_shard += 1;
-            *reads_served += 1;
+            pump_budget -= 1;
+            let reply = handle_frame(session, &frame, ctx);
+            ctx.served += 1;
+            requests += 1;
             match session.outbox.push(reply) {
                 Ok(()) => {
                     // An orderly Close: the ack is in the queue; seal it
@@ -787,9 +761,9 @@ fn serve_shard(shard: &mut Shard, ctx: &mut PumpCtx) {
 
         // Load shedding: requests still queued after the serving loop
         // are answered `Overloaded` — never applied, so reissue is safe
-        // — when either the shard's pump budget ran dry or the session
-        // has waited past its deadline.
-        let over_budget = shard_budget == 0 && !session.inbox.is_empty();
+        // — when either the pump budget ran dry or the session has
+        // waited past its deadline.
+        let over_budget = pump_budget == 0 && !session.inbox.is_empty();
         let over_deadline = cfg.deadline_pumps > 0
             && session.waiting_pumps >= cfg.deadline_pumps
             && !session.inbox.is_empty();
@@ -801,9 +775,10 @@ fn serve_shard(shard: &mut Shard, ctx: &mut PumpCtx) {
                     break;
                 };
                 shed_cap -= 1;
-                scratch.sheds += 1;
-                reg.inc("reqs_shed", 1);
-                trace.record(snap.time_ns, EventKind::LoadShed, reason, session.id, 0);
+                ctx.rollup.sheds += 1;
+                ctx.reg.inc("reqs_shed", 1);
+                ctx.trace
+                    .record(snap.time_ns, EventKind::LoadShed, reason, session.id, 0);
                 let reply = Response::Overloaded {
                     retry_after_pumps: cfg.retry_after_pumps,
                 }
@@ -823,8 +798,8 @@ fn serve_shard(shard: &mut Shard, ctx: &mut PumpCtx) {
             session.stalled_pumps += 1;
             if session.stalled_pumps > cfg.stall_grace_pumps {
                 session.evicted = true;
-                scratch.evictions += 1;
-                trace.record(
+                ctx.rollup.evictions += 1;
+                ctx.trace.record(
                     snap.time_ns,
                     EventKind::DaemonEvict,
                     0,
@@ -853,21 +828,22 @@ fn serve_shard(shard: &mut Shard, ctx: &mut PumpCtx) {
         session.pending_input = !session.inbox.is_empty();
     }
     if examined + skipped > 0 {
-        trace.record(
+        ctx.trace.record(
             snap.time_ns,
             EventKind::ReactorWakeup,
             ctx.pump as u32,
             examined,
             skipped,
         );
-        trace.record(
+        ctx.trace.record(
             snap.time_ns,
             EventKind::ReactorFlush,
             ctx.pump as u32,
-            served_in_shard,
+            ctx.served,
             pushes,
         );
     }
+    requests
 }
 
 /// Decode one inbound frame and produce the encoded reply. A frame
@@ -875,20 +851,12 @@ fn serve_shard(shard: &mut Shard, ctx: &mut PumpCtx) {
 /// is applied. A header request is answered with the header echoed,
 /// and a nonzero seq the session has already seen is answered from the
 /// reply cache instead of being applied again.
-fn handle_frame(
-    session: &mut Session,
-    frame: &[u8],
-    ctx: &mut PumpCtx,
-    served_in_shard: u64,
-    trace: &mut TraceSink,
-    reg: &mut Registry,
-    scratch: &mut Scratch,
-) -> Vec<u8> {
+fn handle_frame(session: &mut Session, frame: &[u8], ctx: &mut PumpCtx) -> Vec<u8> {
     let (header, req) = match Request::decode_framed(frame) {
         Ok(decoded) => decoded,
         Err(e) => {
             let code = if e == WireError::CHECKSUM {
-                reg.inc("bad_checksums", 1);
+                ctx.reg.inc("bad_checksums", 1);
                 errcode::BAD_CHECKSUM
             } else {
                 errcode::BAD_FRAME
@@ -906,21 +874,24 @@ fn handle_frame(
     };
     let t = ctx.snap.time_ns;
     if trace_id != 0 {
-        // Verifying the header is the reactor hop; the shard span wraps
-        // the dispatch below. A read's shard span also joins the snapshot
-        // flow of the tick it serves from, stitching the RPC timeline
-        // to the collector's.
-        trace.record(t, EventKind::SpanBegin, span::REACTOR, trace_id, 0);
-        trace.record(t, EventKind::SpanEnd, span::REACTOR, trace_id, 0);
+        // Verifying the header is the reactor hop; the serving span
+        // (`span::SHARD`) wraps the dispatch below. A read's serving span
+        // also joins the snapshot flow of the tick it serves from,
+        // stitching the RPC timeline to the collector's.
+        ctx.trace
+            .record(t, EventKind::SpanBegin, span::REACTOR, trace_id, 0);
+        ctx.trace
+            .record(t, EventKind::SpanEnd, span::REACTOR, trace_id, 0);
         let joined = if matches!(req, Request::Read { .. }) {
             span::snapshot_flow_id(ctx.snap.tick)
         } else {
             0
         };
-        trace.record(t, EventKind::SpanBegin, span::SHARD, trace_id, joined);
+        ctx.trace
+            .record(t, EventKind::SpanBegin, span::SHARD, trace_id, joined);
     }
     let reply = match header {
-        None => dispatch(session, req, ctx, served_in_shard, trace, reg, scratch, 0),
+        None => dispatch(session, req, ctx, 0),
         Some(h) => match session
             .reply_cache
             .iter()
@@ -929,20 +900,11 @@ fn handle_frame(
             Some(i) => {
                 // Idempotent reissue: the request was already applied;
                 // re-send the cached reply, apply nothing.
-                reg.inc("dup_reissues", 1);
+                ctx.reg.inc("dup_reissues", 1);
                 session.reply_cache[i].1.clone()
             }
             None => {
-                let reply = h.wrap(&dispatch(
-                    session,
-                    req,
-                    ctx,
-                    served_in_shard,
-                    trace,
-                    reg,
-                    scratch,
-                    trace_id,
-                ));
+                let reply = h.wrap(&dispatch(session, req, ctx, trace_id));
                 if h.seq != 0 {
                     session.reply_cache.push_back((h.seq, reply.clone()));
                     while session.reply_cache.len() > REPLY_CACHE {
@@ -954,25 +916,16 @@ fn handle_frame(
         },
     };
     if trace_id != 0 {
-        trace.record(t, EventKind::SpanEnd, span::SHARD, trace_id, 0);
+        ctx.trace
+            .record(t, EventKind::SpanEnd, span::SHARD, trace_id, 0);
     }
     reply
 }
 
 /// Apply one decoded request to the session. `trace_id` is nonzero
-/// only for a sampled traced request — it feeds the history scratch so
+/// only for a sampled traced request — it feeds the pump's rollup so
 /// SLO breaches can name an exemplar.
-#[allow(clippy::too_many_arguments)]
-fn dispatch(
-    session: &mut Session,
-    req: Request,
-    ctx: &mut PumpCtx,
-    served_in_shard: u64,
-    trace: &mut TraceSink,
-    reg: &mut Registry,
-    scratch: &mut Scratch,
-    trace_id: u64,
-) -> Vec<u8> {
+fn dispatch(session: &mut Session, req: Request, ctx: &mut PumpCtx, trace_id: u64) -> Vec<u8> {
     let snap = ctx.snap;
     let cfg = ctx.cfg;
     if !session.helloed && !matches!(req, Request::Hello { .. } | Request::Resume { .. }) {
@@ -1021,8 +974,8 @@ fn dispatch(
                     // old transport ate).
                     session.reply_cache.extend(p.reply_cache);
                     let gap_pumps = ctx.pump.saturating_sub(p.parked_at_pump);
-                    reg.inc("sessions_resumed", 1);
-                    trace.record(
+                    ctx.reg.inc("sessions_resumed", 1);
+                    ctx.trace.record(
                         snap.time_ns,
                         EventKind::SessionResume,
                         0,
@@ -1086,18 +1039,20 @@ fn dispatch(
         }
         Request::Read { sub_id, submit_ns } => match session.subs.iter().find(|s| s.id == sub_id) {
             Some(sub) => {
+                let serve_virtual_ns = snap.time_ns + (ctx.served + 1) * cfg.serve_ns;
                 let (resp, latency_ns, inverted) =
-                    counters_response(sub, snap, submit_ns, cfg, served_in_shard);
+                    counters_response(sub, snap, submit_ns, serve_virtual_ns);
                 let stale = !matches!(resp, Response::Counters { quality: 0, .. });
-                scratch.observe_read(latency_ns, stale, trace_id);
-                reg.observe("read_latency_ns", latency_ns);
-                trace.record(snap.time_ns, EventKind::DaemonServe, sub_id, latency_ns, 0);
+                ctx.rollup.observe_read(latency_ns, stale, trace_id);
+                ctx.reg.observe("read_latency_ns", latency_ns);
+                ctx.trace
+                    .record(snap.time_ns, EventKind::DaemonServe, sub_id, latency_ns, 0);
                 if inverted {
                     // The client claims a later last-seen time than this
                     // serve's virtual completion — a clock inversion that
                     // the old `min`-clamped formula silently masked.
-                    reg.inc("latency_inversions", 1);
-                    trace.record(
+                    ctx.reg.inc("latency_inversions", 1);
+                    ctx.trace.record(
                         snap.time_ns,
                         EventKind::LatencyInversion,
                         sub_id,
@@ -1218,14 +1173,14 @@ fn dispatch(
 /// * otherwise `Ok` (0).
 ///
 /// Returns `(response, latency_ns, inverted)`: `inverted` flags a
-/// `submit_ns` later than the virtual serve time (a clock inversion,
-/// reported as zero latency rather than silently clamped away).
+/// `submit_ns` later than the virtual serve time `serve_virtual_ns` (a
+/// clock inversion, reported as zero latency rather than silently
+/// clamped away).
 fn counters_response(
     sub: &Subscription,
     snap: &TickSnapshot,
     submit_ns: u64,
-    cfg: &DaemonConfig,
-    served_in_shard: u64,
+    serve_virtual_ns: u64,
 ) -> (Response, u64, bool) {
     let mut quality = 0u8;
     if sub.resumed {
@@ -1251,7 +1206,6 @@ fn counters_response(
             value: snap.sum_metric(sub.cpu_mask, metric).saturating_sub(*base),
         })
         .collect();
-    let serve_virtual_ns = snap.time_ns + (served_in_shard + 1) * cfg.serve_ns;
     let inverted = submit_ns > serve_virtual_ns;
     let latency_ns = serve_virtual_ns.saturating_sub(submit_ns);
     (

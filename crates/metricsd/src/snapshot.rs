@@ -7,9 +7,9 @@
 //! the same fault-aware sysfs the poller uses. The result is an immutable
 //! [`TickSnapshot`]; every client read in that pump is served from it.
 //!
-//! This is what makes aggregate counts bit-identical across shard
-//! counts: the kernel-op sequence depends only on the pump schedule, not
-//! on how many sessions exist or how they are sharded.
+//! This is what makes served counts independent of the sessions: the
+//! kernel-op sequence depends only on the pump schedule, not on how many
+//! sessions exist or how subscriptions are spread over them.
 
 use parking_lot::RwLock;
 use simcpu::power::energy_delta_uj;

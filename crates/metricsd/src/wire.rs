@@ -167,7 +167,7 @@ pub struct SloHealth {
     pub worst: u64,
     /// trace_id of the slowest sampled request inside the most recently
     /// breached window (0 = none was sampled) — resolves to recorded
-    /// `SpanBegin`/`SpanEnd` events on the client and shard tracks.
+    /// `SpanBegin`/`SpanEnd` events on the client and serving tracks.
     pub exemplar_trace_id: u64,
 }
 
@@ -358,7 +358,7 @@ pub enum Response {
         gap_pumps: u64,
     },
     /// Typed load-shed: the daemon refused to serve this request under
-    /// overload (shard budget exhausted or inbox deadline exceeded).
+    /// overload (pump budget exhausted or inbox deadline exceeded).
     /// The request was NOT applied; retry after `retry_after_pumps`.
     Overloaded {
         retry_after_pumps: u32,

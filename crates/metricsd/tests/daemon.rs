@@ -1,7 +1,8 @@
 //! Integration tests: many clients, fault degradation, backpressure
-//! eviction, TCP end-to-end, shard-count determinism, the
-//! park/resume + overload-shedding machinery underneath the resilient
-//! client, and dispatch under arbitrary request sequences.
+//! eviction, TCP end-to-end, fleet-versus-single-session determinism,
+//! the virtual serving clock, the park/resume + overload-shedding
+//! machinery underneath the resilient client, and dispatch under
+//! arbitrary request sequences.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -370,11 +371,14 @@ fn tcp_end_to_end() {
 }
 
 #[test]
-fn shard_count_does_not_change_served_counts() {
-    // Mini in-test rerun of the loadgen invariant: identical kernels,
-    // 1 vs 4 shards, same lockstep schedule → identical final values.
-    let run = |shards: usize| -> Vec<Vec<(u8, u64)>> {
-        let kernel = boot(Some(
+fn fleet_of_sessions_matches_one_session_holding_every_subscription() {
+    // Mini in-test rerun of loadgen's serial-reference invariant:
+    // identical kernels, 24 sessions with one subscription each vs one
+    // session holding all 24, same lockstep schedule → identical final
+    // values.
+    const SUBS: usize = 24;
+    let kernel = || {
+        boot(Some(
             FaultPlan::new(11)
                 .at(
                     40_000_000,
@@ -384,16 +388,18 @@ fn shard_count_does_not_change_served_counts() {
                     },
                 )
                 .at(60_000_000, FaultKind::SysfsFlaky { dur_ns: 30_000_000 }),
-        ));
-        let mut daemon = Daemon::new(
-            kernel,
-            DaemonConfig {
-                shards,
-                ..DaemonConfig::default()
-            },
-        );
+        ))
+    };
+    let subscribe = |i: usize| Request::Subscribe {
+        cpu_mask: (1 << (i % 24)) | (1 << 17),
+        metrics: 1 + (i % 7) as u8,
+    };
+    // Subscription i goes to client `owner(i)`; returns the final
+    // values per subscription.
+    let run = |mut daemon: Daemon, n_clients: usize| -> Vec<Vec<(u8, u64)>> {
+        let owner = |i: usize| i % n_clients;
         let connector = daemon.connector();
-        let mut clients: Vec<_> = (0..24)
+        let mut clients: Vec<_> = (0..n_clients)
             .map(|_| MetricsClient::new(connector.connect()))
             .collect();
         for c in clients.iter_mut() {
@@ -406,54 +412,117 @@ fn shard_count_does_not_change_served_counts() {
         for c in clients.iter_mut() {
             c.take().unwrap();
         }
-        let mut subs = vec![0u32; clients.len()];
-        for (i, c) in clients.iter_mut().enumerate() {
-            c.post(&Request::Subscribe {
-                cpu_mask: (1 << (i % 24)) | (1 << 17),
-                metrics: 1 + (i % 7) as u8,
-            })
-            .unwrap();
+        for i in 0..SUBS {
+            clients[owner(i)].post(&subscribe(i)).unwrap();
         }
         daemon.pump();
-        for (i, c) in clients.iter_mut().enumerate() {
-            subs[i] = match c.take().unwrap() {
+        let subs: Vec<u32> = (0..SUBS)
+            .map(|i| match clients[owner(i)].take().unwrap() {
                 Response::Subscribed { sub_id, .. } => sub_id,
                 other => panic!("{other:?}"),
-            };
-        }
+            })
+            .collect();
         for _ in 0..8 {
             daemon.pump();
         }
-        for (i, c) in clients.iter_mut().enumerate() {
-            c.post(&Request::Read {
-                sub_id: subs[i],
-                submit_ns: 0,
-            })
-            .unwrap();
+        for (i, &sub_id) in subs.iter().enumerate() {
+            clients[owner(i)]
+                .post(&Request::Read {
+                    sub_id,
+                    submit_ns: 0,
+                })
+                .unwrap();
         }
         daemon.pump();
-        clients
-            .iter_mut()
-            .map(|c| match c.take().unwrap() {
-                Response::Counters { values, .. } => {
+        (0..SUBS)
+            .map(|i| match clients[owner(i)].take().unwrap() {
+                Response::Counters { sub_id, values, .. } => {
+                    assert_eq!(sub_id, subs[i], "replies come back in request order");
                     values.into_iter().map(|v| (v.metric, v.value)).collect()
                 }
                 other => panic!("{other:?}"),
             })
             .collect()
     };
-    let serial = run(1);
-    let sharded = run(4);
+    let fleet = run(Daemon::new(kernel(), DaemonConfig::default()), SUBS);
+    let single = run(
+        Daemon::new(
+            kernel(),
+            DaemonConfig {
+                max_requests_per_pump: SUBS as u32,
+                ..DaemonConfig::default()
+            },
+        ),
+        1,
+    );
     assert_eq!(
-        serial, sharded,
-        "counter values identical across shard counts"
+        fleet, single,
+        "a fleet of sessions serves the values one session holding every subscription gets"
     );
     assert!(
-        serial
+        fleet
             .iter()
             .flat_map(|v| v.iter())
             .any(|(_, value)| *value > 0),
         "the comparison is not vacuous"
+    );
+}
+
+#[test]
+fn one_serve_queue_per_pump_orders_the_virtual_clock() {
+    // Every request served in a pump queues behind the ones served
+    // before it in that pump, whichever session sent them: two reads
+    // posted with the same submit time complete serve_ns apart.
+    let cfg = DaemonConfig::default();
+    let serve_ns = cfg.serve_ns;
+    assert!(serve_ns > 0, "the default config models a serving cost");
+    let mut daemon = Daemon::new(boot(None), cfg);
+    let connector = daemon.connector();
+    let mut clients: Vec<_> = (0..2)
+        .map(|_| MetricsClient::new(connector.connect()))
+        .collect();
+    for c in clients.iter_mut() {
+        c.post(&Request::Hello {
+            proto: metricsd::PROTO_VERSION,
+        })
+        .unwrap();
+    }
+    daemon.pump();
+    for c in clients.iter_mut() {
+        c.take().unwrap();
+        c.post(&Request::Subscribe {
+            cpu_mask: 1,
+            metrics: metrics::INSTRUCTIONS,
+        })
+        .unwrap();
+    }
+    daemon.pump();
+    let subs: Vec<u32> = clients
+        .iter_mut()
+        .map(|c| match c.take().unwrap() {
+            Response::Subscribed { sub_id, .. } => sub_id,
+            other => panic!("{other:?}"),
+        })
+        .collect();
+    for (c, &sub_id) in clients.iter_mut().zip(&subs) {
+        c.post(&Request::Read {
+            sub_id,
+            submit_ns: 0,
+        })
+        .unwrap();
+    }
+    daemon.pump();
+    let latencies: Vec<u64> = clients
+        .iter_mut()
+        .map(|c| match c.take().unwrap() {
+            Response::Counters { latency_ns, .. } => latency_ns,
+            other => panic!("{other:?}"),
+        })
+        .collect();
+    assert_eq!(
+        latencies[1],
+        latencies[0] + serve_ns,
+        "the second session's read is served after the first's"
     );
 }
 
@@ -685,8 +754,7 @@ fn overload_sheds_typed_replies_and_never_evicts() {
     let mut daemon = Daemon::new(
         boot(None),
         DaemonConfig {
-            shards: 1,
-            shard_budget_per_pump: 1,
+            pump_budget: 1,
             retry_after_pumps: 3,
             ..DaemonConfig::default()
         },

@@ -16,8 +16,7 @@ use simcpu::machine::MachineSpec;
 use simos::kernel::{Kernel, KernelConfig, KernelHandle};
 use simtrace::{EventKind, TraceConfig, TraceSink, Track};
 
-/// Kernel with tracing on, so the daemon and its shards get live
-/// flight recorders.
+/// Kernel with tracing on, so the daemon gets live flight recorders.
 fn boot_traced() -> KernelHandle {
     Kernel::boot_handle(
         MachineSpec::raptor_lake_i7_13700(),
@@ -91,8 +90,6 @@ where
         }
         daemon.pump_quiescent();
     }
-    // One more pump absorbs the shards' self-metrics.
-    daemon.pump_quiescent();
 }
 
 /// Chaos run (reset-heavy link): ConnReset/ClientRetry land in the
@@ -136,14 +133,14 @@ fn chaos_recovery_events_land_in_both_flight_recorders() {
     );
 
     // Daemon rings ↔ daemon registry: parks are recorded on the daemon
-    // track (reap time), resumes on the serving shards' tracks.
+    // track (reap time), resumes on the serving track.
     let tracks = daemon.trace_tracks();
     assert_eq!(
         count_kind(&tracks, "daemon", EventKind::ConnReset),
         self_counter(&daemon, "conn_parks")
     );
     assert_eq!(
-        count_kind(&tracks, "shard", EventKind::SessionResume),
+        count_kind(&tracks, "serve", EventKind::SessionResume),
         self_counter(&daemon, "sessions_resumed")
     );
 
@@ -161,8 +158,7 @@ fn load_sheds_are_traced_and_all_ledgers_agree() {
     let mut daemon = Daemon::new(
         boot_traced(),
         DaemonConfig {
-            shards: 1,
-            shard_budget_per_pump: 1,
+            pump_budget: 1,
             ..DaemonConfig::default()
         },
     );
@@ -221,7 +217,7 @@ fn load_sheds_are_traced_and_all_ledgers_agree() {
 
     let client_overloads: u64 = clients.iter().map(|c| c.stats().overloads).sum();
     let shed_counter = self_counter(&daemon, "reqs_shed");
-    let shed_events = count_kind(&daemon.trace_tracks(), "shard", EventKind::LoadShed);
+    let shed_events = count_kind(&daemon.trace_tracks(), "serve", EventKind::LoadShed);
     assert!(shed_counter > 0, "budget 1 under 3 eager clients must shed");
     assert_eq!(shed_counter, shed_events, "registry ↔ trace ring");
     assert_eq!(

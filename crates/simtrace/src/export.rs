@@ -13,7 +13,8 @@
 
 use crate::{span, EventKind, TraceEvent};
 
-/// One named event stream (a CPU, "kernel", "hw", "papi", a daemon shard).
+/// One named event stream (a CPU, "kernel", "hw", "papi", the daemon's
+/// "serve" track).
 #[derive(Debug, Clone)]
 pub struct Track {
     pub name: String,
@@ -104,7 +105,7 @@ pub fn chrome_trace_json(tracks: &[Track]) -> String {
 
 /// Stitch causal spans into Perfetto flow arrows: every `SpanBegin`
 /// participates in the flow of its primary id (`a`) and, when nonzero,
-/// the secondary id it joins (`b` — e.g. a shard serve span joining the
+/// the secondary id it joins (`b` — e.g. a daemon serve span joining the
 /// snapshot flow it read from). A flow with ≥ 2 participating slices
 /// emits `"s"` (start) at the earliest, `"t"` steps between, and `"f"`
 /// with `"bp":"e"` at the last, all bound to the enclosing span slice by
@@ -275,7 +276,7 @@ mod tests {
                 ],
             ),
             Track::new(
-                "shard0",
+                "serve",
                 vec![
                     span(300, EventKind::SpanBegin, span::SHARD, rpc, snap),
                     span(400, EventKind::SpanEnd, span::SHARD, rpc, snap),

@@ -88,8 +88,8 @@ pub enum EventKind {
     PapiRead,
     /// metricsd pump completed. `a` = snapshot tick.
     DaemonPump,
-    /// metricsd served one request. `code` = shard-local serve index
-    /// low bits, `a` = session id.
+    /// metricsd served one read. `code` = subscription id, `a` = the
+    /// read's virtual latency (ns).
     DaemonServe,
     /// metricsd evicted a slow consumer. `a` = session id.
     DaemonEvict,
@@ -109,7 +109,7 @@ pub enum EventKind {
     /// the client's cursor and the current snapshot.
     SessionResume,
     /// The daemon shed a request instead of serving it (overload
-    /// protection). `code` = shed reason (0 = shard budget exhausted,
+    /// protection). `code` = shed reason (0 = pump budget exhausted,
     /// 1 = inbox deadline exceeded), `a` = session id.
     LoadShed,
     /// A marker region opened (`perftool::regions`). `code` = region id,
@@ -129,18 +129,18 @@ pub enum EventKind {
     /// The scheduler's `tick` hook migrated a running task to a free CPU.
     /// `code` = destination cpu, `a` = pid, `b` = source cpu.
     SchedRebalance,
-    /// A shard's reactor loop woke and examined its sessions for this
+    /// The daemon's serve loop woke and examined its sessions for this
     /// pump. `a` = sessions with work (readiness hits), `b` = sessions
     /// skipped as idle (no queued input, no stream due).
     ReactorWakeup,
-    /// A shard's reactor loop finished enqueueing this pump's output.
+    /// The daemon's serve loop finished enqueueing this pump's output.
     /// `a` = frames enqueued (replies + pushes), `b` = stream/delta
     /// pushes among them.
     ReactorFlush,
     /// A causal span opened at one hop of a traced request or stream
     /// push. `code` = hop ([`span`] constants), `a` = flow id (the
     /// trace_id this span belongs to), `b` = secondary flow id joined at
-    /// this hop (0 = none) — e.g. a shard serve span joins the snapshot
+    /// this hop (0 = none) — e.g. a daemon serve span joins the snapshot
     /// flow of the tick it read from.
     SpanBegin,
     /// The matching span closed. Same payload as [`EventKind::SpanBegin`].
@@ -404,7 +404,7 @@ impl TraceSink {
 ///   which are themselves seeded sim-state, never wall clock;
 /// * **snapshot flow ids** ([`span::snapshot_flow_id`]) are odd —
 ///   derived from the collector tick, so the producer (collector), the
-///   push path (shard) and the consumer (client mirror) all compute the
+///   push path (daemon) and the consumer (client mirror) all compute the
 ///   same id independently, without carrying bytes on the wire.
 pub mod span {
     /// Hop: the client posting an RPC / observing its reply.
@@ -412,7 +412,7 @@ pub mod span {
     /// Hop: the transport reactor moving the framed bytes (tcpio thread
     /// for TCP, the serving loop's unwrap for in-process pipes).
     pub const REACTOR: u32 = 2;
-    /// Hop: the shard dispatching the request.
+    /// Hop: the daemon dispatching the request (`rpc:shard` in exports).
     pub const SHARD: u32 = 3;
     /// Hop: the collector producing the tick snapshot a read served
     /// from (joined into RPC flows via `TraceEvent::b`).

@@ -9,8 +9,8 @@
 //! Buckets are powers of two: value `v` lands in bucket
 //! `64 - v.leading_zeros()` (bucket 0 holds exactly `v == 0`), i.e.
 //! bucket `i > 0` spans `[2^(i-1), 2^i - 1]`. Merging histograms is
-//! bucket-wise addition — commutative and associative, so shard-ordered
-//! merges are deterministic.
+//! bucket-wise addition — commutative and associative, so merge order
+//! never changes a percentile.
 
 /// Exact percentile over a pre-sorted slice — the nearest-rank rule
 /// loadgen always used (`idx = round((len-1) · p)`), hoisted here so
@@ -72,7 +72,7 @@ impl Histogram {
         self.max = self.max.max(v);
     }
 
-    /// Bucket-wise merge (shard aggregation).
+    /// Bucket-wise merge (history tier rollups).
     pub fn merge(&mut self, other: &Histogram) {
         for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *b += o;
@@ -100,7 +100,7 @@ impl Histogram {
 
     /// Nearest-rank percentile resolved to the containing bucket's upper
     /// bound, clamped to the observed `[min, max]`. Deterministic in the
-    /// observation *multiset* only — order and sharding don't matter.
+    /// observation *multiset* only — order doesn't matter.
     pub fn percentile(&self, p: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -124,7 +124,7 @@ impl Histogram {
 
 /// A named bag of counters/gauges and histograms. Names are few and
 /// looked up linearly; insertion order is preserved, which makes wire
-/// encodings and merged views deterministic.
+/// encodings deterministic.
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
     counters: Vec<(String, u64)>,
@@ -160,22 +160,6 @@ impl Registry {
                 let mut h = Histogram::new();
                 h.observe(v);
                 self.hists.push((name.to_string(), h));
-            }
-        }
-    }
-
-    /// Drain `other` into `self`: counters add, histograms merge, and
-    /// `other` is reset to empty. Shard registries are absorbed in shard
-    /// order each pump; since both operations are commutative the merged
-    /// view is a pure function of the observation multiset.
-    pub fn absorb(&mut self, other: &mut Registry) {
-        for (n, v) in other.counters.drain(..) {
-            self.inc(&n, v);
-        }
-        for (n, h) in other.hists.drain(..) {
-            match self.hists.iter_mut().find(|(sn, _)| *sn == n) {
-                Some((_, sh)) => sh.merge(&h),
-                None => self.hists.push((n, h)),
             }
         }
     }
@@ -272,22 +256,5 @@ mod tests {
         assert_eq!(r.counter("sessions"), 4);
         assert_eq!(r.counter("missing"), 0);
         assert_eq!(r.histogram("lat").unwrap().count(), 2);
-    }
-
-    #[test]
-    fn registry_absorb_drains_and_merges() {
-        let mut master = Registry::new();
-        master.inc("x", 1);
-        master.observe("lat", 50);
-        let mut shard = Registry::new();
-        shard.inc("x", 2);
-        shard.inc("y", 7);
-        shard.observe("lat", 150);
-        master.absorb(&mut shard);
-        assert_eq!(master.counter("x"), 3);
-        assert_eq!(master.counter("y"), 7);
-        assert_eq!(master.histogram("lat").unwrap().count(), 2);
-        assert_eq!(shard.counter("x"), 0);
-        assert!(shard.histogram("lat").is_none());
     }
 }

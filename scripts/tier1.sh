@@ -32,10 +32,10 @@ fi
 if [[ "${1:-}" == "--query-smoke" ]]; then
     echo "== query smoke: history + SLO + causal tracing =="
     # Hard gates inside: QueryRange answers match the clients' local
-    # accounting ±0 and are bit-identical across 1/4/8 shards; the
-    # impossible p99 SLO breaches with an exemplar trace id that
-    # resolves to recorded spans; the Perfetto export validates with
-    # flow arrows; queries/s clears the floor.
+    # accounting ±0, and an untraced control serves the same reads and
+    # p99; the impossible p99 SLO breaches with an exemplar trace id
+    # that resolves to recorded spans; the Perfetto export validates
+    # with flow arrows; queries/s clears the floor.
     cargo run --offline --release -p metricsd --bin loadgen -- \
         --query-smoke --floor-queries 20000
     echo "tier1 --query-smoke: OK"
@@ -93,23 +93,19 @@ echo "== trace smoke (400-tick traced raptor run, validated chrome JSON) =="
 cargo run --offline --release -p bench-harness --bin tickbench -- --trace-smoke
 
 echo "== metricsd load smoke (quick, emits BENCH_metricsd.json) =="
-# Hard gates inside: counter digests bit-identical across 1/4/8
-# shards AND vs a serial single-client reference; the deliberately slow
-# consumer must be evicted while zero healthy sessions are; the 100k
-# session high-fanout phase must keep every sampled client mirror
-# CRC-synced with zero evictions. Performance gates (best-of-3 reps):
-# 8-shard reads/s must stay within 5% of 1-shard (shard fan-out is flat
-# by design — the pump thread serves every shard inline, so any gap is
-# a serving-layer regression, cf. the 30% per-pump thread-spawn bug and
-# the worker pool that ran 8 shards at ~0.5x on 2 vCPUs), and per-core
-# reads/s must clear a floor
-# set at ~1/6 of the measured rate to absorb slow CI hosts. The query
-# phase additionally gates the observability stack: QueryRange answers
-# ±0 vs local accounting and bit-identical across shard counts, SLO
+# Hard gates inside: the fleet's counter digest is bit-identical across
+# its 3 reps AND equal to a serial single-client reference; the
+# deliberately slow consumer must be evicted while zero healthy sessions
+# are; the 100k session high-fanout phase must keep every sampled client
+# mirror CRC-synced with zero evictions. Performance gate (best-of-3
+# reps): per-core reads/s must clear a floor set at ~1/6 of the
+# measured rate to absorb slow CI hosts. The query phase additionally
+# gates the observability stack: QueryRange answers ±0 vs local
+# accounting, an untraced control serving the same reads and p99, SLO
 # breach exemplars resolving to recorded spans, a validated flow-linked
 # Perfetto export, and a queries/s floor.
 cargo run --offline --release -p metricsd --bin loadgen -- --quick \
-    --gate-scaling --floor-per-core 200000 --floor-queries 20000
+    --floor-per-core 200000 --floor-queries 20000
 
 echo "== scheduler tournament (quick, emits BENCH_sched.json) =="
 # Hard gates inside: bit-identical Serial replay (drift == 0); the

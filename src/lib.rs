@@ -24,7 +24,7 @@
 //! * [`telemetry`] — the `mon_hpl.py`-style monitoring harness.
 //! * [`perftool`] — a `perf stat`/`perf record` analogue (`simperf`),
 //!   the tool the paper contrasts PAPI with.
-//! * [`metricsd`] — a sharded, multi-client counter-serving daemon over
+//! * [`metricsd`] — a multi-client counter-serving daemon over
 //!   the sim kernel (one collector pass per pump, snapshot-cached hot
 //!   queries, backpressure with slow-consumer eviction), plus the
 //!   `metrics-client` library and `loadgen` load generator.

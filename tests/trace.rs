@@ -253,13 +253,7 @@ fn daemon_trace_and_self_metrics_over_the_wire() {
         let mut k = kernel.lock();
         spawn_mixed(&mut k);
     }
-    let mut daemon = Daemon::new(
-        kernel,
-        DaemonConfig {
-            shards: 2,
-            ..Default::default()
-        },
-    );
+    let mut daemon = Daemon::new(kernel, DaemonConfig::default());
     let mut c = MetricsClient::new(daemon.connector().connect());
 
     c.post(&Request::Hello {
@@ -335,10 +329,9 @@ fn daemon_trace_and_self_metrics_over_the_wire() {
             .any(|e| e.kind == EventKind::DaemonPump),
         "daemon track missing pump events"
     );
-    let serves: usize = tracks
+    let serves = track(&tracks, "serve")
+        .events
         .iter()
-        .filter(|t| t.name.starts_with("shard"))
-        .flat_map(|t| t.events.iter())
         .filter(|e| e.kind == EventKind::DaemonServe)
         .count();
     assert_eq!(serves as u64, reads, "one serve event per read");
