@@ -12,7 +12,7 @@
 //!     loop, no macro-tick coalescing) on `raptor_lake_i7_13700`. The gate
 //!     floor is the rate this host recorded *before* the plan cache landed.
 //!
-//! Knobs: `--quick` (300 timed ticks instead of 1500), `EXECBENCH_TICKS`.
+//! Knobs: `--quick` (300 timed ticks instead of 1500).
 
 use simcpu::exec::{advance, advance_planned, ExecContext};
 use simcpu::machine::MachineSpec;
@@ -69,10 +69,7 @@ fn per_tick_serial_tps(warmup: usize, ticks: usize) -> f64 {
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let ticks = std::env::var("EXECBENCH_TICKS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(if quick { 300 } else { 1500 });
+    let ticks = if quick { 300 } else { 1500 };
 
     let phase = Phase::dgemm(1 << 44, 26 << 30, 0.35);
     let ctx = ExecContext {

@@ -1,5 +1,5 @@
 //! Diagnostic probe: prints frequency/power/temperature every 20 simulated
-//! seconds during one P-only Intel-HPL run (respects HPL_SCALE/TICK_NS).
+//! seconds during one P-only Intel-HPL run (respects HPL_SCALE).
 //! Not part of the paper reproduction; useful when re-calibrating
 //! `simcpu::uarch` constants.
 use bench_harness::common::*;

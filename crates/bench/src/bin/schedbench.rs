@@ -8,10 +8,9 @@
 //!
 //! Usage: `schedbench [--quick]`
 //!
-//! * `--quick` shrinks both solves (tier-1's `--sched-smoke` gate); the
-//!   full run uses the scales in `SCHEDBENCH_SCALE` / `SCHEDBENCH_OPI_SCALE`
-//!   (defaults 8 / 1, i.e. the bench-suite raptor scale and the
-//!   full-length thermal story).
+//! * `--quick` shrinks both solves (tier-1's `--sched-smoke` gate) to
+//!   raptor 1/64 and orangepi 1/4; the full run uses 1/8 and 1/1, the
+//!   bench-suite raptor scale and the full-length thermal story.
 //!
 //! Hard gates (exit 1 on failure):
 //! * **drift == 0** — one case per scenario re-runs from the same seed
@@ -27,14 +26,6 @@ use simos::SchedName;
 use workloads::tournament::{
     assert_no_drift, orangepi_scenario, raptor_scenario, run_case, Outcome, Scenario,
 };
-
-fn env_scale(var: &str, default: u64) -> u64 {
-    std::env::var(var)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&s| s >= 1)
-        .unwrap_or(default)
-}
 
 fn run_scenario(sc: &Scenario) -> Vec<Outcome> {
     println!(
@@ -78,14 +69,7 @@ fn find<'a>(outcomes: &'a [Outcome], name: &str) -> &'a Outcome {
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let (raptor_scale, opi_scale) = if quick {
-        (64, 4)
-    } else {
-        (
-            env_scale("SCHEDBENCH_SCALE", 8),
-            env_scale("SCHEDBENCH_OPI_SCALE", 1),
-        )
-    };
+    let (raptor_scale, opi_scale) = if quick { (64, 4) } else { (8, 1) };
     header(&format!(
         "schedbench — scheduler tournament ({} schedulers, raptor 1/{raptor_scale}, orangepi 1/{opi_scale}{})",
         SchedName::ALL.len(),

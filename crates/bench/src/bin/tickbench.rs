@@ -13,7 +13,7 @@
 //! `host_cpus` recorded beside them. The warmup rides out the DVFS slew
 //! ramp (~143 ticks), which is correctly non-coalescible.
 //!
-//! Knobs: `--quick` (300 timed ticks instead of 2000), `TICKBENCH_TICKS`.
+//! Knobs: `--quick` (300 timed ticks instead of 2000).
 //!
 //! `--trace-smoke` runs the observability acceptance check instead of the
 //! benchmark: a 400-tick raptor run with the flight recorder on, a full
@@ -346,7 +346,7 @@ fn daemon_span_smoke() {
     assert!(json.contains("\"ph\":\"s\""), "missing flow start arrows");
     assert!(json.contains("\"ph\":\"f\""), "missing flow finish arrows");
     assert!(json.contains("rpc:client"), "missing client span slices");
-    assert!(json.contains("rpc:shard"), "missing shard span slices");
+    assert!(json.contains("rpc:serve"), "missing serve span slices");
     println!(
         "daemon span smoke: OK — {begins} span begins / {ends} ends, flow-linked, {} bytes",
         json.len()
@@ -360,10 +360,7 @@ fn main() {
         return;
     }
     let quick = std::env::args().any(|a| a == "--quick");
-    let ticks = std::env::var("TICKBENCH_TICKS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(if quick { 300 } else { 2000 });
+    let ticks = if quick { 300 } else { 2000 };
     let warmup = ticks / 10;
     let host_cpus = std::thread::available_parallelism()
         .map(|v| v.get())

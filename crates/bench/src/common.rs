@@ -6,22 +6,16 @@ use simos::kernel::{Kernel, KernelConfig, KernelHandle};
 use telemetry::{average_runs, monitored_hpl_runs, DriverConfig, MonitoredRun};
 use workloads::hpl::{HplConfig, HplVariant};
 
-/// Simulation tick for experiments: `TICK_NS` (default 200 µs).
+/// Simulation tick for experiments: 200 µs.
 ///
 /// Scaled-down HPL runs are short enough that synchronization costs are
 /// quantized by the tick; 200 µs keeps that artifact small while staying
 /// fast. The full-scale paper runs are insensitive to this.
-pub fn tick_ns() -> u64 {
-    std::env::var("TICK_NS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&t| t >= 10_000)
-        .unwrap_or(200_000)
-}
+const TICK_NS: u64 = 200_000;
 
 fn kernel_config() -> KernelConfig {
     KernelConfig {
-        tick_ns: tick_ns(),
+        tick_ns: TICK_NS,
         ..Default::default()
     }
 }
@@ -159,7 +153,6 @@ mod tests {
         assert!(hpl_scale() >= 1);
         assert!(opi_scale() >= 1);
         assert!(n_runs() >= 1);
-        assert!(tick_ns() >= 10_000);
         assert!(hpl_config().n >= 768);
         assert!(opi_hpl_config().n >= 768);
     }

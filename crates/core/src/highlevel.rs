@@ -114,11 +114,6 @@ impl HighLevel {
         &self.labels
     }
 
-    /// The underlying PAPI handle (for `run_instrumented`-style driving).
-    pub fn papi_mut(&mut self) -> &mut Papi {
-        &mut self.papi
-    }
-
     /// Render the papi_hl-style report.
     pub fn report(&self) -> String {
         let mut out = String::from("PAPI-HL output:\n");

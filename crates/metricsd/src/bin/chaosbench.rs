@@ -198,7 +198,7 @@ fn run_scenario(
         slos: vec![SloSpec::p99_latency_ns(1, 4)],
         ..DaemonConfig::default()
     };
-    let mut daemon = Daemon::new(boot_machine(TraceConfig::from_env()), dcfg);
+    let mut daemon = Daemon::new(boot_machine(TraceConfig::default()), dcfg);
     let n_cpus = daemon.n_cpus() as usize;
     let connector = daemon.connector();
     let scenario_seed = fnv64(name.as_bytes());

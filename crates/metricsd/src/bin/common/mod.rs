@@ -15,14 +15,13 @@ use simtrace::TraceConfig;
 const SEED: u64 = 42;
 
 /// The machine every bench configuration boots: `raptor_lake_i7_13700`
-/// with a fixed kernel seed, a standing scalar worker on every third
-/// CPU, and a fault plan (hotplug, flaky sysfs, RAPL wrap burst) that
+/// with a standing scalar worker on every third CPU, and a fault plan
+/// (hotplug, flaky sysfs, RAPL wrap burst; seeded with `SEED`) that
 /// fires inside the kernel while sessions are being served.
 pub fn boot_machine(trace: TraceConfig) -> KernelHandle {
     let kernel = Kernel::boot_handle(
         MachineSpec::raptor_lake_i7_13700(),
         KernelConfig {
-            seed: SEED,
             trace,
             ..KernelConfig::default()
         },

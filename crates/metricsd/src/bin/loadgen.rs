@@ -186,7 +186,7 @@ fn drain(
 /// One full load run of `n_sessions` sessions plus the slow consumer.
 fn run_once(n_sessions: usize, pumps: u64) -> FleetResult {
     let mut daemon = Daemon::new(
-        boot_machine(TraceConfig::from_env()),
+        boot_machine(TraceConfig::default()),
         DaemonConfig {
             ticks_per_pump: TICKS_PER_PUMP,
             stall_grace_pumps: STALL_GRACE_PUMPS,
@@ -384,7 +384,7 @@ fn run_fanout(n_sessions: usize, pumps: u64) -> FanoutResult {
     const READERS: usize = 512;
     const MIRROR_EVERY: usize = 16;
     let mut daemon = Daemon::new(
-        boot_machine(TraceConfig::from_env()),
+        boot_machine(TraceConfig::default()),
         DaemonConfig {
             ticks_per_pump: TICKS_PER_PUMP,
             stall_grace_pumps: STALL_GRACE_PUMPS,
@@ -493,7 +493,7 @@ fn run_fanout(n_sessions: usize, pumps: u64) -> FanoutResult {
 /// final counter values must match the fleet's bit-for-bit.
 fn run_reference(n_sessions: usize, pumps: u64) -> u64 {
     let mut daemon = Daemon::new(
-        boot_machine(TraceConfig::from_env()),
+        boot_machine(TraceConfig::default()),
         DaemonConfig {
             ticks_per_pump: TICKS_PER_PUMP,
             inbox_cap: n_sessions + 16,

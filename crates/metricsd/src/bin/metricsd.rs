@@ -12,7 +12,7 @@
 //!
 //! `--sched` picks the kernel scheduler from the `simsched` registry
 //! (`cfs|cfs_unaware|vtime|capacity|thermal`); unknown names are
-//! rejected at startup. Defaults to `SIM_SCHED` / `cfs`.
+//! rejected at startup. Defaults to `cfs`.
 
 use metricsd::{Daemon, DaemonConfig};
 use simcpu::machine::MachineSpec;
@@ -27,7 +27,7 @@ fn main() {
     let mut pumps = 2000u64;
     let mut pump_ms = 5u64;
     let mut machine = "raptor".to_string();
-    let mut sched: Option<SchedName> = None;
+    let mut sched = SchedName::default();
 
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -44,12 +44,12 @@ fn main() {
             "--machine" => machine = args.next().expect("--machine NAME"),
             "--sched" => {
                 let name = args.next().expect("--sched NAME");
-                sched = Some(SchedName::parse(&name).unwrap_or_else(|| {
+                sched = SchedName::parse(&name).unwrap_or_else(|| {
                     eprintln!(
                         "unknown scheduler '{name}' (cfs|cfs_unaware|vtime|capacity|thermal)"
                     );
                     std::process::exit(2);
-                }));
+                });
             }
             "--help" | "-h" => {
                 eprintln!(
@@ -73,11 +73,13 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let mut cfg = KernelConfig::default();
-    if let Some(s) = sched {
-        cfg.sched = s;
-    }
-    let kernel = Kernel::boot_handle(spec, cfg);
+    let kernel = Kernel::boot_handle(
+        spec,
+        KernelConfig {
+            sched,
+            ..Default::default()
+        },
+    );
     let n_cpus = kernel.lock().machine().n_cpus();
     // A standing workload so served counters move: one long-running
     // scalar worker per fourth CPU.

@@ -58,13 +58,6 @@ enum FrameBuf {
 }
 
 impl FrameBuf {
-    fn as_slice(&self) -> &[u8] {
-        match self {
-            FrameBuf::Owned(v) => v,
-            FrameBuf::Shared(a) => a,
-        }
-    }
-
     fn into_vec(self) -> Vec<u8> {
         match self {
             FrameBuf::Owned(v) => v,
@@ -205,11 +198,6 @@ impl FrameQueue {
 
     pub fn is_empty(&self) -> bool {
         self.inner.lock().q.is_empty()
-    }
-
-    /// Total queued payload bytes (write-side accounting).
-    pub fn queued_bytes(&self) -> usize {
-        self.inner.lock().q.iter().map(|f| f.as_slice().len()).sum()
     }
 
     pub fn is_closed(&self) -> bool {

@@ -875,7 +875,7 @@ fn handle_frame(session: &mut Session, frame: &[u8], ctx: &mut PumpCtx) -> Vec<u
     let t = ctx.snap.time_ns;
     if trace_id != 0 {
         // Verifying the header is the reactor hop; the serving span
-        // (`span::SHARD`) wraps the dispatch below. A read's serving span
+        // (`span::SERVE`) wraps the dispatch below. A read's serving span
         // also joins the snapshot flow of the tick it serves from,
         // stitching the RPC timeline to the collector's.
         ctx.trace
@@ -888,7 +888,7 @@ fn handle_frame(session: &mut Session, frame: &[u8], ctx: &mut PumpCtx) -> Vec<u
             0
         };
         ctx.trace
-            .record(t, EventKind::SpanBegin, span::SHARD, trace_id, joined);
+            .record(t, EventKind::SpanBegin, span::SERVE, trace_id, joined);
     }
     let reply = match header {
         None => dispatch(session, req, ctx, 0),
@@ -917,7 +917,7 @@ fn handle_frame(session: &mut Session, frame: &[u8], ctx: &mut PumpCtx) -> Vec<u
     };
     if trace_id != 0 {
         ctx.trace
-            .record(t, EventKind::SpanEnd, span::SHARD, trace_id, 0);
+            .record(t, EventKind::SpanEnd, span::SERVE, trace_id, 0);
     }
     reply
 }

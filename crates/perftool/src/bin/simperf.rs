@@ -22,7 +22,7 @@
 //!
 //! `--sched name` selects the kernel scheduler from the `simsched`
 //! registry (`cfs|cfs_unaware|vtime|capacity|thermal`); unknown names
-//! are rejected. Defaults to `SIM_SCHED` / `cfs`.
+//! are rejected. Defaults to `cfs`.
 
 use perftool::{list_events, RecordConfig, StatConfig};
 use simcpu::machine::MachineSpec;
@@ -142,19 +142,22 @@ fn parse_args(argv: &[String]) -> Args {
     a
 }
 
-fn boot_and_spawn(args: &Args) -> (KernelHandle, Pid) {
-    let mut cfg = KernelConfig {
+/// The kernel config the flags ask for: the flight recorder on for
+/// `--trace-out`, the `--sched` policy (default `cfs`).
+fn kernel_config(args: &Args) -> KernelConfig {
+    KernelConfig {
+        sched: args.sched.unwrap_or_default(),
         trace: if args.trace_out.is_some() {
             simtrace::TraceConfig::enabled_with_cap(1 << 16)
         } else {
-            simtrace::TraceConfig::from_env()
+            simtrace::TraceConfig::default()
         },
         ..Default::default()
-    };
-    if let Some(s) = args.sched {
-        cfg.sched = s;
     }
-    let kernel = Kernel::boot_handle(machine(&args.machine), cfg);
+}
+
+fn boot_and_spawn(args: &Args) -> (KernelHandle, Pid) {
+    let kernel = Kernel::boot_handle(machine(&args.machine), kernel_config(args));
     let mask = match &args.cpus {
         Some(s) => CpuMask::parse_cpulist(s).unwrap_or_else(|e| {
             eprintln!("bad cpulist: {e}");
@@ -176,18 +179,7 @@ fn boot_and_spawn(args: &Args) -> (KernelHandle, Pid) {
 /// marker region and print the per-region, per-core-type table.
 fn run_region_stat(args: &Args) {
     use perftool::regions::{begin_hook, end_hook, RegionId, Regions};
-    let mut cfg = KernelConfig {
-        trace: if args.trace_out.is_some() {
-            simtrace::TraceConfig::enabled_with_cap(1 << 16)
-        } else {
-            simtrace::TraceConfig::from_env()
-        },
-        ..Default::default()
-    };
-    if let Some(s) = args.sched {
-        cfg.sched = s;
-    }
-    let kernel = Kernel::boot_handle(machine(&args.machine), cfg);
+    let kernel = Kernel::boot_handle(machine(&args.machine), kernel_config(args));
     let mask = match &args.cpus {
         Some(s) => CpuMask::parse_cpulist(s).unwrap_or_else(|e| {
             eprintln!("bad cpulist: {e}");

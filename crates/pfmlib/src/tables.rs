@@ -388,11 +388,6 @@ pub fn events_for_pmu(pfm_name: &str) -> Option<&'static [PfmEvent]> {
     })
 }
 
-/// pfm PMU name for a microarchitecture.
-pub fn pfm_name_for_uarch(u: simcpu::uarch::Microarch) -> &'static str {
-    u.params().pfm_name
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -81,11 +81,6 @@ impl FreqDomain {
             self.cur_khz.saturating_sub(max_step.max(1)).max(target)
         };
     }
-
-    /// Force the frequency (tests).
-    pub fn set_khz(&mut self, khz: Khz) {
-        self.cur_khz = khz.clamp(self.spec.f_min_khz, self.spec.f_max_khz);
-    }
 }
 
 #[cfg(test)]

@@ -156,11 +156,6 @@ impl EventCounts {
     pub fn bump(&mut self, ev: ArchEvent, by: u64) {
         self.0[ev.idx()] = self.0[ev.idx()].saturating_add(by);
     }
-
-    /// True when every slot is zero.
-    pub fn is_zero(&self) -> bool {
-        self.0.iter().all(|&c| c == 0)
-    }
 }
 
 impl Index<ArchEvent> for EventCounts {

@@ -14,8 +14,8 @@
 //!   Cortex-A72/A53, …) with IPC, vector throughput, PMU shape and the
 //!   opaque `cpu_capacity` number Linux exposes.
 //! * [`events`] — the architectural event vocabulary counted by the PMUs.
-//! * [`pmu`] — per-core PMU hardware: fixed + general counters, event
-//!   constraints, 48-bit wrap-around.
+//! * [`pmu`] — the 48-bit hardware counter width (the counter budgets
+//!   and event constraints are part of [`uarch`]).
 //! * [`cache`] — a real set-associative cache simulator (used for tests and
 //!   calibration) plus the analytic working-set model used by the
 //!   cycle-batch execution engine.

@@ -2,8 +2,9 @@
 //!
 //! A [`MachineSpec`] is the static description (clusters of identical cores,
 //! caches, memory, power/thermal configuration); a [`Machine`] is the live
-//! hardware: per-CPU PMUs, per-cluster frequency domains, RAPL counters,
-//! package temperature, LLC occupancy and memory-bus contention.
+//! hardware: per-CPU seats (plan cache, LLC share, trace sink), per-cluster
+//! frequency domains, RAPL counters, package temperature, LLC occupancy
+//! and memory-bus contention.
 //!
 //! Presets model the paper's systems:
 //! * [`MachineSpec::raptor_lake_i7_13700`] — Table I: 8 P-cores
@@ -16,10 +17,8 @@
 //!   for the "there exist ARM CPUs with three types" case the paper notes.
 
 use crate::dvfs::{FreqDomain, FreqDomainSpec};
-use crate::events::ArchEvent;
 use crate::exec::ExecContext;
 use crate::plan::PlanCache;
-use crate::pmu::CorePmu;
 use crate::power::{RaplDomain, RaplSpec, RaplState};
 use crate::thermal::{ThermalSpec, ThermalState, TripPoint};
 use crate::types::{ClusterId, CoreId, CoreType, CpuId, CpuMask, Khz, Nanos};
@@ -115,8 +114,6 @@ pub struct PowerReadings {
 /// shared side of [`Machine`] and is only updated in
 /// [`Machine::end_tick`].
 pub struct CoreSeat {
-    /// This CPU's performance-monitoring hardware.
-    pub pmu: CorePmu,
     /// This CPU's current share of the LLC in bytes (recomputed every
     /// tick by `end_tick`; read-only during execution).
     pub llc_share: u64,
@@ -197,7 +194,6 @@ impl Machine {
                         uarch: cl.uarch,
                     });
                     seats.push(CoreSeat {
-                        pmu: CorePmu::new(cl.uarch.params()),
                         llc_share: 0,
                         plan: PlanCache::new(),
                         trace: TraceSink::disabled(),
@@ -286,16 +282,6 @@ impl Machine {
         )
     }
 
-    /// All CPUs belonging to cluster `id`.
-    pub fn cpus_of_cluster(&self, id: ClusterId) -> CpuMask {
-        CpuMask::from_cpus(
-            self.cpus
-                .iter()
-                .filter(|c| c.cluster == id)
-                .map(|c| c.cpu.0),
-        )
-    }
-
     /// The distinct core types present, in cluster order.
     pub fn core_types(&self) -> Vec<CoreType> {
         let mut out = Vec::new();
@@ -317,15 +303,7 @@ impl Machine {
         &self.spec.clusters[id.0]
     }
 
-    // ---- PMU access ------------------------------------------------------
-
-    pub fn pmu(&self, cpu: CpuId) -> &CorePmu {
-        &self.seats[cpu.0].pmu
-    }
-
-    pub fn pmu_mut(&mut self, cpu: CpuId) -> &mut CorePmu {
-        &mut self.seats[cpu.0].pmu
-    }
+    // ---- per-CPU seats -----------------------------------------------------
 
     /// The per-CPU hardware seats, indexed by logical CPU.
     pub fn seats(&self) -> &[CoreSeat] {
@@ -539,14 +517,6 @@ impl Machine {
     /// Shared-LLC size.
     pub fn llc_bytes(&self) -> u64 {
         self.spec.llc_bytes
-    }
-
-    /// Whether any PMU on this machine supports `ev`.
-    pub fn any_pmu_supports(&self, ev: ArchEvent) -> bool {
-        self.spec
-            .clusters
-            .iter()
-            .any(|c| c.uarch.params().supports_event(ev))
     }
 
     // ---- presets ----------------------------------------------------------

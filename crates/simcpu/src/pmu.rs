@@ -1,19 +1,10 @@
-//! Per-core PMU hardware.
+//! Hardware counter width.
 //!
-//! Each core carries a bank of counters shaped by its microarchitecture:
-//! Intel cores have three fixed counters (instructions, cycles, ref-cycles)
-//! plus 6–8 general-purpose programmable counters; ARM cores have a fixed
-//! cycle counter plus 6 programmable ones. Counters are 48 bits wide and
-//! wrap, exactly like the real MSRs — the kernel layer (`simos::perf`) is
-//! responsible for accumulating deltas into 64-bit software counters across
-//! wraps and context switches.
-//!
-//! Availability is enforced here: programming `TopdownSlots` on a Gracemont
-//! PMU fails, the hardware root of the paper's "events may not exist on the
-//! other core type" problem.
-
-use crate::events::{ArchEvent, EventCounts};
-use crate::uarch::UarchParams;
+//! Intel PMCs and ARM PMEVCNTR are 48 bits wide and wrap. Each core's
+//! counter budget and event availability live in
+//! [`crate::uarch::UarchParams`]; the kernel layer (`simos::perf`) keeps
+//! 64-bit per-event counts, and its counter-wrap fault truncates a biased
+//! count to these 48 bits so a reader sees the register wrap.
 
 /// Width of a hardware counter in bits (Intel PMCs and ARM PMEVCNTR are
 /// effectively 48-bit in this era).
@@ -21,272 +12,3 @@ pub const COUNTER_BITS: u32 = 48;
 
 /// Wrap mask for counter values.
 pub const COUNTER_MASK: u64 = (1 << COUNTER_BITS) - 1;
-
-/// Errors from programming PMU hardware.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PmuError {
-    /// The event does not exist on this microarchitecture.
-    EventUnsupported(ArchEvent),
-    /// Counter index out of range.
-    NoSuchCounter(usize),
-    /// The counter is already programmed and enabled.
-    CounterBusy(usize),
-}
-
-impl std::fmt::Display for PmuError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PmuError::EventUnsupported(e) => write!(f, "event {e} unsupported on this PMU"),
-            PmuError::NoSuchCounter(i) => write!(f, "no such counter {i}"),
-            PmuError::CounterBusy(i) => write!(f, "counter {i} busy"),
-        }
-    }
-}
-
-impl std::error::Error for PmuError {}
-
-/// One programmable (or fixed) hardware counter.
-#[derive(Debug, Clone, Copy)]
-struct HwCounter {
-    event: Option<ArchEvent>,
-    value: u64,
-    enabled: bool,
-}
-
-impl HwCounter {
-    const IDLE: HwCounter = HwCounter {
-        event: None,
-        value: 0,
-        enabled: false,
-    };
-}
-
-/// The PMU of one physical core.
-#[derive(Debug, Clone)]
-pub struct CorePmu {
-    uarch: &'static UarchParams,
-    /// Fixed counters, parallel to `uarch.fixed_counters`.
-    fixed: Vec<HwCounter>,
-    /// General-purpose counters.
-    gp: Vec<HwCounter>,
-}
-
-impl CorePmu {
-    /// Fresh PMU for a core of the given microarchitecture.
-    pub fn new(uarch: &'static UarchParams) -> CorePmu {
-        let mut fixed = vec![HwCounter::IDLE; uarch.fixed_counters.len()];
-        for (i, slot) in fixed.iter_mut().enumerate() {
-            slot.event = Some(uarch.fixed_counters[i]);
-        }
-        CorePmu {
-            uarch,
-            fixed,
-            gp: vec![HwCounter::IDLE; uarch.n_gp_counters],
-        }
-    }
-
-    /// The microarchitecture this PMU belongs to.
-    pub fn uarch(&self) -> &'static UarchParams {
-        self.uarch
-    }
-
-    /// Number of general-purpose counters.
-    pub fn n_gp(&self) -> usize {
-        self.gp.len()
-    }
-
-    /// Number of fixed counters.
-    pub fn n_fixed(&self) -> usize {
-        self.fixed.len()
-    }
-
-    /// Index of the fixed counter for `ev`, if one exists.
-    pub fn fixed_index(&self, ev: ArchEvent) -> Option<usize> {
-        self.uarch.fixed_counters.iter().position(|&f| f == ev)
-    }
-
-    /// Enable the fixed counter for `ev`, returning its index.
-    pub fn enable_fixed(&mut self, ev: ArchEvent) -> Result<usize, PmuError> {
-        let idx = self.fixed_index(ev).ok_or(PmuError::EventUnsupported(ev))?;
-        self.fixed[idx].enabled = true;
-        Ok(idx)
-    }
-
-    /// Program GP counter `idx` with `ev` and enable it.
-    pub fn program_gp(&mut self, idx: usize, ev: ArchEvent) -> Result<(), PmuError> {
-        if !self.uarch.supports_event(ev) {
-            return Err(PmuError::EventUnsupported(ev));
-        }
-        let slot = self.gp.get_mut(idx).ok_or(PmuError::NoSuchCounter(idx))?;
-        if slot.enabled {
-            return Err(PmuError::CounterBusy(idx));
-        }
-        slot.event = Some(ev);
-        slot.enabled = true;
-        Ok(())
-    }
-
-    /// Disable (but do not clear) GP counter `idx`.
-    pub fn disable_gp(&mut self, idx: usize) -> Result<(), PmuError> {
-        let slot = self.gp.get_mut(idx).ok_or(PmuError::NoSuchCounter(idx))?;
-        slot.enabled = false;
-        slot.event = None;
-        Ok(())
-    }
-
-    /// Disable a fixed counter.
-    pub fn disable_fixed(&mut self, idx: usize) -> Result<(), PmuError> {
-        let slot = self
-            .fixed
-            .get_mut(idx)
-            .ok_or(PmuError::NoSuchCounter(idx))?;
-        slot.enabled = false;
-        Ok(())
-    }
-
-    /// First free GP counter index, if any.
-    pub fn free_gp(&self) -> Option<usize> {
-        self.gp.iter().position(|s| !s.enabled)
-    }
-
-    /// Read the raw (48-bit) value of GP counter `idx`.
-    pub fn read_gp(&self, idx: usize) -> Result<u64, PmuError> {
-        self.gp
-            .get(idx)
-            .map(|s| s.value)
-            .ok_or(PmuError::NoSuchCounter(idx))
-    }
-
-    /// Read the raw (48-bit) value of fixed counter `idx`.
-    pub fn read_fixed(&self, idx: usize) -> Result<u64, PmuError> {
-        self.fixed
-            .get(idx)
-            .map(|s| s.value)
-            .ok_or(PmuError::NoSuchCounter(idx))
-    }
-
-    /// Write a raw value into GP counter `idx` (kernel does this on
-    /// context-switch restore).
-    pub fn write_gp(&mut self, idx: usize, value: u64) -> Result<(), PmuError> {
-        let slot = self.gp.get_mut(idx).ok_or(PmuError::NoSuchCounter(idx))?;
-        slot.value = value & COUNTER_MASK;
-        Ok(())
-    }
-
-    /// Accumulate an execution slice's event deltas into every enabled
-    /// counter, with 48-bit wrap-around.
-    pub fn apply(&mut self, deltas: &EventCounts) {
-        for slot in self.fixed.iter_mut().chain(self.gp.iter_mut()) {
-            if slot.enabled {
-                if let Some(ev) = slot.event {
-                    slot.value = (slot.value + deltas.get(ev)) & COUNTER_MASK;
-                }
-            }
-        }
-    }
-
-    /// Number of currently enabled counters (fixed + GP).
-    pub fn enabled_count(&self) -> usize {
-        self.fixed
-            .iter()
-            .chain(self.gp.iter())
-            .filter(|s| s.enabled)
-            .count()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::uarch::{CORTEX_A53, GOLDEN_COVE, GRACEMONT};
-
-    fn deltas(inst: u64, cyc: u64) -> EventCounts {
-        let mut d = EventCounts::ZERO;
-        d.set(ArchEvent::Instructions, inst);
-        d.set(ArchEvent::Cycles, cyc);
-        d
-    }
-
-    #[test]
-    fn fixed_counters_match_uarch() {
-        let p = CorePmu::new(&GOLDEN_COVE);
-        assert_eq!(p.n_fixed(), 3);
-        assert_eq!(p.n_gp(), 8);
-        let a = CorePmu::new(&CORTEX_A53);
-        assert_eq!(a.n_fixed(), 1);
-        assert_eq!(a.fixed_index(ArchEvent::Cycles), Some(0));
-        assert_eq!(a.fixed_index(ArchEvent::Instructions), None);
-    }
-
-    #[test]
-    fn program_and_count() {
-        let mut p = CorePmu::new(&GOLDEN_COVE);
-        p.program_gp(0, ArchEvent::LlcMisses).unwrap();
-        let fi = p.enable_fixed(ArchEvent::Instructions).unwrap();
-        let mut d = deltas(1000, 2000);
-        d.set(ArchEvent::LlcMisses, 7);
-        p.apply(&d);
-        assert_eq!(p.read_gp(0).unwrap(), 7);
-        assert_eq!(p.read_fixed(fi).unwrap(), 1000);
-        // Disabled counters do not move.
-        assert_eq!(p.read_gp(1).unwrap(), 0);
-    }
-
-    #[test]
-    fn topdown_rejected_on_gracemont() {
-        let mut e = CorePmu::new(&GRACEMONT);
-        assert_eq!(
-            e.program_gp(0, ArchEvent::TopdownSlots),
-            Err(PmuError::EventUnsupported(ArchEvent::TopdownSlots))
-        );
-        let mut p = CorePmu::new(&GOLDEN_COVE);
-        assert!(p.program_gp(0, ArchEvent::TopdownSlots).is_ok());
-    }
-
-    #[test]
-    fn busy_counter_rejected() {
-        let mut p = CorePmu::new(&GOLDEN_COVE);
-        p.program_gp(0, ArchEvent::LlcMisses).unwrap();
-        assert_eq!(
-            p.program_gp(0, ArchEvent::BranchMisses),
-            Err(PmuError::CounterBusy(0))
-        );
-        p.disable_gp(0).unwrap();
-        assert!(p.program_gp(0, ArchEvent::BranchMisses).is_ok());
-    }
-
-    #[test]
-    fn free_gp_scan() {
-        let mut p = CorePmu::new(&GRACEMONT);
-        assert_eq!(p.free_gp(), Some(0));
-        for i in 0..p.n_gp() {
-            p.program_gp(i, ArchEvent::BranchMisses).unwrap();
-        }
-        assert_eq!(p.free_gp(), None);
-    }
-
-    #[test]
-    fn counter_wraps_at_48_bits() {
-        let mut p = CorePmu::new(&GOLDEN_COVE);
-        p.program_gp(0, ArchEvent::Instructions).unwrap();
-        p.write_gp(0, COUNTER_MASK - 5).unwrap();
-        p.apply(&deltas(10, 0));
-        assert_eq!(p.read_gp(0).unwrap(), 4); // wrapped
-    }
-
-    #[test]
-    fn write_gp_masks_value() {
-        let mut p = CorePmu::new(&GOLDEN_COVE);
-        p.write_gp(0, u64::MAX).unwrap();
-        assert_eq!(p.read_gp(0).unwrap(), COUNTER_MASK);
-    }
-
-    #[test]
-    fn enabled_count_tracks() {
-        let mut p = CorePmu::new(&GOLDEN_COVE);
-        assert_eq!(p.enabled_count(), 0);
-        p.enable_fixed(ArchEvent::Cycles).unwrap();
-        p.program_gp(2, ArchEvent::BranchMisses).unwrap();
-        assert_eq!(p.enabled_count(), 2);
-    }
-}

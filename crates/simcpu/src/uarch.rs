@@ -220,11 +220,6 @@ impl UarchParams {
     pub fn supports_event(&self, ev: ArchEvent) -> bool {
         self.available_events.contains(&ev)
     }
-
-    /// Whether `ev` has a dedicated fixed counter.
-    pub fn is_fixed_event(&self, ev: ArchEvent) -> bool {
-        self.fixed_counters.contains(&ev)
-    }
 }
 
 pub static GOLDEN_COVE: UarchParams = UarchParams {

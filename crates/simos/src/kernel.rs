@@ -4,8 +4,8 @@
 //! (1) runs the scheduler, (2) executes each CPU's task through the
 //! cycle-batch engine — honouring compute phases, barriers, instrumentation
 //! hooks and sleeps at exact instruction boundaries — (3) feeds the
-//! resulting event deltas to the perf subsystem and the PMU hardware, and
-//! (4) closes the hardware tick (power, thermal, DVFS, LLC shares).
+//! resulting event deltas to the perf subsystem, and (4) closes the
+//! hardware tick (power, thermal, DVFS, LLC shares).
 //!
 //! The perf implementation keeps the semantics the paper depends on: a
 //! per-thread event only counts on CPUs its PMU covers; groups are
@@ -23,8 +23,6 @@ use crate::task::{
     core_type_index, BlockReason, HookId, Op, Pid, ProgCtx, Program, Task, TaskState, TaskStats,
 };
 use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use simcpu::events::{ArchEvent, EventCounts};
 use simcpu::exec;
 use simcpu::machine::{CoreSeat, CpuLoad, Machine, MachineSpec};
@@ -76,11 +74,13 @@ pub struct KernelConfig {
     /// Simulation tick, ns.
     pub tick_ns: Nanos,
     /// Scheduling policy, from the [`crate::simsched`] registry
-    /// (`SIM_SCHED`; default `cfs`, the legacy capacity-aware policy).
+    /// (default `cfs`, the legacy capacity-aware policy).
     pub sched: SchedName,
     /// Multiplex rotation interval, ns.
     pub mux_interval_ns: Nanos,
-    /// RNG seed (determinism).
+    /// Has no effect: nothing in the kernel draws random numbers (the
+    /// fault plan carries its own seed). Kept only because the benchmark
+    /// in `perfbench/src` names it.
     pub seed: u64,
     /// ARM PMU naming style.
     pub firmware: Firmware,
@@ -89,9 +89,9 @@ pub struct KernelConfig {
     pub exec_mode: ExecMode,
     /// Quiescent-span coalescing policy for [`Kernel::tick_batch`].
     pub macro_ticks: MacroTicks,
-    /// Flight-recorder tracing (`SIM_TRACE` / `SIM_TRACE_CAP`; see
-    /// `simtrace`). Off by default; timestamps are sim time, so enabling
-    /// it cannot perturb the simulation.
+    /// Flight-recorder tracing (see `simtrace`). Off by default;
+    /// timestamps are sim time, so enabling it cannot perturb the
+    /// simulation.
     pub trace: TraceConfig,
 }
 
@@ -99,13 +99,13 @@ impl Default for KernelConfig {
     fn default() -> KernelConfig {
         KernelConfig {
             tick_ns: 1_000_000,
-            sched: SchedName::from_env(),
+            sched: SchedName::default(),
             mux_interval_ns: 4_000_000,
             seed: 0x5eed,
             firmware: Firmware::DeviceTree,
             exec_mode: ExecMode::Serial,
             macro_ticks: MacroTicks::Auto,
-            trace: TraceConfig::from_env(),
+            trace: TraceConfig::default(),
         }
     }
 }
@@ -162,8 +162,6 @@ pub struct SyscallStats {
 struct BarrierState {
     expected: u32,
     waiting: Vec<Pid>,
-    /// Completed generations (diagnostics).
-    generations: u64,
 }
 
 /// Per-CPU perf state: the CPU's event context and its hardware
@@ -347,8 +345,6 @@ pub struct Kernel {
     time_ns: Nanos,
     perf_gen: u64,
     stats: SyscallStats,
-    #[allow(dead_code)]
-    rng: StdRng,
     /// Previous tick's per-domain energy, for RAPL perf events.
     rapl_prev_uj: [f64; 4],
     /// Per-CPU hotplug state; offline CPUs run nothing and their perf
@@ -440,7 +436,6 @@ impl Kernel {
             time_ns: 0,
             perf_gen: 0,
             stats: SyscallStats::default(),
-            rng: StdRng::seed_from_u64(cfg.seed),
             rapl_prev_uj: [0.0; 4],
             online: vec![true; n],
             faults: None,
@@ -568,12 +563,13 @@ impl Kernel {
         &self.machine
     }
 
-    pub fn machine_mut(&mut self) -> &mut Machine {
-        &mut self.machine
-    }
-
     pub fn config(&self) -> &KernelConfig {
         &self.cfg
+    }
+
+    /// Registry name of the running scheduling policy.
+    pub fn scheduler_name(&self) -> &'static str {
+        self.scheduler.name()
     }
 
     pub fn time_ns(&self) -> Nanos {
@@ -701,13 +697,6 @@ impl Kernel {
             .get(pid.0 as usize)
             .and_then(|t| t.as_ref())
             .map(|t| t.state)
-    }
-
-    pub fn task_name(&self, pid: Pid) -> Option<&str> {
-        self.tasks
-            .get(pid.0 as usize)
-            .and_then(|t| t.as_ref())
-            .map(|t| t.name.as_str())
     }
 
     /// Whether every spawned task has exited.
@@ -1120,15 +1109,6 @@ impl Kernel {
             .collect()
     }
 
-    /// `rdpmc` fast path: read the counter from user space without a
-    /// syscall, regardless of scheduling state (a convenience wrapper;
-    /// the strict protocol is [`Kernel::mmap_userpage`]).
-    pub fn rdpmc_read(&mut self, fd: EventFd) -> Result<u64, PerfError> {
-        self.charge(LAT_RDPMC_NS);
-        self.stats.rdpmc_reads += 1;
-        Ok(self.event(fd)?.visible_count())
-    }
-
     /// Whether `fd` currently holds a hardware counter somewhere. The
     /// per-CPU schedules are recomputed lazily (at the next tick), so also
     /// require the event's context to still be live on that CPU.
@@ -1336,10 +1316,7 @@ impl Kernel {
             .barriers
             .values_mut()
             .filter(|b| b.expected > 0 && b.waiting.len() as u32 >= b.expected)
-            .flat_map(|b| {
-                b.generations += 1;
-                std::mem::take(&mut b.waiting)
-            })
+            .flat_map(|b| std::mem::take(&mut b.waiting))
             .collect();
         for pid in released {
             if let Some(t) = self.tasks[pid.0 as usize].as_mut() {
@@ -1546,7 +1523,6 @@ impl Kernel {
             task.stats.runtime_ns += out.run_ns;
             task.stats.runtime_ns_by_type[ct_idx] += out.run_ns;
             task.charge_vruntime(out.run_ns);
-            self.machine.seats_mut()[ci].pmu.apply(&out.delta);
         }
         self.perf_tick(dt);
         let mem_bytes: f64 = self.scratch.loads.iter().map(|l| l.mem_bytes).sum();
@@ -2138,9 +2114,6 @@ fn exec_core(
         llc_pressure: pressure,
     };
     out.delta = tick_events;
-    // Mirror counting into the physical PMU slots (48-bit wrap exercised
-    // at the hardware layer).
-    seat.pmu.apply(&tick_events);
 
     if let Some((h0, m0)) = plan_stats0 {
         let (h1, m1) = seat.plan.stats();
@@ -3243,7 +3216,7 @@ mod tests {
             .unwrap();
         k.ioctl_enable(fd, false).unwrap();
         let _ = k.read_event(fd).unwrap();
-        let _ = k.rdpmc_read(fd).unwrap();
+        let _ = k.mmap_userpage(fd).unwrap();
         let s = k.syscall_stats();
         assert_eq!(s.opens, 1);
         assert_eq!(s.ioctls, 1);
@@ -3523,17 +3496,9 @@ mod tests {
         assert_ne!(a.1, c.1, "different seed draws a different wrap bias");
     }
 
-    /// `SIM_SCHED` follows the same strict-parse contract as `SIM_TRACE`
-    /// / `SIM_TRACE_CAP`: trimmed exact names only, so
-    /// `SchedName::from_env` panics rather than silently defaulting.
+    /// Every registry name boots a kernel running that policy.
     #[test]
-    fn sim_sched_parses_like_the_other_env_knobs() {
-        assert_eq!(SchedName::parse("cfs"), Some(SchedName::Cfs));
-        assert_eq!(SchedName::parse(" thermal "), Some(SchedName::Thermal));
-        assert_eq!(SchedName::parse("CFS"), None);
-        assert_eq!(SchedName::parse("fifo"), None);
-        assert_eq!(SchedName::parse(""), None);
-        // The registry names are what KernelConfig::default accepts.
+    fn every_registry_name_boots() {
         for name in SchedName::ALL {
             let k = Kernel::boot(
                 MachineSpec::skylake_quad(),
@@ -3642,7 +3607,8 @@ mod tests {
         /// every model input from scratch (`Kernel::uncached`). A stale
         /// cache entry — e.g. one surviving a frequency change or an
         /// LLC-share shift after a CPU offline — would shift CPI and show
-        /// up in the digest.
+        /// up in the digest, which folds per-CPU perf counts as well as
+        /// task stats, frequencies and package energy.
         #[test]
         fn plan_cache_equals_uncached(
             phases in proptest::collection::vec(arb_phase(), 2..6),
@@ -3732,6 +3698,29 @@ mod tests {
                     CpuMask::first_n(n),
                     0,
                 );
+                // Per-CPU counting events, opened before the plan can
+                // fail an open.
+                let mut fds = Vec::new();
+                for ci in 0..n {
+                    let pmu = k
+                        .pmus()
+                        .iter()
+                        .find(|p| p.kind == PmuKind::CoreHw && p.cpus.contains(CpuId(ci)))
+                        .expect("every CPU has a core PMU")
+                        .id;
+                    for ev in [
+                        ArchEvent::Instructions,
+                        ArchEvent::Cycles,
+                        ArchEvent::LlcMisses,
+                        ArchEvent::MemStallCycles,
+                        ArchEvent::BranchMisses,
+                    ] {
+                        let attr = PerfAttr::counting(pmu, ev);
+                        let fd = k.perf_event_open(attr, Target::Cpu(CpuId(ci)), None).unwrap();
+                        k.ioctl_enable(fd, false).unwrap();
+                        fds.push(fd);
+                    }
+                }
                 k.install_faults(&plan);
                 for _ in 0..ticks {
                     k.tick();
@@ -3756,14 +3745,18 @@ mod tests {
                     pid += 1;
                 }
                 for ci in 0..n {
-                    let p = k.machine().pmu(CpuId(ci));
-                    for i in 0..p.n_fixed() {
-                        fold(p.read_fixed(i).unwrap());
-                    }
-                    for i in 0..p.n_gp() {
-                        fold(p.read_gp(i).unwrap());
-                    }
                     fold(k.machine().freq_khz(CpuId(ci)));
+                }
+                for &fd in &fds {
+                    match k.read_event(fd) {
+                        Ok(v) => {
+                            fold(v.value);
+                            fold(v.time_enabled);
+                            fold(v.time_running);
+                            fold(v.time_matched);
+                        }
+                        Err(e) => format!("{e:?}").bytes().for_each(|b| fold(b.into())),
+                    }
                 }
                 fold(k.machine().energy_uj(RaplDomain::Package));
                 fold(k.fault_log().len() as u64);

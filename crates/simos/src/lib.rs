@@ -8,7 +8,7 @@
 //!   masks (`taskset`), nice levels and per-task statistics.
 //! * [`simsched`] — pluggable scheduling (scx-style): a [`simsched::Scheduler`]
 //!   trait with `enqueue`/`select_cpu`/`dispatch`/`tick` hooks over a
-//!   read-only [`simsched::KernelCtx`], a registry (`SIM_SCHED`) of
+//!   read-only [`simsched::KernelCtx`], a registry ([`SchedName`]) of
 //!   policies — the CFS-like legacy default, pure vtime fairness,
 //!   capacity packing, thermal steering — and the shared pass mechanics
 //!   (wakeups, hotplug vacating, run queue, migration accounting).
@@ -22,7 +22,7 @@
 //!   only on ARM, identical family/model for Intel P/E cores, devicetree
 //!   vs ACPI PMU naming on ARM, and RAPL `powercap` energy counters.
 //! * [`kernel`] — the tick loop that binds scheduler, execution model and
-//!   PMU hardware together, plus the syscall surface and its latency
+//!   perf counting together, plus the syscall surface and its latency
 //!   accounting (for the paper's §V.5 overhead questions).
 //! * [`faults`] — seeded, deterministic fault injection: CPU hotplug,
 //!   NMI-watchdog counter theft, transient `EINTR`/`EBUSY`, 48-bit

@@ -21,7 +21,7 @@
 //!
 //! The scheduling of event groups onto fixed/general counters is the pure
 //! function [`schedule_groups`], unit-tested in isolation; the kernel tick
-//! wires its output to the actual `simcpu` PMU hardware.
+//! counts only the events it schedules.
 
 use crate::task::Pid;
 use simcpu::events::ArchEvent;

@@ -165,7 +165,7 @@ impl<'a> KernelCtx<'a> {
 
 /// A pluggable scheduling policy (see module docs for the contract).
 pub trait Scheduler: Send {
-    /// Registry name (`SIM_SCHED` value).
+    /// Registry name (what [`SchedName::parse`] accepts).
     fn name(&self) -> &'static str;
 
     /// Minimum vruntime lead (ns) before preempting a running task.
@@ -488,7 +488,8 @@ impl SchedPass {
     }
 }
 
-/// Registry of built-in schedulers: the `SIM_SCHED` / `--sched` namespace.
+/// Registry of built-in schedulers: the `--sched` namespace of `simperf`
+/// and `metricsd`.
 ///
 /// `cfs` and `cfs_unaware` replace the legacy `Scheduler::new(hetero_aware:
 /// bool)` flag: they are the same CFS-like policy with capacity awareness
@@ -529,10 +530,8 @@ impl SchedName {
         }
     }
 
-    /// Parse a registry name. Same strictness contract as
-    /// `SIM_TRACE`/`SIM_TRACE_CAP`: whitespace tolerated, anything else
-    /// unknown rejected so `from_env` can panic instead of silently
-    /// defaulting.
+    /// Parse a registry name: whitespace tolerated, anything else unknown
+    /// rejected so a `--sched` typo exits instead of silently defaulting.
     pub fn parse(s: &str) -> Option<SchedName> {
         match s.trim() {
             "cfs" => Some(SchedName::Cfs),
@@ -541,17 +540,6 @@ impl SchedName {
             "capacity" => Some(SchedName::Capacity),
             "thermal" => Some(SchedName::Thermal),
             _ => None,
-        }
-    }
-
-    /// Read `SIM_SCHED` from the environment (default: cfs). Panics on an
-    /// unknown value, like `simtrace::TraceConfig::from_env`.
-    pub fn from_env() -> SchedName {
-        match std::env::var("SIM_SCHED") {
-            Err(_) => SchedName::default(),
-            Ok(v) => SchedName::parse(&v).unwrap_or_else(|| {
-                panic!("SIM_SCHED: unknown value {v:?} (expected cfs|cfs_unaware|vtime|capacity|thermal)")
-            }),
         }
     }
 
@@ -675,8 +663,8 @@ mod tests {
         assert_eq!(SchedName::parse("capacity"), Some(SchedName::Capacity));
         assert_eq!(SchedName::parse("thermal"), Some(SchedName::Thermal));
         assert_eq!(SchedName::parse(" cfs "), Some(SchedName::Cfs));
-        // Strict: unknown names, case drift and empty are rejected so
-        // SIM_SCHED can panic instead of silently defaulting.
+        // Strict: unknown names, case drift and empty are rejected so a
+        // `--sched` typo exits instead of silently defaulting.
         assert_eq!(SchedName::parse("CFS"), None);
         assert_eq!(SchedName::parse("cfs-unaware"), None);
         assert_eq!(SchedName::parse("fifo"), None);

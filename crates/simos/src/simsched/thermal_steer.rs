@@ -22,7 +22,7 @@
 //! Determinism: temperature keeps evolving while tasks run in place, so
 //! placement decisions can change without any exec-context change. The
 //! policy therefore reports `quiescent = false` unconditionally — runs
-//! under `SIM_SCHED=thermal` take the plain tick path (macro-tick spans
+//! under `SchedName::Thermal` take the plain tick path (macro-tick spans
 //! are refused with `SCHED_NOT_STEADY`) rather than risk a stale replay.
 //! The latch itself only mutates inside `tick`, which runs on real ticks
 //! only.

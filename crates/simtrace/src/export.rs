@@ -53,7 +53,7 @@ fn push_event(out: &mut String, tid: usize, e: &TraceEvent) {
         EventKind::TickBegin => ("tick", "B"),
         EventKind::TickEnd => ("tick", "E"),
         // Causal spans render as duration slices named by hop so a
-        // request reads as `rpc:client` / `rpc:shard` bars in Perfetto.
+        // request reads as `rpc:client` / `rpc:serve` bars in Perfetto.
         EventKind::SpanBegin => (span::hop_name(e.code), "B"),
         EventKind::SpanEnd => (span::hop_name(e.code), "E"),
         k => (k.name(), "i"),
@@ -278,8 +278,8 @@ mod tests {
             Track::new(
                 "serve",
                 vec![
-                    span(300, EventKind::SpanBegin, span::SHARD, rpc, snap),
-                    span(400, EventKind::SpanEnd, span::SHARD, rpc, snap),
+                    span(300, EventKind::SpanBegin, span::SERVE, rpc, snap),
+                    span(400, EventKind::SpanEnd, span::SERVE, rpc, snap),
                 ],
             ),
             Track::new(
@@ -292,7 +292,7 @@ mod tests {
         ];
         let json = chrome_trace_json(&tracks);
         assert!(json.contains("\"rpc:client\""));
-        assert!(json.contains("\"rpc:shard\""));
+        assert!(json.contains("\"rpc:serve\""));
         assert!(json.contains("\"collect\""));
         // The RPC flow has 2 hops and the snapshot flow 2 hops: one
         // "s" + one "f" each, no "t" steps.

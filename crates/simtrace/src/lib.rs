@@ -22,10 +22,9 @@
 //! log-bucketed histograms) and [`postmortem`] the last-N-events panic
 //! dump.
 //!
-//! Knobs: `SIM_TRACE` (`off`|`on`) and `SIM_TRACE_CAP` (ring capacity in
-//! events, per sink). Unknown values panic, matching `SIM_SCHED` — a
-//! typo'd knob silently tracing nothing is how overhead measurements get
-//! mislabelled.
+//! Tracing is configured in code: a [`TraceConfig`] (off by default, or
+//! [`TraceConfig::enabled_with_cap`]) is carried in `KernelConfig` and
+//! friends; no environment variable changes it.
 
 pub mod export;
 pub mod metrics;
@@ -412,8 +411,8 @@ pub mod span {
     /// Hop: the transport reactor moving the framed bytes (tcpio thread
     /// for TCP, the serving loop's unwrap for in-process pipes).
     pub const REACTOR: u32 = 2;
-    /// Hop: the daemon dispatching the request (`rpc:shard` in exports).
-    pub const SHARD: u32 = 3;
+    /// Hop: the daemon serving the request (`rpc:serve` in exports).
+    pub const SERVE: u32 = 3;
     /// Hop: the collector producing the tick snapshot a read served
     /// from (joined into RPC flows via `TraceEvent::b`).
     pub const COLLECTOR: u32 = 4;
@@ -427,7 +426,7 @@ pub mod span {
         match code {
             CLIENT => "rpc:client",
             REACTOR => "rpc:reactor",
-            SHARD => "rpc:shard",
+            SERVE => "rpc:serve",
             COLLECTOR => "collect",
             PUSH => "push",
             STAT => "stat",
@@ -487,45 +486,6 @@ impl TraceConfig {
     pub fn enabled_with_cap(cap: usize) -> TraceConfig {
         TraceConfig { enabled: true, cap }
     }
-
-    /// Parse `"off"` or `"on"` for `SIM_TRACE`.
-    pub fn parse_enabled(s: &str) -> Option<bool> {
-        match s.trim() {
-            "off" => Some(false),
-            "on" => Some(true),
-            _ => None,
-        }
-    }
-
-    /// Parse a positive ring capacity for `SIM_TRACE_CAP`.
-    pub fn parse_cap(s: &str) -> Option<usize> {
-        match s.trim().parse::<usize>() {
-            Ok(n) if n > 0 => Some(n),
-            _ => None,
-        }
-    }
-
-    /// Read `SIM_TRACE` / `SIM_TRACE_CAP` from the environment (default:
-    /// off, [`DEFAULT_CAP`]).
-    ///
-    /// Panics on an unknown value, like `SchedName::from_env` in `simos`:
-    /// a typo'd knob silently not tracing (or silently truncating the
-    /// ring) is exactly how overhead and coverage numbers get
-    /// mislabelled.
-    pub fn from_env() -> TraceConfig {
-        let enabled = match std::env::var("SIM_TRACE") {
-            Err(_) => false,
-            Ok(v) => TraceConfig::parse_enabled(&v)
-                .unwrap_or_else(|| panic!("SIM_TRACE: unknown value {v:?} (expected off|on)")),
-        };
-        let cap = match std::env::var("SIM_TRACE_CAP") {
-            Err(_) => DEFAULT_CAP,
-            Ok(v) => TraceConfig::parse_cap(&v).unwrap_or_else(|| {
-                panic!("SIM_TRACE_CAP: invalid value {v:?} (expected a positive integer)")
-            }),
-        };
-        TraceConfig { enabled, cap }
-    }
 }
 
 #[cfg(test)]
@@ -576,25 +536,6 @@ mod tests {
         assert_eq!(e[0].t_ns, 5);
         assert_eq!(e[0].kind, EventKind::TickEnd);
         assert_eq!((e[0].code, e[0].a, e[0].b), (1, 2, 3));
-    }
-
-    #[test]
-    fn sim_trace_parses_strictly() {
-        assert_eq!(TraceConfig::parse_enabled("off"), Some(false));
-        assert_eq!(TraceConfig::parse_enabled(" on "), Some(true));
-        assert_eq!(TraceConfig::parse_enabled("yes"), None);
-        assert_eq!(TraceConfig::parse_enabled("ON"), None);
-        assert_eq!(TraceConfig::parse_enabled(""), None);
-    }
-
-    #[test]
-    fn sim_trace_cap_parses_strictly() {
-        assert_eq!(TraceConfig::parse_cap("1"), Some(1));
-        assert_eq!(TraceConfig::parse_cap(" 4096 "), Some(4096));
-        assert_eq!(TraceConfig::parse_cap("0"), None, "zero-size ring rejected");
-        assert_eq!(TraceConfig::parse_cap("-1"), None);
-        assert_eq!(TraceConfig::parse_cap("4k"), None);
-        assert_eq!(TraceConfig::parse_cap(""), None);
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //!
 //! Fault plans stay **on** (hotplug, RAPL wrap bursts, flaky sysfs): the
 //! tournament measures policies under the same adversity the determinism
-//! suite replays, and every case runs from the same seed so any two
-//! invocations are bit-identical.
+//! suite replays. The fault plan has a fixed seed and the simulation no
+//! other random input, so any two invocations are bit-identical.
 
 use simcpu::machine::MachineSpec;
 use simcpu::power::RaplDomain;
@@ -31,10 +31,6 @@ use simos::kernel::{Kernel, KernelConfig};
 use simos::{FaultKind, FaultPlan, SchedName, TransientErrno};
 
 use crate::hpl::{run_to_completion, spawn_hpl_free, HplConfig, HplTuning, HplVariant};
-
-/// The tournament seed: every case boots the kernel with it, so reruns
-/// are bit-identical.
-pub const TOURNAMENT_SEED: u64 = 0x5eed_cafe;
 
 /// One tournament scenario: a machine, a worker team, and adversity.
 pub struct Scenario {
@@ -146,15 +142,14 @@ pub fn orangepi_scenario(scale: u64) -> Scenario {
     }
 }
 
-/// Run one scheduler through one scenario. Fresh machine, fixed seed:
-/// same inputs → bit-identical [`Outcome`].
+/// Run one scheduler through one scenario on a fresh machine: same
+/// inputs → bit-identical [`Outcome`].
 pub fn run_case(sc: &Scenario, sched: SchedName) -> Outcome {
     let kernel = Kernel::boot_handle(
         (sc.machine)(),
         KernelConfig {
             tick_ns: sc.tick_ns,
             sched,
-            seed: TOURNAMENT_SEED,
             ..Default::default()
         },
     );

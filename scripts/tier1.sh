@@ -22,7 +22,7 @@ if [[ "${1:-}" == "--sched-smoke" ]]; then
     # scenario, thermal beats cfs on the Table IV inversion scenario.
     cargo run --offline --release -p bench-harness --bin schedbench -- --quick
     echo "== sched smoke: exec hot path floor =="
-    SIM_TRACE=off cargo run --offline --release -p bench-harness --bin execbench -- --quick
+    cargo run --offline --release -p bench-harness --bin execbench -- --quick
     echo "tier1 --sched-smoke: OK"
     exit 0
 fi
@@ -80,11 +80,11 @@ cargo run --offline --release -p bench-harness --bin tickbench -- --quick
 echo "== exec hot path (quick, emits BENCH_exec.json) =="
 # Hard gate inside: raptor_lake_i7_13700 per-tick serial ticks/s must stay
 # at or above the pre-plan-cache PR-3 baseline recorded in the JSON — a
-# hot-path regression exits nonzero and fails tier1. SIM_TRACE is pinned
-# off so this doubles as the trace-overhead gate: the disabled flight
-# recorder (one branch per record site) must stay within noise of the
-# pre-simtrace floor.
-SIM_TRACE=off cargo run --offline --release -p bench-harness --bin execbench -- --quick
+# hot-path regression exits nonzero and fails tier1. Its kernel boots
+# from `KernelConfig::default()`, which traces nothing, so this doubles
+# as the trace-overhead gate: the disabled flight recorder (one branch
+# per record site) must stay within noise of the pre-simtrace floor.
+cargo run --offline --release -p bench-harness --bin execbench -- --quick
 
 echo "== trace smoke (400-tick traced raptor run, validated chrome JSON) =="
 # Flight recorder on, full fault plan, live PAPI eventset: the exported

@@ -58,7 +58,7 @@ fn steady_state_tick_is_allocation_free_with_tracing() {
     });
 }
 
-/// Causal-span recording with tracing off (`SIM_TRACE` unset) must cost
+/// Causal-span recording with tracing off (the default) must cost
 /// one branch and zero allocations: every hop in the request path calls
 /// `record` unconditionally, so a disabled sink that allocated would
 /// tax untraced production runs.
@@ -78,8 +78,8 @@ fn disabled_span_recording_is_allocation_free() {
         for i in 0..100_000u64 {
             let trace_id = span::rpc_trace_id(0xfeed, i);
             sink.record(i, EventKind::SpanBegin, span::CLIENT, trace_id, 0);
-            sink.record(i, EventKind::SpanBegin, span::SHARD, trace_id, 1);
-            sink.record(i + 1, EventKind::SpanEnd, span::SHARD, trace_id, 1);
+            sink.record(i, EventKind::SpanBegin, span::SERVE, trace_id, 1);
+            sink.record(i + 1, EventKind::SpanEnd, span::SERVE, trace_id, 1);
             sink.record(i + 1, EventKind::SpanEnd, span::CLIENT, trace_id, 0);
         }
         let after = ALLOCS.load(Ordering::Relaxed);
