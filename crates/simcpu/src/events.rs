@@ -139,6 +139,14 @@ impl EventCounts {
         }
     }
 
+    /// Add `other` into `self` `n` times over, saturating: the same as
+    /// `n` calls to [`EventCounts::add`], with one multiply per event.
+    pub fn add_times(&mut self, other: &EventCounts, n: u64) {
+        for i in 0..NUM_ARCH_EVENTS {
+            self.0[i] = self.0[i].saturating_add(other.0[i].saturating_mul(n));
+        }
+    }
+
     /// Total for one event.
     #[inline]
     pub fn get(&self, ev: ArchEvent) -> u64 {
@@ -197,6 +205,26 @@ mod tests {
         assert_eq!(b[ArchEvent::Instructions], 101);
         assert_eq!(b[ArchEvent::Cycles], 50);
         assert_eq!(b.get(ArchEvent::LlcMisses), 0);
+    }
+
+    #[test]
+    fn add_times_equals_repeated_adds_and_saturates() {
+        let mut one = EventCounts::ZERO;
+        one.bump(ArchEvent::Instructions, 2_000_000);
+        one.bump(ArchEvent::Cycles, 7);
+        one.bump(ArchEvent::FpOps, u64::MAX / 3);
+        let (mut times, mut repeated) = (EventCounts::ZERO, EventCounts::ZERO);
+        times.bump(ArchEvent::Cycles, 5);
+        repeated.bump(ArchEvent::Cycles, 5);
+        times.add_times(&one, 4);
+        for _ in 0..4 {
+            repeated.add(&one);
+        }
+        assert_eq!(times, repeated);
+        assert_eq!(times[ArchEvent::FpOps], u64::MAX);
+        let before = times;
+        times.add_times(&one, 0);
+        assert_eq!(times, before);
     }
 
     #[test]

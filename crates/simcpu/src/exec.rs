@@ -100,6 +100,30 @@ pub(crate) fn cpi_with_profile(phase: &Phase, ctx: &ExecContext<'_>, m: &MissPro
     (issue_cpi + mem_cpi + branch_cpi) / ctx.smt_factor.clamp(0.05, 1.0)
 }
 
+/// `x.floor() as u64`: the saturating cast already truncates toward zero,
+/// which is the floor for every non-negative `x`, and sends NaN and
+/// negatives to 0 and everything from 2⁶⁴ up to `u64::MAX`, as the
+/// floored cast does.
+#[inline]
+fn floor_u64(x: f64) -> u64 {
+    x as u64
+}
+
+/// `x.round() as u64` without a libm call (the x86-64 baseline has no
+/// rounding instruction). The fraction `x - t` is exact wherever it
+/// decides anything, so comparing it with one half rounds halves away from
+/// zero exactly like [`f64::round`]; NaN, negatives and overflow saturate
+/// like the cast.
+#[inline]
+fn round_u64(x: f64) -> u64 {
+    let t = floor_u64(x);
+    if x - t as f64 >= 0.5 {
+        t.saturating_add(1)
+    } else {
+        t
+    }
+}
+
 /// Run up to `budget_cycles` of `phase` (without consuming more than
 /// `phase.instructions`). Returns what happened; the caller subtracts
 /// `result.instructions` from the phase.
@@ -111,7 +135,7 @@ pub fn advance(phase: &Phase, budget_cycles: f64, ctx: &ExecContext<'_>) -> Exec
     let cpi = cpi_with_profile(phase, ctx, &m);
     debug_assert!(cpi.is_finite() && cpi > 0.0, "bad cpi {cpi}");
 
-    let max_inst = (budget_cycles / cpi).floor() as u64;
+    let max_inst = floor_u64(budget_cycles / cpi);
     let inst = max_inst.min(phase.instructions);
     if inst == 0 {
         return ExecResult::default();
@@ -156,7 +180,7 @@ pub fn advance_with_plan(
     let cpi = entry.cpi;
     debug_assert!(cpi.is_finite() && cpi > 0.0, "bad cpi {cpi}");
 
-    let max_inst = (budget_cycles / cpi).floor() as u64;
+    let max_inst = floor_u64(budget_cycles / cpi);
     let inst = max_inst.min(phase.instructions);
     if inst == 0 {
         return ExecResult::default();
@@ -172,6 +196,16 @@ pub fn advance_with_plan(
     res
 }
 
+/// Whether [`advance_with_plan`] would retire all of a fresh
+/// `chunk`-instruction phase of the held plan's shape within
+/// `budget_cycles`, using the same division and cast it does. A slice's
+/// result depends only on its plan and instruction count, so when this
+/// holds the slice returns exactly what the last whole chunk of that plan
+/// returned.
+pub fn retires_whole(budget_cycles: f64, cache: &PlanCache, plan: PlanId, chunk: u64) -> bool {
+    budget_cycles > 0.0 && floor_u64(budget_cycles / cache.entry(plan).cpi) >= chunk
+}
+
 /// The slice-construction tail shared by [`advance`] and
 /// [`advance_with_plan`]: given the (possibly memoized) miss profile and CPI,
 /// build the full result for an `inst`-instruction slice. Keeping both
@@ -183,7 +217,7 @@ fn result_for_inst(
     cpi: f64,
     inst: u64,
 ) -> ExecResult {
-    let cycles = (inst as f64 * cpi).round() as u64;
+    let cycles = round_u64(inst as f64 * cpi);
     let inst_f = inst as f64;
 
     // Reference cycles tick at the TSC rate for the wall time this slice
@@ -230,26 +264,23 @@ fn result_for_inst(
     let mut ev = EventCounts::ZERO;
     ev.set(ArchEvent::Instructions, inst);
     ev.set(ArchEvent::Cycles, cycles);
-    ev.set(ArchEvent::RefCycles, ref_cycles.round() as u64);
-    ev.set(ArchEvent::BranchInstructions, branches.round() as u64);
-    ev.set(ArchEvent::BranchMisses, br_miss.round() as u64);
-    ev.set(ArchEvent::L1dAccesses, refs.round() as u64);
-    ev.set(ArchEvent::L1dMisses, l1_miss.round() as u64);
-    ev.set(ArchEvent::L2Accesses, l2_acc.round() as u64);
-    ev.set(ArchEvent::L2Misses, l2_miss.round() as u64);
-    ev.set(ArchEvent::LlcAccesses, llc_acc.round() as u64);
-    ev.set(ArchEvent::LlcMisses, llc_miss.round() as u64);
-    ev.set(ArchEvent::MemStallCycles, mem_cpi_cycles.round() as u64);
-    ev.set(ArchEvent::FpOps, flops.round() as u64);
-    ev.set(
-        ArchEvent::VectorUops,
-        (inst_f * phase.vector_frac).round() as u64,
-    );
+    ev.set(ArchEvent::RefCycles, round_u64(ref_cycles));
+    ev.set(ArchEvent::BranchInstructions, round_u64(branches));
+    ev.set(ArchEvent::BranchMisses, round_u64(br_miss));
+    ev.set(ArchEvent::L1dAccesses, round_u64(refs));
+    ev.set(ArchEvent::L1dMisses, round_u64(l1_miss));
+    ev.set(ArchEvent::L2Accesses, round_u64(l2_acc));
+    ev.set(ArchEvent::L2Misses, round_u64(l2_miss));
+    ev.set(ArchEvent::LlcAccesses, round_u64(llc_acc));
+    ev.set(ArchEvent::LlcMisses, round_u64(llc_miss));
+    ev.set(ArchEvent::MemStallCycles, round_u64(mem_cpi_cycles));
+    ev.set(ArchEvent::FpOps, round_u64(flops));
+    ev.set(ArchEvent::VectorUops, round_u64(inst_f * phase.vector_frac));
     if ctx.uarch.supports_event(ArchEvent::TopdownSlots) {
         // Slots = pipeline width × cycles.
         ev.set(
             ArchEvent::TopdownSlots,
-            (ctx.uarch.ipc_base.round() * cycles as f64) as u64,
+            (round_u64(ctx.uarch.ipc_base) as f64 * cycles as f64) as u64,
         );
     }
     // Simple dTLB model: misses scale with working set beyond 2 MB coverage.
@@ -259,7 +290,7 @@ fn result_for_inst(
     } else {
         1e-6
     };
-    ev.set(ArchEvent::DtlbMisses, (refs * tlb_rate).round() as u64);
+    ev.set(ArchEvent::DtlbMisses, round_u64(refs * tlb_rate));
 
     ExecResult {
         instructions: inst,
@@ -426,6 +457,97 @@ mod tests {
             miss / acc.max(1.0) < 0.2,
             "LITTLE demand miss rate too high"
         );
+    }
+
+    /// `round_u64` and `floor_u64` against the libm calls they replace on
+    /// every edge class: NaN, infinities, signed zeros, negatives,
+    /// subnormals, the halves and their neighbours, and the range from 2⁵¹
+    /// (the last binade with fractions) past 2⁶⁴ (where the cast saturates).
+    #[test]
+    fn rounding_helpers_equal_round_and_floor_on_edges() {
+        let mut xs = vec![
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+            -f64::from_bits(1),
+            f64::MAX,
+            f64::MIN,
+            f64::EPSILON,
+            0.49999999999999994,
+            0.5,
+            1.5,
+            2.5,
+            -0.5,
+            -0.49999999999999994,
+            -1.5,
+            -1e300,
+            u64::MAX as f64,
+            1e30,
+        ];
+        for e in 51..=66 {
+            let p = 2f64.powi(e);
+            for x in [p, p + 0.5, p + 1.0, p - 0.5, p - 1.0, p + 1.5] {
+                for y in [
+                    x,
+                    f64::from_bits(x.to_bits() + 1),
+                    f64::from_bits(x.to_bits() - 1),
+                ] {
+                    xs.push(y);
+                    xs.push(-y);
+                }
+            }
+        }
+        for k in 0..4096u64 {
+            let h = k as f64 + 0.5;
+            xs.extend([
+                h,
+                f64::from_bits(h.to_bits() - 1),
+                f64::from_bits(h.to_bits() + 1),
+                k as f64,
+            ]);
+        }
+        for x in xs {
+            assert_eq!(
+                round_u64(x),
+                x.round() as u64,
+                "round {x:e} ({:#x})",
+                x.to_bits()
+            );
+            assert_eq!(
+                floor_u64(x),
+                x.floor() as u64,
+                "floor {x:e} ({:#x})",
+                x.to_bits()
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(20_000))]
+
+        /// Any bit pattern (but all-ones, a NaN the edge test covers):
+        /// any sign, any exponent.
+        #[test]
+        fn rounding_helpers_equal_round_and_floor(bits in 0u64..u64::MAX) {
+            let x = f64::from_bits(bits);
+            proptest::prop_assert_eq!(round_u64(x), x.round() as u64);
+            proptest::prop_assert_eq!(floor_u64(x), x.floor() as u64);
+        }
+
+        /// Values where rounding actually decides something: below 2⁵³
+        /// with a fraction.
+        #[test]
+        fn rounding_helpers_equal_round_on_fractions(x in 0.0f64..9.007_199_254_740_992e15) {
+            proptest::prop_assert_eq!(round_u64(x), x.round() as u64);
+            proptest::prop_assert_eq!(floor_u64(x), x.floor() as u64);
+        }
     }
 
     #[test]

@@ -178,9 +178,19 @@ impl PlanCache {
     /// stays valid until the next `plan` call or epoch change on this cache
     /// (either may reuse the slot).
     pub fn plan(&mut self, phase: &Phase, ctx: &ExecContext<'_>) -> PlanId {
+        self.lookup(phase, ctx).0
+    }
+
+    /// [`PlanCache::plan`], also saying whether the lookup hit. A hit on
+    /// an id the caller held before proves that `phase` and `ctx` match
+    /// the key that id was built for, if nothing else looked up on this
+    /// cache in between: the key names every model input, and an epoch
+    /// change empties the slot.
+    pub fn lookup(&mut self, phase: &Phase, ctx: &ExecContext<'_>) -> (PlanId, bool) {
         let key = PlanKey::new(phase, ctx);
         let slot = key.slot();
-        if matches!(&self.slots[slot], Some(e) if e.key == key) {
+        let hit = matches!(&self.slots[slot], Some(e) if e.key == key);
+        if hit {
             self.hits += 1;
         } else {
             self.misses += 1;
@@ -194,10 +204,17 @@ impl PlanCache {
                 last_result: None,
             });
         }
-        PlanId(slot)
+        (PlanId(slot), hit)
     }
 
     /// The entry a held id names.
+    pub(crate) fn entry(&self, id: PlanId) -> &PlanEntry {
+        self.slots[id.0]
+            .as_ref()
+            .expect("held plan id names a live slot")
+    }
+
+    /// The entry a held id names, for updating its one-deep result memo.
     pub(crate) fn entry_mut(&mut self, id: PlanId) -> &mut PlanEntry {
         self.slots[id.0]
             .as_mut()
@@ -206,10 +223,7 @@ impl PlanCache {
 
     /// [`llc_pressure`] of the held plan's phase and context.
     pub fn pressure(&self, id: PlanId) -> f64 {
-        self.slots[id.0]
-            .as_ref()
-            .expect("held plan id names a live slot")
-            .pressure
+        self.entry(id).pressure
     }
 
     /// Lifetime (hits, misses) of plan lookups through this cache.
@@ -275,6 +289,20 @@ mod tests {
         let pr = cache.pressure(id);
         assert_eq!(pr, exec::llc_pressure(&p, c.uarch, c.llc_share_bytes));
         assert_eq!(cache.stats(), (10, 1));
+        // `lookup` says whether it hit; a new context misses.
+        assert_eq!(cache.lookup(&p, &c), (id, true));
+        assert!(!cache.lookup(&p, &ctx(3_300_001)).1);
+        assert_eq!(cache.stats(), (11, 2));
+        // A whole chunk fits exactly when a fresh chunk would slice whole.
+        let id = cache.plan(&p, &c);
+        let chunk = Phase::dgemm(1_000, 8 << 20, 0.35);
+        let whole = exec::advance(&chunk, 1e9, &c);
+        assert_eq!(whole.instructions, 1_000);
+        for budget in [whole.cycles as f64 + 10.0, whole.cycles as f64 - 10.0, 0.0] {
+            let fits = exec::retires_whole(budget, &cache, id, 1_000);
+            let sliced = exec::advance_with_plan(&chunk, budget, &c, &mut cache, id);
+            assert_eq!(fits, sliced == whole, "budget {budget}");
+        }
     }
 
     #[test]

@@ -261,6 +261,11 @@ struct CoreOut {
     /// op and no context switch — so an identical tick (same context,
     /// enough instructions left) reproduces these outputs exactly.
     steady: bool,
+    /// The seat-cache plan the tick's last phase was sliced from (`None`
+    /// on the uncached oracle): on a steady template, its carried phase's.
+    /// A steady template is replayed only when the next tick's lookup for
+    /// that phase hits this id.
+    plan: Option<PlanId>,
     /// Instructions retired this tick (phase decrement during replay).
     inst_total: u64,
     /// Core cycles consumed this tick (task-stats replay).
@@ -270,6 +275,9 @@ struct CoreOut {
     /// to keep `TaskStats::flops` bit-identical.
     flops_iters: [f64; STEADY_ITERS],
     n_iters: u8,
+    /// Test-only: engine slices taken this tick (0 on a replayed tick).
+    #[cfg(test)]
+    slices: u32,
 }
 
 impl Default for CoreOut {
@@ -281,12 +289,96 @@ impl Default for CoreOut {
             sw: SwDelta::default(),
             ctrl: None,
             steady: false,
+            plan: None,
             inst_total: 0,
             cycles_total: 0,
             flops_iters: [0.0; STEADY_ITERS],
             n_iters: 0,
+            #[cfg(test)]
+            slices: 0,
         }
     }
+}
+
+/// One CPU's running sums over the slices of the tick it executes.
+#[derive(Default)]
+struct TickSums {
+    /// Cycles consumed: a sum of whole slice cycle counts, so exact.
+    used: f64,
+    /// Cycles weighted by the activity factor (the power model's input).
+    act_cycles: f64,
+    mem_bytes: f64,
+    events: EventCounts,
+}
+
+impl TickSums {
+    /// Account `n` back-to-back slices that each produced `res` from a
+    /// phase with vector fraction `vec_frac`. The integer sums are scaled
+    /// once; the f64 sums, which are order-sensitive, take one add per
+    /// slice in slice order, so this is bit-identical to `n` calls with
+    /// `n = 1`.
+    fn account(
+        &mut self,
+        task: &mut Task,
+        out: &mut CoreOut,
+        ct_idx: usize,
+        res: &exec::ExecResult,
+        vec_frac: f64,
+        n: u64,
+    ) {
+        let inst = res.instructions * n;
+        let cycles = res.cycles * n;
+        out.inst_total += inst;
+        out.cycles_total += cycles;
+        task.stats.instructions += inst;
+        task.stats.cycles += cycles;
+        task.stats.instructions_by_type[ct_idx] += inst;
+        // One slice is the common case: skip the per-event multiplies.
+        if n == 1 {
+            self.events.add(&res.events);
+        } else {
+            self.events.add_times(&res.events, n);
+        }
+        // Activity factor: vector-dense work toggles more silicon;
+        // memory-stalled cycles toggle much less.
+        let stall_frac =
+            (res.events.get(ArchEvent::MemStallCycles) as f64 / res.cycles.max(1) as f64).min(1.0);
+        let mix_act = 0.55 + 0.45 * (vec_frac / 0.6).min(1.0);
+        let act = res.cycles as f64 * (mix_act * (1.0 - stall_frac) + 0.35 * stall_frac);
+        for _ in 0..n {
+            if (out.n_iters as usize) < STEADY_ITERS {
+                out.flops_iters[out.n_iters as usize] = res.flops;
+                out.n_iters += 1;
+            } else {
+                out.steady = false;
+            }
+            task.stats.flops += res.flops;
+            self.used += res.cycles as f64;
+            self.act_cycles += act;
+            self.mem_bytes += res.mem_bytes;
+        }
+    }
+}
+
+/// Re-apply a steady template's effects to the task it was recorded for:
+/// the phase decrement and every stat the tick adds. Flops are re-added
+/// per iteration, in the original order, because f64 addition is not
+/// associative.
+fn apply_template(task: &mut Task, out: &CoreOut, ct_idx: usize) {
+    let ph = task
+        .current
+        .as_mut()
+        .expect("a replayed template's task has a phase");
+    ph.instructions -= out.inst_total;
+    task.stats.instructions += out.inst_total;
+    task.stats.cycles += out.cycles_total;
+    for &flops in &out.flops_iters[..out.n_iters as usize] {
+        task.stats.flops += flops;
+    }
+    task.stats.instructions_by_type[ct_idx] += out.inst_total;
+    task.stats.runtime_ns += out.run_ns;
+    task.stats.runtime_ns_by_type[ct_idx] += out.run_ns;
+    task.charge_vruntime(out.run_ns);
 }
 
 /// Reusable per-tick buffers. Everything `tick()` used to allocate lives
@@ -295,9 +387,9 @@ struct TickScratch {
     prev_current: Vec<Option<Pid>>,
     /// Each CPU's `outs[ci].load`, gathered for `Machine::end_tick`.
     loads: Vec<CpuLoad>,
-    /// This tick's per-CPU outputs (zeroed on idle CPUs), read by the
-    /// perf accounting; after a real tick, the macro-tick replay
-    /// templates.
+    /// This tick's per-CPU outputs, read by the perf accounting. A slot
+    /// persists from tick to tick (an idle CPU resets its own), so it is
+    /// also the CPU's template for per-CPU and macro-tick replay.
     outs: Vec<CoreOut>,
 }
 
@@ -1304,8 +1396,6 @@ impl Kernel {
         );
 
         // 2. Execute each CPU into its indexed scratch slot.
-        self.scratch.loads.fill(CpuLoad::default());
-        self.scratch.outs.fill(CoreOut::default());
         self.exec_cores(dt);
 
         // 3. Perf accounting.
@@ -1502,27 +1592,14 @@ impl Kernel {
             let Some(pid) = self.current[ci] else {
                 continue;
             };
-            let out = &self.scratch.outs[ci];
             let task = self.tasks[pid.0 as usize]
                 .as_mut()
                 .expect("quiescent span: scheduled pid has a task");
-            let ph = task
-                .current
-                .as_mut()
-                .expect("quiescent span: running task has a phase");
-            ph.instructions -= out.inst_total;
-            task.stats.instructions += out.inst_total;
-            task.stats.cycles += out.cycles_total;
-            // f64 addition is order-sensitive: re-add per-iteration flops
-            // exactly as `exec_core` would have.
-            for i in 0..out.n_iters as usize {
-                task.stats.flops += out.flops_iters[i];
-            }
-            let ct_idx = core_type_index(self.core_types[ci]);
-            task.stats.instructions_by_type[ct_idx] += out.inst_total;
-            task.stats.runtime_ns += out.run_ns;
-            task.stats.runtime_ns_by_type[ct_idx] += out.run_ns;
-            task.charge_vruntime(out.run_ns);
+            apply_template(
+                task,
+                &self.scratch.outs[ci],
+                core_type_index(self.core_types[ci]),
+            );
         }
         self.perf_tick(dt);
         let mem_bytes: f64 = self.scratch.loads.iter().map(|l| l.mem_bytes).sum();
@@ -1579,6 +1656,9 @@ impl Kernel {
         let now = self.time_ns;
         for cpu_idx in 0..self.machine.n_cpus() {
             let Some(work) = self.stage_core(cpu_idx) else {
+                // An idle CPU has no template to keep.
+                self.scratch.outs[cpu_idx] = CoreOut::default();
+                self.scratch.loads[cpu_idx] = CpuLoad::default();
                 continue;
             };
             let pid = work.pid;
@@ -1907,6 +1987,11 @@ fn task_context(task_events: &[Vec<EventFd>], running: Option<Pid>) -> &[EventFd
 /// cycle-batch engine for up to one tick's worth of cycles, accounting
 /// context switches, migrations, stats and PMU counts.
 ///
+/// `out` holds this CPU's outputs from the last tick it ran. When those
+/// were a steady template of the same task and this tick's plan lookup
+/// proves the context unchanged, they are this tick's outputs too and are
+/// only re-applied (DESIGN.md §9, per-CPU template replay).
+///
 /// This touches only the task, this core's seat and the output slot; every
 /// shared side effect goes back to the kernel as a [`CtrlOp`].
 fn exec_core(
@@ -1921,11 +2006,6 @@ fn exec_core(
     let cpu = work.cpu;
     let ctx = &work.ctx;
     let cycles_avail = ctx.freq_khz as f64 * 1e3 * dt as f64 / 1e9;
-    let mut used = 0.0f64;
-    let mut tick_events = EventCounts::ZERO;
-    let mut mem_bytes = 0.0;
-    let mut act_cycles = 0.0;
-    let mut pressure = 0.0;
 
     let core_type = core_types[cpu.0];
     let ct_idx = core_type_index(core_type);
@@ -1941,9 +2021,41 @@ fn exec_core(
     } else {
         None
     };
-
-    // Context-switch and migration accounting.
     let switched_in = work.prev != Some(work.pid);
+
+    // The seat-cache plan of `task.current`, looked up once per installed
+    // phase (and once for a phase carried into the tick): the phase shape
+    // and `ctx` stay fixed until the phase completes, and a re-installed
+    // spin chunk keeps its predecessor's.
+    let mut plan: Option<PlanId> = None;
+    // Per-CPU template replay. Last tick on this CPU was a steady template
+    // of this same task, and the carried phase has more than one tick of
+    // instructions left, so the end-of-phase clamp cannot engage. The
+    // lookup is the one the first slice would make; a hit on the
+    // template's own id proves the phase shape and every context input
+    // equal to the template's (nothing else looks up on this seat, and a
+    // fault-epoch change empties it), and with them every slice.
+    let template = out
+        .plan
+        .filter(|_| out.steady && !switched_in && cycles_avail >= 1.0);
+    if let (Some(template), Some(ph)) = (template, task.current.as_ref()) {
+        if ph.instructions > out.inst_total {
+            let (id, hit) = seat.plan.lookup(ph, ctx);
+            if hit && id == template {
+                apply_template(task, out, ct_idx);
+                #[cfg(test)]
+                {
+                    out.slices = 0;
+                }
+                record_plan_stats(seat, now, cpu, plan_stats0);
+                return;
+            }
+            plan = Some(id);
+        }
+    }
+
+    *out = CoreOut::default();
+    // Context-switch and migration accounting.
     let mut migrated = false;
     if let Some(last) = task.last_cpu {
         if last != cpu {
@@ -1966,18 +2078,15 @@ fn exec_core(
     // context switch): exactly those ticks are input-identical to the
     // next one modulo the shrinking instruction count.
     out.steady = !switched_in && task.current.is_some();
-    // The seat-cache plan of `task.current`, looked up once per installed
-    // phase (and once for a phase carried into the tick): the phase shape
-    // and `ctx` stay fixed until the phase completes, and a re-installed
-    // spin chunk keeps its predecessor's.
-    let mut plan: Option<PlanId> = None;
     // The program's last `Op::Spin` phase. Until this call returns no
     // other task runs and `now` stands still, so polling again would give
     // the same answer: each finished chunk is re-installed instead.
     let mut spin: Option<Phase> = None;
+    let mut sums = TickSums::default();
+    let mut pressure = 0.0;
 
     loop {
-        let budget = cycles_avail - used;
+        let budget = cycles_avail - sums.used;
         if budget < 1.0 {
             break;
         }
@@ -2051,10 +2160,14 @@ fn exec_core(
             let id = *plan.get_or_insert_with(|| seat.plan.plan(ph, ctx));
             exec::advance_with_plan(ph, budget, ctx, &mut seat.plan, id)
         };
+        #[cfg(test)]
+        {
+            out.slices += 1;
+        }
         if res.instructions == 0 {
             // Cannot fit even one instruction in the leftover budget:
             // burn it (partial-cycle stall).
-            used = cycles_avail;
+            sums.used = cycles_avail;
             break;
         }
         ph.instructions -= res.instructions;
@@ -2069,38 +2182,38 @@ fn exec_core(
             }
             out.steady = false;
         }
-        if (out.n_iters as usize) < STEADY_ITERS {
-            out.flops_iters[out.n_iters as usize] = res.flops;
-            out.n_iters += 1;
-        } else {
-            out.steady = false;
-        }
-        out.inst_total += res.instructions;
-        out.cycles_total += res.cycles;
-        task.stats.instructions += res.instructions;
-        task.stats.cycles += res.cycles;
-        task.stats.flops += res.flops;
-        task.stats.instructions_by_type[ct_idx] += res.instructions;
-        used += res.cycles as f64;
-        // Activity factor: vector-dense work toggles more silicon;
-        // memory-stalled cycles toggle much less.
-        let stall_frac =
-            (res.events.get(ArchEvent::MemStallCycles) as f64 / res.cycles.max(1) as f64).min(1.0);
-        let mix_act = 0.55 + 0.45 * (vec_frac / 0.6).min(1.0);
-        act_cycles += res.cycles as f64 * (mix_act * (1.0 - stall_frac) + 0.35 * stall_frac);
-        tick_events.add(&res.events);
-        mem_bytes += res.mem_bytes;
+        sums.account(task, out, ct_idx, &res, vec_frac, 1);
         if let Some(cur) = task.current.as_ref() {
             pressure = match plan {
                 Some(id) => seat.plan.pressure(id),
                 None => exec::llc_pressure(cur, ctx.uarch, ctx.llc_share_bytes),
             };
+            continue;
+        }
+        // A whole spin chunk just retired in one slice: every further
+        // chunk the budget fits whole is re-installed and sliced to this
+        // same result, so apply it once per such chunk in closed form and
+        // leave only the last, partial chunk to the engine.
+        if let (Some(chunk), Some(id)) = (&spin, plan) {
+            if res.instructions == chunk.instructions {
+                let (mut n, mut used) = (0, sums.used);
+                while cycles_avail - used >= 1.0
+                    && exec::retires_whole(cycles_avail - used, &seat.plan, id, chunk.instructions)
+                {
+                    used += res.cycles as f64;
+                    n += 1;
+                }
+                if n > 0 {
+                    sums.account(task, out, ct_idx, &res, vec_frac, n);
+                }
+            }
         }
     }
     if out.ctrl.is_some() || task.current.is_none() {
         out.steady = false;
     }
 
+    let used = sums.used;
     let util = (used / cycles_avail).clamp(0.0, 1.0);
     let ran_ns = (dt as f64 * util) as u64;
     task.stats.runtime_ns += ran_ns;
@@ -2109,22 +2222,34 @@ fn exec_core(
     out.run_ns = ran_ns;
     out.load = CpuLoad {
         util,
-        activity: if used > 0.0 { act_cycles / used } else { 0.0 },
-        mem_bytes,
+        activity: if used > 0.0 {
+            sums.act_cycles / used
+        } else {
+            0.0
+        },
+        mem_bytes: sums.mem_bytes,
         llc_pressure: pressure,
     };
-    out.delta = tick_events;
+    out.delta = sums.events;
+    out.plan = plan;
+    record_plan_stats(seat, now, cpu, plan_stats0);
+}
 
-    if let Some((h0, m0)) = plan_stats0 {
-        let (h1, m1) = seat.plan.stats();
-        if h1 > h0 {
-            seat.trace
-                .record(now, EventKind::PlanHit, cpu.0 as u32, h1 - h0, 0);
-        }
-        if m1 > m0 {
-            seat.trace
-                .record(now, EventKind::PlanMiss, cpu.0 as u32, m1 - m0, 0);
-        }
+/// Record this tick's plan-cache hits and misses on the seat's track,
+/// given the seat's `(hits, misses)` before the tick (taken only when
+/// tracing is on).
+fn record_plan_stats(seat: &mut CoreSeat, now: Nanos, cpu: CpuId, before: Option<(u64, u64)>) {
+    let Some((h0, m0)) = before else {
+        return;
+    };
+    let (h1, m1) = seat.plan.stats();
+    if h1 > h0 {
+        seat.trace
+            .record(now, EventKind::PlanHit, cpu.0 as u32, h1 - h0, 0);
+    }
+    if m1 > m0 {
+        seat.trace
+            .record(now, EventKind::PlanMiss, cpu.0 as u32, m1 - m0, 0);
     }
 }
 
@@ -2897,13 +3022,23 @@ mod tests {
         // chunk in between; the oracle polls after every chunk. Either
         // way two more polls follow: the one that sees the deadline and
         // the one that exits. Everything the task did is identical.
+        //
+        // Nor is the engine run per chunk: after the first whole chunk of
+        // a tick, the fast path applies every further whole chunk in
+        // closed form, so a tick slices at most three times (the chunk
+        // carried in, the polled one, the last partial one).
         let run = |uncached| {
             let (mut k, pid, polls) = deadline_spinner(uncached);
-            k.run_to_completion(1_000_000_000);
-            (k.task_stats(pid).unwrap(), polls_of(&polls), k.time_ns())
+            let mut max_slices = 0;
+            while !k.all_exited() && k.time_ns() < 1_000_000_000 {
+                k.tick();
+                max_slices = max_slices.max(k.scratch.outs[0].slices);
+            }
+            let stats = k.task_stats(pid).unwrap();
+            (stats, polls_of(&polls), k.time_ns(), max_slices)
         };
-        let (fast, fast_polls, fast_end) = run(false);
-        let (oracle, oracle_polls, oracle_end) = run(true);
+        let (fast, fast_polls, fast_end, fast_slices) = run(false);
+        let (oracle, oracle_polls, oracle_end, oracle_slices) = run(true);
         assert_eq!(fast, oracle);
         assert_eq!(fast_end, oracle_end);
         let spun = fast.instructions - 1_000_000;
@@ -2912,6 +3047,8 @@ mod tests {
         assert!(chunks > 100, "only {chunks} chunks in 10 ticks");
         assert_eq!(fast_polls, 10 + 2);
         assert_eq!(oracle_polls, chunks + 2);
+        assert!(fast_slices <= 3, "{fast_slices} slices in one tick");
+        assert!(oracle_slices > 10, "the oracle slices every chunk");
     }
 
     #[test]
@@ -2998,6 +3135,267 @@ mod tests {
         assert_eq!(batched.macro_stats(), (0, 5));
         assert_eq!(batched.task_stats(bpid), k.task_stats(pid));
         assert_eq!(polls_of(&bpolls), polls_of(&polls));
+    }
+
+    /// Whether `cpu`'s last tick re-applied its template instead of
+    /// slicing.
+    fn replayed(k: &Kernel, cpu: usize) -> bool {
+        let out = &k.scratch.outs[cpu];
+        out.steady && out.slices == 0
+    }
+
+    /// Every task's stats and each fd's count: what the template-replay
+    /// tests compare against the oracle.
+    fn observe(k: &mut Kernel, fds: &[EventFd]) -> (Vec<TaskStats>, Vec<u64>) {
+        let stats = (0..k.tasks.len() as u32)
+            .filter_map(|p| k.task_stats(Pid(p)))
+            .collect();
+        let counts = fds
+            .iter()
+            .map(|&fd| k.read_event(fd).unwrap().value)
+            .collect();
+        (stats, counts)
+    }
+
+    /// Open counting instructions, cycles and context switches on `cpu`.
+    fn open_cpu_counters(k: &mut Kernel, cpu: usize) -> Vec<EventFd> {
+        let core = k
+            .pmus()
+            .iter()
+            .find(|p| p.kind == PmuKind::CoreHw && p.cpus.contains(CpuId(cpu)))
+            .unwrap()
+            .id;
+        let sw = k.pmu_by_name("software").unwrap().id;
+        let attrs = [
+            PerfAttr::counting(core, ArchEvent::Instructions),
+            PerfAttr::counting(core, ArchEvent::Cycles),
+            PerfAttr {
+                config: EventConfig::SwContextSwitches,
+                ..PerfAttr::counting(sw, ArchEvent::Instructions)
+            },
+        ];
+        attrs
+            .into_iter()
+            .map(|attr| {
+                let fd = k
+                    .perf_event_open(attr, Target::Cpu(CpuId(cpu)), None)
+                    .unwrap();
+                k.ioctl_enable(fd, false).unwrap();
+                fd
+            })
+            .collect()
+    }
+
+    /// Skylake-quad with one scalar phase of `inst` instructions pinned to
+    /// cpu0, followed by a short scalar phase and an exit.
+    fn lone_scalar(uncached: bool, inst: u64) -> (Kernel, Pid) {
+        let mut k = Kernel::boot(MachineSpec::skylake_quad(), KernelConfig::default());
+        k.uncached = uncached;
+        let pid = k.spawn(
+            "lone",
+            Box::new(ScriptedProgram::new([
+                Op::Compute(Phase::scalar(inst)),
+                Op::Compute(Phase::scalar(3_000_000)),
+                Op::Exit,
+            ])),
+            CpuMask::from_cpus([0]),
+            0,
+        );
+        (k, pid)
+    }
+
+    /// Tick until the last two `end_tick`s both left the exec epoch
+    /// unmoved, so the last tick could replay and so could the next one.
+    /// Returns the ticks run.
+    fn tick_until_context_holds(k: &mut Kernel) -> u64 {
+        let mut quiet = 0;
+        for t in 1..=2_000 {
+            let epoch = k.machine().exec_epoch();
+            k.tick();
+            quiet = if k.machine().exec_epoch() == epoch {
+                quiet + 1
+            } else {
+                0
+            };
+            if quiet >= 2 && t >= 3 {
+                return t;
+            }
+        }
+        panic!("the exec context never held for two ticks");
+    }
+
+    #[test]
+    fn a_lone_steady_phase_replays_whenever_its_context_holds() {
+        // A pinned scalar phase alone on raptor. From the third tick on,
+        // the previous tick was a steady template, so every tick whose
+        // predecessor's `end_tick` left the exec epoch unmoved re-applies
+        // it, and the whole run stays identical to the oracle's.
+        let run = |uncached: bool| {
+            let mut k = raptor();
+            k.uncached = uncached;
+            spawn_loop(&mut k, CpuMask::from_cpus([0]), 50_000_000_000);
+            let fds = open_cpu_counters(&mut k, 0);
+            let (mut eligible, mut replays) = (0, 0);
+            let mut before = k.machine().exec_epoch();
+            let mut held = false;
+            for t in 0..400 {
+                k.tick();
+                if t >= 2 && held {
+                    eligible += 1;
+                    assert!(uncached || replayed(&k, 0), "tick {t} did not replay");
+                }
+                replays += replayed(&k, 0) as u64;
+                held = k.machine().exec_epoch() == before;
+                before = k.machine().exec_epoch();
+            }
+            (observe(&mut k, &fds), eligible, replays)
+        };
+        let (fast, eligible, replays) = run(false);
+        let (oracle, oracle_eligible, oracle_replays) = run(true);
+        assert_eq!(fast, oracle);
+        assert_eq!(eligible, oracle_eligible);
+        assert_eq!(oracle_replays, 0);
+        assert!(eligible > 200, "only {eligible} ticks kept their context");
+        assert!(replays >= eligible);
+    }
+
+    #[test]
+    fn a_template_is_not_replayed_once_the_smt_sibling_changes() {
+        // cpu0 replays its lone scalar phase; then a task lands on its SMT
+        // sibling. The last `end_tick` moved nothing, so cpu0's context
+        // differs from its template's only in the SMT factor, which the
+        // plan key holds: the lookup misses and the tick runs in full.
+        let settle = tick_until_context_holds(&mut lone_scalar(false, 50_000_000_000).0);
+        let run = |uncached: bool| {
+            let (mut k, _) = lone_scalar(uncached, 50_000_000_000);
+            let sibling = k.machine().cpu_info(CpuId(0)).smt_sibling.unwrap();
+            let fds = open_cpu_counters(&mut k, 0);
+            for _ in 0..settle {
+                k.tick();
+            }
+            assert!(uncached || replayed(&k, 0));
+            k.spawn(
+                "sibling",
+                Box::new(ScriptedProgram::new([Op::Compute(Phase::scalar(
+                    50_000_000_000,
+                ))])),
+                CpuMask::from_cpus([sibling.0]),
+                0,
+            );
+            k.tick();
+            assert_eq!(k.current[sibling.0], Some(Pid(1)));
+            assert!(!replayed(&k, 0), "replayed a template of a lone core");
+            for _ in 0..20 {
+                k.tick();
+            }
+            observe(&mut k, &fds)
+        };
+        assert_eq!(run(false), run(true));
+    }
+
+    #[test]
+    fn a_template_is_not_replayed_onto_the_phases_last_tick() {
+        // Probe how far the phase gets by a tick that will replay, then
+        // size the phase so that exactly one template's worth is left
+        // there: that tick must run in full, finish the phase and pull the
+        // next one, as the oracle does.
+        let (mut probe, ppid) = lone_scalar(false, 50_000_000_000);
+        let settle = tick_until_context_holds(&mut probe);
+        let per_tick = probe.scratch.outs[0].inst_total;
+        let inst = probe.task_stats(ppid).unwrap().instructions + per_tick;
+        let run = |uncached: bool| {
+            let (mut k, pid) = lone_scalar(uncached, inst);
+            let fds = open_cpu_counters(&mut k, 0);
+            for _ in 0..settle {
+                k.tick();
+            }
+            let left = k.tasks[pid.0 as usize]
+                .as_ref()
+                .unwrap()
+                .current
+                .as_ref()
+                .unwrap();
+            assert_eq!(left.instructions, per_tick);
+            if !uncached {
+                assert!(replayed(&k, 0));
+                assert_eq!(k.scratch.outs[0].inst_total, per_tick);
+            }
+            k.tick();
+            assert!(!replayed(&k, 0), "replayed past the end of the phase");
+            for _ in 0..10 {
+                k.tick();
+            }
+            observe(&mut k, &fds)
+        };
+        assert_eq!(run(false), run(true));
+    }
+
+    #[test]
+    fn a_template_is_not_replayed_across_a_fault() {
+        // A fault that changes nothing the exec model reads still bumps the
+        // fault epoch, which empties the seat's plan cache: the next lookup
+        // misses and the tick runs in full. The tick after it hits the
+        // rebuilt plan and replays again.
+        let settle = tick_until_context_holds(&mut lone_scalar(false, 50_000_000_000).0);
+        let run = |uncached: bool| {
+            let (mut k, _) = lone_scalar(uncached, 50_000_000_000);
+            let fds = open_cpu_counters(&mut k, 0);
+            k.install_faults(&FaultPlan::new(7).at(
+                settle * k.config().tick_ns,
+                FaultKind::SysfsFlaky { dur_ns: 1_000_000 },
+            ));
+            for _ in 0..settle {
+                k.tick();
+            }
+            assert!(uncached || replayed(&k, 0));
+            let epoch = k.machine().exec_epoch();
+            k.tick();
+            assert_eq!(k.fault_log().len(), 1);
+            assert!(!replayed(&k, 0), "replayed across a fault");
+            let held = k.machine().exec_epoch() == epoch;
+            k.tick();
+            assert!(uncached || !held || replayed(&k, 0));
+            for _ in 0..10 {
+                k.tick();
+            }
+            observe(&mut k, &fds)
+        };
+        assert_eq!(run(false), run(true));
+    }
+
+    #[test]
+    fn a_template_is_not_replayed_for_a_task_switched_in() {
+        // Two tasks with the same scalar phase share cpu0. When one is
+        // switched in, the slot holds the other's steady template, and its
+        // lookup hits that very plan (same shape, same context): only the
+        // switch-in refuses the template, and the tick counts the context
+        // switch as the oracle does.
+        let run = |uncached: bool| {
+            let mut k = Kernel::boot(MachineSpec::skylake_quad(), KernelConfig::default());
+            k.uncached = uncached;
+            for _ in 0..2 {
+                spawn_loop(&mut k, CpuMask::from_cpus([0]), 50_000_000_000);
+            }
+            let fds = open_cpu_counters(&mut k, 0);
+            let mut refused = 0;
+            for _ in 0..300 {
+                let steady = k.scratch.outs[0].steady;
+                let (hits, misses) = k.plan_cache_stats();
+                k.tick();
+                let out = &k.scratch.outs[0];
+                if steady && out.sw.switched_in && k.plan_cache_stats() == (hits + 1, misses) {
+                    refused += 1;
+                }
+            }
+            (observe(&mut k, &fds), refused)
+        };
+        let (fast, refused) = run(false);
+        let (oracle, _) = run(true);
+        assert_eq!(fast, oracle);
+        assert!(
+            refused > 10,
+            "only {refused} switch-ins hit the template's plan"
+        );
     }
 
     #[test]

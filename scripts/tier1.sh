@@ -53,6 +53,14 @@ cargo build --offline --workspace --all-targets
 echo "== test (offline, full workspace) =="
 cargo test --offline --workspace
 
+echo "== perfbench helper tests (builds the benchmark) =="
+# perfbench is a package of its own (outside the workspace) that the
+# benchmark in BENCHMARK.json runs. Building and testing it here makes a
+# change that breaks its build, or drifts its emitted metric names and
+# units from BENCHMARK.json's (one of its helper tests checks that),
+# fail tier 1 instead of the benchmark run.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== clippy (first-party, -D warnings) =="
 args=()
 for c in "${FIRST_PARTY[@]}"; do args+=(-p "$c"); done
@@ -73,8 +81,12 @@ cargo bench --offline --workspace --no-run
 echo "== tick throughput (quick, emits BENCH_tick.json) =="
 # Perf *baseline*, not a gate: batched and single-tick ticks/sec per preset
 # (with host_cpus) land in BENCH_tick.json for future PRs to diff. The only
-# hard assertion inside is macro_counter_drift == 0 (the macro-tick run must
-# match the single-tick run bit-for-bit).
+# hard assertion inside is macro_counter_drift == 0: the macro-tick run
+# must match the single-tick run bit for bit. Single ticks are not full
+# execution either (a CPU whose last tick was a steady template replays
+# it), so this compares macro spans against per-CPU replay; the reference
+# that executes every slice is the uncached oracle behind the kernel's
+# `plan_cache_equals_uncached` proptest, run by the test step above.
 cargo run --offline --release -p bench-harness --bin tickbench -- --quick
 
 echo "== exec hot path (quick, emits BENCH_exec.json) =="

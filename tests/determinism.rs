@@ -582,26 +582,58 @@ fn cfs_like_matches_pre_simsched_goldens() {
 /// workers claim chunks and meet at barriers through run state they share
 /// from inside execution, so any per-CPU execution order that depends on
 /// host timing moves both numbers.
+///
+/// Beyond those two it pins what the OpenBLAS spin-waits and the steady
+/// dgemm ticks feed into the rest of the machine: the summed task cycles
+/// and runtimes, every task's f64 flops (bit for bit, folded in pid
+/// order), and the package energy that the per-tick activity factor
+/// drives through power and RAPL.
 #[test]
 fn default_config_hpl_matches_serial_golden() {
     use telemetry::{monitored_hpl_run, DriverConfig};
     use workloads::hpl::{HplConfig, HplVariant};
-    // (variant, Gflops bits, instructions per core type [P, E, Mid, Uniform])
-    let goldens: [(HplVariant, u64, [u64; 4]); 2] = [
+    /// What one variant's run pins.
+    #[derive(Debug, PartialEq, Eq)]
+    struct HplGolden {
+        gflops_bits: u64,
+        /// Instructions per core type [P, E, Mid, Uniform].
+        by_type: [u64; 4],
+        /// Σ `TaskStats::cycles` over every task.
+        cycles: u64,
+        /// Σ `TaskStats::runtime_ns` over every task.
+        runtime_ns: u64,
+        /// FNV-1a over every task's `TaskStats::flops` bits, in pid order.
+        flops_fnv: u64,
+        /// Package energy at the end of the run, µJ.
+        pkg_uj: u64,
+    }
+    let goldens: [(HplVariant, HplGolden); 2] = [
         // 255.92570542372883 Gflops
         (
             HplVariant::IntelMkl,
-            4643208601810965669,
-            [7_499_492_336, 3_022_106_416, 0, 0],
+            HplGolden {
+                gflops_bits: 4643208601810965669,
+                by_type: [7_499_492_336, 3_022_106_416, 0, 0],
+                cycles: 4_042_649_699,
+                runtime_ns: 1_499_000_942,
+                flops_fnv: 9283650384865654871,
+                pkg_uj: 8_751_992,
+            },
         ),
         // 188.74520775 Gflops
         (
             HplVariant::OpenBlas,
-            4640844898183700281,
-            [19_767_189_168, 7_645_189_168, 0, 0],
+            HplGolden {
+                gflops_bits: 4640844898183700281,
+                by_type: [19_767_189_168, 7_645_189_168, 0, 0],
+                cycles: 8_730_278_512,
+                runtime_ns: 2_597_883_077,
+                flops_fnv: 14980464186153028694,
+                pkg_uj: 16_424_795,
+            },
         ),
     ];
-    for (variant, gflops_bits, by_type) in goldens {
+    for (variant, golden) in goldens {
         let kernel =
             Kernel::boot_handle(MachineSpec::raptor_lake_i7_13700(), KernelConfig::default());
         let run = monitored_hpl_run(
@@ -616,10 +648,27 @@ fn default_config_hpl_matches_serial_golden() {
             0,
         );
         let gflops = run.gflops.expect("HPL finishes");
+        let k = kernel.lock();
+        let (mut cycles, mut runtime_ns, mut flops) = (0u64, 0u64, Fnv::new());
+        let mut pid = 0;
+        while let Some(s) = k.task_stats(Pid(pid)) {
+            cycles += s.cycles;
+            runtime_ns += s.runtime_ns;
+            flops.f64(s.flops);
+            pid += 1;
+        }
+        let got = HplGolden {
+            gflops_bits: gflops.to_bits(),
+            by_type: run.instructions_by_type,
+            cycles,
+            runtime_ns,
+            flops_fnv: flops.0,
+            pkg_uj: k.machine().energy_uj(RaplDomain::Package),
+        };
         assert_eq!(
-            (gflops.to_bits(), run.instructions_by_type),
-            (gflops_bits, by_type),
-            "{}: {gflops} Gflops diverged from the serial golden",
+            got,
+            golden,
+            "{}: {gflops} Gflops run diverged from the serial golden",
             variant.name()
         );
     }
