@@ -9,7 +9,7 @@
 //!     the per-batch cost `exec_core` pays on every CPU on every tick.
 //!  2. The legacy per-tick serial tick rate: the exact pre-PR tickbench
 //!     workload (one 200k-instruction dgemm worker per CPU, plain `tick()`
-//!     loop, no macro-tick coalescing) on `raptor_lake_i7_13700`. The gate
+//!     loop) on `raptor_lake_i7_13700`. The gate
 //!     floor is the rate this host recorded *before* the plan cache landed.
 //!
 //! Knobs: `--quick` (300 timed ticks instead of 1500).
@@ -43,7 +43,8 @@ fn ns_per_call(mut f: impl FnMut()) -> f64 {
 }
 
 /// The pre-PR tickbench shape: micro-phases that complete every tick, so
-/// neither macro-ticks nor the one-deep result memo can hide model cost.
+/// neither per-CPU template replay nor the one-deep result memo can hide
+/// model cost.
 fn per_tick_serial_tps(warmup: usize, ticks: usize) -> f64 {
     let mut k = Kernel::boot(MachineSpec::raptor_lake_i7_13700(), KernelConfig::default());
     let n = k.machine().n_cpus();

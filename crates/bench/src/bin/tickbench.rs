@@ -1,25 +1,22 @@
-//! Tick-throughput benchmark: batched vs single-tick, per preset.
+//! Tick-throughput benchmark: `Kernel::tick()` per preset.
 //!
-//! Emits `BENCH_tick.json` so future PRs have a perf baseline to regress
-//! against (`scripts/tier1.sh` runs this in `--quick` mode). For each
-//! machine preset it boots a fully loaded kernel (one immortal dgemm-ish
-//! worker per CPU, phases long enough to span many ticks like the paper's
-//! HPL runs) and measures ticks/second through the production pump —
-//! `tick_batch` with the default `MacroTicks::Auto` coalescing — plus a
-//! `MacroTicks::Off` single-tick baseline. Cross-check: both runs must
-//! retire bit-identical instruction counts (`macro_counter_drift` must be
-//! 0). The exec-plan cache hit rate and macro-tick coverage
-//! (replayed/total in the timed window) are reported per preset, with
-//! `host_cpus` recorded beside them. The warmup rides out the DVFS slew
-//! ramp (~143 ticks), which is correctly non-coalescible.
+//! Emits `BENCH_tick.json`, the tick baseline later changes diff against
+//! (`scripts/tier1.sh` runs this in `--quick` mode). For each machine
+//! preset it boots a fully loaded kernel (one immortal dgemm-ish worker
+//! per CPU, phases long enough to span many ticks like the paper's HPL
+//! runs), ticks past the DVFS slew ramp (~143 ticks), and measures
+//! ticks/second of `tick()`. After the ramp nearly every busy CPU replays
+//! its last tick (per-CPU template replay, DESIGN.md §9), so this measures
+//! that path. The exec-plan cache hit rate over the whole run is reported
+//! per preset, with `host_cpus` recorded beside them.
 //!
 //! Knobs: `--quick` (300 timed ticks instead of 2000).
 //!
 //! `--trace-smoke` runs the observability acceptance check instead of the
 //! benchmark: a 400-tick raptor run with the flight recorder on, a full
 //! fault plan and a live PAPI eventset, exported as Chrome trace-event
-//! JSON and validated with `jsonw::validate` (per-CPU tracks, fault and
-//! macro-tick span events present).
+//! JSON and validated with `jsonw::validate` (per-CPU tracks and fault
+//! events present).
 
 use metricsd::wire::{Request, Response};
 use metricsd::{Daemon, DaemonConfig, MetricsClient};
@@ -29,23 +26,19 @@ use simcpu::machine::MachineSpec;
 use simcpu::phase::Phase;
 use simcpu::types::{CpuId, CpuMask};
 use simos::faults::{FaultKind, FaultPlan, TransientErrno};
-use simos::kernel::{Kernel, KernelConfig, MacroTicks};
+use simos::kernel::{Kernel, KernelConfig};
 use simos::task::{Op, Pid, ScriptedProgram};
 use simtrace::{EventKind, TraceConfig};
 use std::time::Instant;
 
-struct ModeResult {
+struct PresetResult {
     ticks_per_s: f64,
-    /// Total retired instructions across all tasks (drift detector).
-    instructions: u64,
     /// Exec-plan cache hit rate over the whole run, 0.0 if never probed.
     plan_hit_rate: f64,
-    /// Replayed / total ticks in the timed window.
-    coverage: f64,
 }
 
-fn load_kernel(spec: MachineSpec, cfg: KernelConfig) -> Kernel {
-    let mut k = Kernel::boot(spec, cfg);
+fn load_kernel(spec: MachineSpec) -> Kernel {
+    let mut k = Kernel::boot(spec, KernelConfig::default());
     let n = k.machine().n_cpus();
     for i in 0..n {
         // A blocked dgemm-like phase, long enough to outlive the run: each
@@ -63,38 +56,26 @@ fn load_kernel(spec: MachineSpec, cfg: KernelConfig) -> Kernel {
     k
 }
 
-fn total_instructions(k: &Kernel) -> u64 {
-    let mut instructions = 0u64;
-    let mut pid = 0;
-    while let Some(s) = k.task_stats(Pid(pid)) {
-        instructions += s.instructions;
-        pid += 1;
-    }
-    instructions
-}
-
-fn run_mode(spec: MachineSpec, cfg: KernelConfig, warmup: usize, ticks: usize) -> ModeResult {
-    let mut k = load_kernel(spec, cfg);
-    // Per-tick warmup past the DVFS slew ramp so the timed window measures
-    // the steady state; `tick()` never coalesces.
+fn run_preset(spec: MachineSpec, warmup: usize, ticks: usize) -> PresetResult {
+    let mut k = load_kernel(spec);
+    // Warm up past the DVFS slew ramp so the timed window measures the
+    // steady state.
     for _ in 0..warmup + 200 {
         k.tick();
     }
-    let (replayed_before, _) = k.macro_stats();
     let start = Instant::now();
-    k.tick_batch(ticks as u64);
+    for _ in 0..ticks {
+        k.tick();
+    }
     let secs = start.elapsed().as_secs_f64();
-    let (replayed_after, _) = k.macro_stats();
     let (hits, misses) = k.plan_cache_stats();
-    ModeResult {
+    PresetResult {
         ticks_per_s: ticks as f64 / secs.max(1e-9),
-        instructions: total_instructions(&k),
         plan_hit_rate: if hits + misses == 0 {
             0.0
         } else {
             hits as f64 / (hits + misses) as f64
         },
-        coverage: (replayed_after - replayed_before) as f64 / ticks as f64,
     }
 }
 
@@ -152,8 +133,6 @@ fn trace_smoke() {
     let kernel = Kernel::boot_handle(
         MachineSpec::raptor_lake_i7_13700(),
         KernelConfig {
-            macro_ticks: MacroTicks::Auto,
-            seed: 0x5eed_cafe,
             trace: TraceConfig::enabled_with_cap(1 << 16),
             ..Default::default()
         },
@@ -161,9 +140,9 @@ fn trace_smoke() {
     let n = {
         let mut k = kernel.lock();
         let n = k.machine().n_cpus();
-        // Immortal pinned workers make the tail of the run quiescent
-        // (macro-span admits + replays); a few short free tasks churn the
-        // scheduler early (migrations, plan misses).
+        // Immortal pinned workers replay their ticks once the DVFS ramp
+        // settles (plan hits); a few short free tasks churn the scheduler
+        // early (migrations, plan misses).
         for i in 0..n {
             k.spawn(
                 &format!("w{i}"),
@@ -230,9 +209,6 @@ fn trace_smoke() {
     for required in [
         EventKind::TickBegin,
         EventKind::TickEnd,
-        EventKind::MacroSpanAdmit,
-        EventKind::MacroSpanReject,
-        EventKind::MacroReplay,
         EventKind::PlanHit,
         EventKind::DvfsTransition,
         EventKind::FaultCpuOffline,
@@ -276,7 +252,6 @@ fn daemon_span_smoke() {
     let kernel = Kernel::boot_handle(
         MachineSpec::skylake_quad(),
         KernelConfig {
-            seed: 0x5eed_cafe,
             trace: trace_cfg.clone(),
             ..Default::default()
         },
@@ -384,33 +359,16 @@ fn main() {
 
     println!("tickbench: {ticks} timed ticks/preset, host_cpus={host_cpus}");
     for (name, spec) in presets.iter() {
-        let cfg = |macro_ticks| KernelConfig {
-            macro_ticks,
-            ..Default::default()
-        };
-        let batched = run_mode(spec(), cfg(MacroTicks::Auto), warmup, ticks);
-        let single = run_mode(spec(), cfg(MacroTicks::Off), warmup, ticks);
-        let macro_speedup = batched.ticks_per_s / single.ticks_per_s;
-        let macro_drift = batched.instructions.abs_diff(single.instructions);
+        let r = run_preset(spec(), warmup, ticks);
         println!(
-            "  {name:<22} batched {:>10.1} t/s   1-tick {:>10.1} t/s   macro speedup {macro_speedup:>6.2}x   drift {macro_drift}   coverage {:.1}%   plan hits {:.1}%",
-            batched.ticks_per_s,
-            single.ticks_per_s,
-            100.0 * batched.coverage,
-            100.0 * batched.plan_hit_rate
-        );
-        assert_eq!(
-            macro_drift, 0,
-            "{name}: macro-tick run drifted from single-tick run"
+            "  {name:<22} {:>10.1} t/s   plan hits {:.1}%",
+            r.ticks_per_s,
+            100.0 * r.plan_hit_rate
         );
         w.key(name);
         w.begin_obj();
-        w.field_f64("serial_ticks_per_s", round2(batched.ticks_per_s));
-        w.field_f64("single_tick_ticks_per_s", round2(single.ticks_per_s));
-        w.field_f64("macro_speedup", round3(macro_speedup));
-        w.field_f64("macro_coverage", round4(batched.coverage));
-        w.field_u64("macro_counter_drift", macro_drift);
-        w.field_f64("plan_hit_rate", round4(batched.plan_hit_rate));
+        w.field_f64("ticks_per_s", round2(r.ticks_per_s));
+        w.field_f64("plan_hit_rate", round4(r.plan_hit_rate));
         w.end_obj();
     }
     w.end_obj();
@@ -424,10 +382,6 @@ fn main() {
 
 fn round2(v: f64) -> f64 {
     (v * 100.0).round() / 100.0
-}
-
-fn round3(v: f64) -> f64 {
-    (v * 1000.0).round() / 1000.0
 }
 
 fn round4(v: f64) -> f64 {

@@ -14,9 +14,8 @@
 //! Determinism: a rollup is a pure function of the pump schedule and
 //! the serving outcome. Histograms merge bucket-wise and the breach
 //! exemplar is the max by `(latency, trace_id)` — order-free reductions
-//! — so the history and every query reply are bit-identical across
-//! Auto/Off macro-ticks (asserted against pinned values in
-//! `tests/history.rs`).
+//! — so the history and every query reply are bit-identical from run to
+//! run (asserted against pinned values in `tests/history.rs`).
 //!
 //! The **SLO watchdog** evaluates declarative [`SloSpec`] targets over
 //! a trailing window of tier-0 frames after every push. A breached

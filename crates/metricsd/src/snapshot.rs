@@ -217,10 +217,9 @@ impl Collector {
 
     fn sample(&mut self, ticks: u32) -> Arc<TickSnapshot> {
         let mut k = self.kernel.lock();
-        // The batched pump: quiescent spans inside the window are
-        // fast-forwarded as macro-ticks (bit-identical by construction;
-        // see DESIGN.md §9), so an idle or steady-state daemon pays far
-        // less than `ticks` single steps per pump.
+        // One `tick()` per tick of the window: faults, scheduling, perf and
+        // the hardware tick run every time, and a CPU that repeats its last
+        // tick replays it (DESIGN.md §9).
         k.tick_batch(ticks as u64);
         let time_ns = k.time_ns();
 
@@ -450,8 +449,9 @@ mod tests {
     use simos::kernel::{Kernel, KernelConfig};
     use simos::task::{Op, ScriptedProgram};
 
-    fn boot_with_work_cfg(cfg: KernelConfig) -> KernelHandle {
-        let kernel = Kernel::boot_handle(MachineSpec::raptor_lake_i7_13700(), cfg);
+    fn boot_with_work() -> KernelHandle {
+        let kernel =
+            Kernel::boot_handle(MachineSpec::raptor_lake_i7_13700(), KernelConfig::default());
         kernel.lock().spawn(
             "w0",
             Box::new(ScriptedProgram::new([
@@ -471,59 +471,6 @@ mod tests {
             0,
         );
         kernel
-    }
-
-    fn boot_with_work() -> KernelHandle {
-        boot_with_work_cfg(KernelConfig::default())
-    }
-
-    /// Macro-tick coalescing inside the pump must be invisible to clients:
-    /// every snapshot field — counters, telemetry, quality flags — matches
-    /// a single-tick collector pump-for-pump, faults included.
-    #[test]
-    fn collector_macro_ticks_match_single_ticks() {
-        use simos::faults::{FaultKind, FaultPlan};
-        use simos::kernel::MacroTicks;
-        let run = |macro_ticks: MacroTicks| {
-            let kernel = boot_with_work_cfg(KernelConfig {
-                macro_ticks,
-                ..Default::default()
-            });
-            kernel.lock().install_faults(
-                &FaultPlan::new(11)
-                    .at(
-                        60_000_000,
-                        FaultKind::CpuOffline {
-                            cpu: CpuId(17),
-                            down_ns: Some(100_000_000),
-                        },
-                    )
-                    .at(150_000_000, FaultKind::SysfsFlaky { dur_ns: 45_000_000 }),
-            );
-            let mut c = Collector::new(kernel);
-            (0..40).map(|_| c.advance(10)).collect::<Vec<_>>()
-        };
-        let coalesced = run(MacroTicks::Auto);
-        let off = run(MacroTicks::Off);
-        for (f, o) in coalesced.iter().zip(&off) {
-            assert_eq!(f.time_ns, o.time_ns);
-            assert_eq!(f.temp_mc, o.temp_mc, "pump {}", f.tick);
-            assert_eq!(f.energy_pkg_uj, o.energy_pkg_uj, "pump {}", f.tick);
-            assert_eq!(f.sysfs_gaps, o.sysfs_gaps, "pump {}", f.tick);
-            assert_eq!(f.gap, o.gap, "pump {}", f.tick);
-            for (i, (fc, oc)) in f.cpus.iter().zip(&o.cpus).enumerate() {
-                assert_eq!(fc.online, oc.online, "pump {} cpu{i}", f.tick);
-                assert_eq!(
-                    fc.offline_epochs, oc.offline_epochs,
-                    "pump {} cpu{i}",
-                    f.tick
-                );
-                assert_eq!(fc.instructions, oc.instructions, "pump {} cpu{i}", f.tick);
-                assert_eq!(fc.cycles, oc.cycles, "pump {} cpu{i}", f.tick);
-                assert_eq!(fc.freq_khz, oc.freq_khz, "pump {} cpu{i}", f.tick);
-                assert_eq!(fc.stale, oc.stale, "pump {} cpu{i}", f.tick);
-            }
-        }
     }
 
     #[test]

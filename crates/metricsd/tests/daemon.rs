@@ -20,13 +20,7 @@ use simos::kernel::{Kernel, KernelConfig, KernelHandle};
 use simos::task::{Op, ScriptedProgram};
 
 fn boot(faults: Option<FaultPlan>) -> KernelHandle {
-    let kernel = Kernel::boot_handle(
-        MachineSpec::raptor_lake_i7_13700(),
-        KernelConfig {
-            seed: 7,
-            ..KernelConfig::default()
-        },
-    );
+    let kernel = Kernel::boot_handle(MachineSpec::raptor_lake_i7_13700(), KernelConfig::default());
     {
         let mut k = kernel.lock();
         for cpu in [0usize, 4, 16, 17] {

@@ -1,7 +1,6 @@
 //! History-store determinism: the rollup ring (and therefore every
 //! `QueryRange` answer and SLO verdict derived from it) must be a pure
-//! function of the seeded workload — bit-identical across macro-tick
-//! coalescing (Auto vs Off), equal to values pinned below, and
+//! function of the seeded workload — equal to values pinned below, and
 //! unperturbed by turning tracing on.
 //!
 //! The one deliberate knob is `serve_ns: 0`: with a zero queueing term
@@ -14,16 +13,14 @@ use metricsd::{Daemon, DaemonConfig, MetricsClient, SloSpec};
 use simcpu::machine::MachineSpec;
 use simcpu::phase::Phase;
 use simcpu::types::CpuMask;
-use simos::kernel::{Kernel, KernelConfig, KernelHandle, MacroTicks};
+use simos::kernel::{Kernel, KernelConfig, KernelHandle};
 use simos::task::{Op, ScriptedProgram};
 use simtrace::TraceConfig;
 
-fn boot(macro_ticks: MacroTicks, traced: bool) -> KernelHandle {
+fn boot(traced: bool) -> KernelHandle {
     let kernel = Kernel::boot_handle(
         MachineSpec::raptor_lake_i7_13700(),
         KernelConfig {
-            seed: 41,
-            macro_ticks,
             trace: if traced {
                 TraceConfig::enabled_with_cap(1 << 14)
             } else {
@@ -60,14 +57,14 @@ struct RunOutcome {
 
 /// One deterministic session: subscribe, read every pump for `pumps`
 /// pumps, then interrogate the history over the wire and digest it.
-fn run(macro_ticks: MacroTicks, traced: bool) -> RunOutcome {
+fn run(traced: bool) -> RunOutcome {
     let trace_cfg = if traced {
         TraceConfig::enabled_with_cap(1 << 14)
     } else {
         TraceConfig::default()
     };
     let mut daemon = Daemon::new(
-        boot(macro_ticks, traced),
+        boot(traced),
         DaemonConfig {
             serve_ns: 0,
             slos: vec![
@@ -193,31 +190,23 @@ fn run(macro_ticks: MacroTicks, traced: bool) -> RunOutcome {
 }
 
 /// Pinned outcome of [`run`]. Recorded when the daemon still sharded its
-/// sessions: 1, 4 and 8 shards all produced these values, under both
-/// macro-tick modes.
+/// sessions: 1, 4 and 8 shards all produced these values, and so did the
+/// collector with and without quiescent macro-ticks.
 const HISTORY_DIGEST: u64 = 0xc9fd_81b2_54b1_49ca;
 const COUNTERS_DIGEST: u64 = 0x96ed_2dbf_6ef3_432a;
 const P99_NS: u64 = 520_000_000;
 const BREACHES: u64 = 25;
 
-/// MacroTicks Auto and Off must both produce the pinned history digest,
-/// counters digest, p99 and breach count.
+/// The run must produce the pinned history digest, counters digest, p99
+/// and breach count.
 #[test]
-fn history_matches_pinned_values_under_both_macrotick_modes() {
-    for mt in [MacroTicks::Auto, MacroTicks::Off] {
-        let got = run(mt, false);
-        assert_eq!(got.wire_read_sum, 24, "{mt:?}");
-        assert_eq!(
-            got.history_digest, HISTORY_DIGEST,
-            "history digest drifted at {mt:?}"
-        );
-        assert_eq!(
-            got.counters_digest, COUNTERS_DIGEST,
-            "counters drifted at {mt:?}"
-        );
-        assert_eq!(got.wire_p99, P99_NS, "p99 drifted at {mt:?}");
-        assert_eq!(got.breaches, BREACHES, "breaches drifted at {mt:?}");
-    }
+fn history_matches_pinned_values() {
+    let got = run(false);
+    assert_eq!(got.wire_read_sum, 24);
+    assert_eq!(got.history_digest, HISTORY_DIGEST, "history digest drifted");
+    assert_eq!(got.counters_digest, COUNTERS_DIGEST, "counters drifted");
+    assert_eq!(got.wire_p99, P99_NS, "p99 drifted");
+    assert_eq!(got.breaches, BREACHES, "breaches drifted");
 }
 
 /// Turning the flight recorder + per-RPC sampling on must not move a
@@ -226,8 +215,8 @@ fn history_matches_pinned_values_under_both_macrotick_modes() {
 /// is counters, read totals, p99 and breach count.)
 #[test]
 fn tracing_does_not_perturb_counters_or_latency() {
-    let base = run(MacroTicks::Auto, false);
-    let traced = run(MacroTicks::Auto, true);
+    let base = run(false);
+    let traced = run(true);
     assert_eq!(traced.counters_digest, base.counters_digest);
     assert_eq!(traced.wire_read_sum, base.wire_read_sum);
     assert_eq!(traced.wire_p99, base.wire_p99);

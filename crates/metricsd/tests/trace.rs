@@ -21,7 +21,6 @@ fn boot_traced() -> KernelHandle {
     Kernel::boot_handle(
         MachineSpec::raptor_lake_i7_13700(),
         KernelConfig {
-            seed: 11,
             trace: TraceConfig::enabled_with_cap(4096),
             ..KernelConfig::default()
         },

@@ -152,11 +152,6 @@ pub struct Machine {
     shared: SharedHw,
     time_ns: Nanos,
     scratch: EndTickScratch,
-    /// Bumped by [`Machine::end_tick`] whenever anything feeding
-    /// [`Machine::exec_context`] changed — a cluster frequency, an LLC
-    /// share, or the memory-contention factor. A macro-tick replay loop
-    /// watches this to know the captured template went stale.
-    exec_epoch: u64,
     /// Shared-hardware flight recorder (DVFS / thermal transitions).
     hw_trace: TraceSink,
 }
@@ -226,7 +221,6 @@ impl Machine {
             cpus,
             seats,
             spec,
-            exec_epoch: 0,
             hw_trace: TraceSink::disabled(),
         }
     }
@@ -430,7 +424,6 @@ impl Machine {
         }
 
         // --- DVFS per cluster ---
-        let mut ctx_changed = false;
         let shared = &mut self.shared;
         for (ci, dom) in shared.domains.iter_mut().enumerate() {
             let ct = self.spec.clusters[ci].uarch.params().core_type;
@@ -438,7 +431,6 @@ impl Machine {
             let before = dom.cur_khz();
             dom.step(dt_ns, cluster_util[ci.min(3)], scale, cap);
             if dom.cur_khz() != before {
-                ctx_changed = true;
                 self.hw_trace.record(
                     self.time_ns,
                     EventKind::DvfsTransition,
@@ -463,30 +455,16 @@ impl Machine {
             let nominal = self.spec.llc_bytes / self.cpus.len() as u64;
             for (seat, &s) in self.seats.iter_mut().zip(self.scratch.shares.iter()) {
                 // An idle CPU keeps a nominal share so cold starts are sane.
-                let share = if s == 0 { nominal } else { s };
-                ctx_changed |= share != seat.llc_share;
-                seat.llc_share = share;
+                seat.llc_share = if s == 0 { nominal } else { s };
             }
         }
-        let contention = (bw_gbps / self.spec.mem_bw_gbps).max(1.0);
-        ctx_changed |= contention.to_bits() != self.shared.mem_contention.to_bits();
-        self.shared.mem_contention = contention;
-        if ctx_changed {
-            self.exec_epoch += 1;
-        }
+        self.shared.mem_contention = (bw_gbps / self.spec.mem_bw_gbps).max(1.0);
     }
 
     // ---- readings ----------------------------------------------------------
 
     pub fn time_ns(&self) -> Nanos {
         self.time_ns
-    }
-
-    /// Generation counter over the inputs of [`Machine::exec_context`]:
-    /// unchanged between two ticks ⇔ every CPU would execute the next tick
-    /// under the exact context it just used.
-    pub fn exec_epoch(&self) -> u64 {
-        self.exec_epoch
     }
 
     pub fn power(&self) -> &PowerReadings {

@@ -253,19 +253,6 @@ impl FaultState {
         }
     }
 
-    /// Earliest simulated time at which any scheduled fault or reversal
-    /// becomes due (`None` once the plan is exhausted). The macro-tick
-    /// fast-forward loop uses this as its fault horizon: a span of ticks
-    /// that all start strictly before it can skip `apply_due_faults`.
-    pub(crate) fn next_due_ns(&self) -> Option<Nanos> {
-        let plan = self.pending.get(self.next).map(|e| e.at_ns);
-        let undo = self.undos.first().map(|&(t, _)| t);
-        match (plan, undo) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
     /// Whether sysfs reads fail at `now` (pure in time — usable through a
     /// shared reference).
     pub(crate) fn sysfs_faulty_at(&self, now: Nanos) -> bool {

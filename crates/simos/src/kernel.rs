@@ -18,7 +18,7 @@ use crate::perf::{
     schedule_groups_with, EventConfig, EventFd, GroupReq, PerfAttr, PerfError, PerfEvent, PmuDesc,
     PmuKind, RaplConfig, ReadValue, Target, UncoreConfig,
 };
-use crate::simsched::{HwView, KernelCtx, SchedCpu, SchedName, SchedPass, Scheduler};
+use crate::simsched::{HwView, SchedCpu, SchedName, SchedPass, Scheduler};
 use crate::task::{
     core_type_index, BlockReason, HookId, Op, Pid, ProgCtx, Program, Task, TaskState, TaskStats,
 };
@@ -57,17 +57,6 @@ pub enum ExecMode {
     Serial,
 }
 
-/// Whether the tick loop may coalesce quiescent spans into macro-ticks
-/// (see [`Kernel::tick_batch`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MacroTicks {
-    /// Never coalesce; `tick_batch` is a plain tick loop.
-    Off,
-    /// Coalesce whenever the quiescence predicate allows (default).
-    #[default]
-    Auto,
-}
-
 /// Kernel configuration.
 #[derive(Debug, Clone)]
 pub struct KernelConfig {
@@ -87,8 +76,6 @@ pub struct KernelConfig {
     /// Has no effect: kept only because the benchmark in
     /// `perfbench/src/hpl.rs` names it (see [`ExecMode`]).
     pub exec_mode: ExecMode,
-    /// Quiescent-span coalescing policy for [`Kernel::tick_batch`].
-    pub macro_ticks: MacroTicks,
     /// Flight-recorder tracing (see `simtrace`). Off by default;
     /// timestamps are sim time, so enabling it cannot perturb the
     /// simulation.
@@ -104,38 +91,9 @@ impl Default for KernelConfig {
             seed: 0x5eed,
             firmware: Firmware::DeviceTree,
             exec_mode: ExecMode::Serial,
-            macro_ticks: MacroTicks::Auto,
             trace: TraceConfig::default(),
         }
     }
-}
-
-/// Reject reasons recorded in the `code` of a
-/// [`EventKind::MacroSpanReject`] event — why `tick_batch` declined to
-/// coalesce at this tick (DESIGN.md §10).
-pub mod reject {
-    /// `end_tick` moved an exec context (frequency/LLC/contention).
-    pub const CTX_UNSTABLE: u32 = 1;
-    /// Instrumentation hooks are pending dispatch.
-    pub const PENDING_HOOKS: u32 = 2;
-    /// Some task is not Exited/Running-in-place (scheduler not provably
-    /// a no-op).
-    pub const TASKS_NOT_QUIESCENT: u32 = 3;
-    /// An occupied CPU is offline.
-    pub const CPU_OFFLINE: u32 = 4;
-    /// Last tick was not a steady replayable template.
-    pub const UNSTEADY_TEMPLATE: u32 = 5;
-    /// Not enough phase-instruction headroom to avoid the end clamp.
-    pub const NO_HEADROOM: u32 = 6;
-    /// A fault or fault-undo is due now.
-    pub const FAULT_DUE: u32 = 7;
-    /// The computed span collapsed to zero ticks.
-    pub const ZERO_SPAN: u32 = 8;
-    /// The scheduling policy refused to certify a fixed point
-    /// ([`crate::simsched::Scheduler::quiescent`] returned false): its
-    /// `tick` hook could migrate, or its decisions track state that keeps
-    /// evolving between passes (e.g. temperature).
-    pub const SCHED_NOT_STEADY: u32 = 9;
 }
 
 /// Modeled syscall latencies (ns) — calibrated to the magnitudes reported
@@ -389,7 +347,7 @@ struct TickScratch {
     loads: Vec<CpuLoad>,
     /// This tick's per-CPU outputs, read by the perf accounting. A slot
     /// persists from tick to tick (an idle CPU resets its own), so it is
-    /// also the CPU's template for per-CPU and macro-tick replay.
+    /// also the CPU's template for per-CPU template replay.
     outs: Vec<CoreOut>,
 }
 
@@ -453,15 +411,9 @@ pub struct Kernel {
     /// changes (DVFS, LLC shares, contention) need no bump: they are in
     /// the plan key itself.
     fault_epoch: u64,
-    /// Total ticks advanced (real + replayed).
+    /// Total ticks advanced.
     tick_count: u64,
-    /// Ticks advanced by macro-tick replay rather than full execution.
-    replayed_ticks: u64,
-    /// Whether the last real tick's `end_tick` left every exec context
-    /// (frequencies, LLC shares, contention) unchanged — the templates it
-    /// recorded are only valid for the next tick if so.
-    ctx_stable: bool,
-    /// Kernel-domain flight recorder (ticks, macro spans, migrations,
+    /// Kernel-domain flight recorder (ticks, scheduling decisions,
     /// faults). Hardware and per-CPU events live in the machine's sinks.
     trace: TraceSink,
     /// Test-only oracle switch: route `exec_core` through the uncached
@@ -535,8 +487,6 @@ impl Kernel {
             scratch: TickScratch::new(n),
             fault_epoch: 0,
             tick_count: 0,
-            replayed_ticks: 0,
-            ctx_stable: false,
             trace: TraceSink::new(&cfg.trace),
             #[cfg(test)]
             uncached: false,
@@ -1418,9 +1368,7 @@ impl Kernel {
         //    energy integrates in end_tick, so the perf counters must read
         //    *after* it — otherwise short measurement windows lag a tick).
         let mem_bytes: f64 = self.scratch.loads.iter().map(|l| l.mem_bytes).sum();
-        let epoch_before = self.machine.exec_epoch();
         self.machine.end_tick(dt, &self.scratch.loads);
-        self.ctx_stable = self.machine.exec_epoch() == epoch_before;
         self.perf_package_tick(dt, mem_bytes);
         self.time_ns += dt;
         self.tick_count += 1;
@@ -1428,190 +1376,11 @@ impl Kernel {
             .record(self.time_ns, EventKind::TickEnd, 0, tick_idx, 0);
     }
 
-    /// Advance the world by `n` ticks, coalescing quiescent spans into
-    /// macro-ticks when [`KernelConfig::macro_ticks`] allows.
-    ///
-    /// Bit-identical to calling [`Kernel::tick`] `n` times: a span is only
-    /// replayed when the previous tick proved (via its steady per-CPU
-    /// templates and the quiescence predicate) that full execution would
-    /// reproduce the same per-CPU outputs, and the cheap per-tick layers —
-    /// perf accounting, RAPL/thermal/DVFS integration, rotation clocks —
-    /// still run for real on every replayed tick.
+    /// Advance the world by `n` ticks: `n` calls to [`Kernel::tick`].
     pub fn tick_batch(&mut self, n: u64) {
-        let mut left = n;
-        while left > 0 {
+        for _ in 0..n {
             self.tick();
-            left -= 1;
-            if left == 0 || self.cfg.macro_ticks == MacroTicks::Off {
-                continue;
-            }
-            let span = match self.quiescent_span(left) {
-                Ok(span) => {
-                    self.trace
-                        .record(self.time_ns, EventKind::MacroSpanAdmit, 0, span, 0);
-                    span
-                }
-                Err(reason) => {
-                    self.trace
-                        .record(self.time_ns, EventKind::MacroSpanReject, reason, 0, 0);
-                    continue;
-                }
-            };
-            for _ in 0..span {
-                let ctx_stable = self.replay_tick();
-                left -= 1;
-                if !ctx_stable {
-                    // end_tick moved a frequency / LLC share / contention
-                    // figure: the tick just replayed is still exact (a new
-                    // context applies from the *next* tick), but the
-                    // templates are stale from here on.
-                    break;
-                }
-            }
         }
-    }
-
-    /// How many ticks past the current one may be fast-forwarded by
-    /// replaying last tick's per-CPU templates, or `None` if the world is
-    /// not quiescent. Requires, conservatively:
-    ///
-    /// * every task Exited, or Running exactly where `current` says —
-    ///   with no Runnable/Sleeping/Blocked task anywhere, the scheduler
-    ///   pass is provably a no-op (nothing to wake, place or preempt);
-    /// * no pending instrumentation hooks;
-    /// * every occupied CPU's last tick was a steady template, with
-    ///   enough phase instructions left that no replayed tick (nor the
-    ///   first real tick after) hits the end-of-phase clamp;
-    /// * no fault or fault-undo coming due inside the span.
-    fn quiescent_span(&self, left: u64) -> Result<u64, u32> {
-        if !self.ctx_stable {
-            return Err(reject::CTX_UNSTABLE);
-        }
-        if !self.pending_hooks.is_empty() {
-            return Err(reject::PENDING_HOOKS);
-        }
-        for t in self.tasks.iter().flatten() {
-            match t.state {
-                TaskState::Exited => {}
-                TaskState::Running(cpu) => {
-                    if self.current.get(cpu.0).copied().flatten() != Some(t.pid) {
-                        return Err(reject::TASKS_NOT_QUIESCENT);
-                    }
-                }
-                _ => return Err(reject::TASKS_NOT_QUIESCENT),
-            }
-        }
-        // The run queue is provably empty; now the *policy* must certify
-        // that replaying over the frozen assignment is a fixed point (its
-        // `tick` hook would emit no migration, and none of its inputs keep
-        // evolving between passes). `ctx_stable` holds here, so the
-        // frequency snapshot from the last real tick is still current; the
-        // thermal figures are re-read because temperature integrates every
-        // tick without bumping the exec epoch.
-        {
-            let (thermal_cap_khz, temp_mc, throttling) = self.thermal_snapshot();
-            let hw = HwView {
-                freq_khz: &self.sched_freq,
-                max_khz: &self.sched_max_khz,
-                thermal_cap_khz,
-                temp_mc,
-                first_trip_mc: self.first_trip_mc,
-                throttling,
-            };
-            let ctx = KernelCtx {
-                now_ns: self.time_ns,
-                topo: &self.topo,
-                online: &self.online,
-                current: &self.current,
-                running: self.sched_pass.running_views(),
-                core_types: &self.core_types,
-                hw: &hw,
-            };
-            if !self.scheduler.quiescent(&ctx) {
-                return Err(reject::SCHED_NOT_STEADY);
-            }
-        }
-        let mut span = left;
-        for (ci, slot) in self.current.iter().enumerate() {
-            let Some(pid) = *slot else {
-                continue;
-            };
-            if !self.online[ci] {
-                return Err(reject::CPU_OFFLINE);
-            }
-            let out = &self.scratch.outs[ci];
-            if !out.steady || out.inst_total == 0 {
-                return Err(reject::UNSTEADY_TEMPLATE);
-            }
-            let ph = self.tasks[pid.0 as usize]
-                .as_ref()
-                .and_then(|t| t.current.as_ref())
-                .ok_or(reject::UNSTEADY_TEMPLATE)?;
-            // `advance` clamps to the instructions left in the phase; the
-            // templates are only valid while that clamp cannot engage.
-            // Keeping two spare ticks of headroom covers both the last
-            // replayed tick and the real tick that follows it.
-            let headroom = (ph.instructions / out.inst_total).saturating_sub(2);
-            if headroom == 0 {
-                return Err(reject::NO_HEADROOM);
-            }
-            span = span.min(headroom);
-        }
-        // Faults fire at the start of the tick whose time has reached
-        // their deadline; every replayed tick skips that check, so the
-        // span must stop short of the first due time.
-        if let Some(due) = self.faults.as_ref().and_then(|f| f.next_due_ns()) {
-            if due <= self.time_ns {
-                return Err(reject::FAULT_DUE);
-            }
-            span = span.min((due - self.time_ns).div_ceil(self.cfg.tick_ns));
-        }
-        if span == 0 {
-            Err(reject::ZERO_SPAN)
-        } else {
-            Ok(span)
-        }
-    }
-
-    /// Fast-forward one tick by replaying last tick's per-CPU templates:
-    /// phase/stat/PMU deltas come from the recorded outputs, while perf
-    /// accounting, the hardware tick and package counters run for real.
-    /// Returns whether the exec contexts survived `end_tick` unchanged
-    /// (i.e. whether the templates are still valid for another tick).
-    fn replay_tick(&mut self) -> bool {
-        let dt = self.cfg.tick_ns;
-        let tick_idx = self.tick_count;
-        self.trace
-            .record(self.time_ns, EventKind::TickBegin, 0, tick_idx, 0);
-        self.trace
-            .record(self.time_ns, EventKind::MacroReplay, 0, tick_idx, 0);
-        // The scratch slots still hold the last real tick's outputs —
-        // the templates on busy CPUs, zeros on idle ones — which are
-        // this tick's outputs too; only their effects are re-applied.
-        for ci in 0..self.machine.n_cpus() {
-            let Some(pid) = self.current[ci] else {
-                continue;
-            };
-            let task = self.tasks[pid.0 as usize]
-                .as_mut()
-                .expect("quiescent span: scheduled pid has a task");
-            apply_template(
-                task,
-                &self.scratch.outs[ci],
-                core_type_index(self.core_types[ci]),
-            );
-        }
-        self.perf_tick(dt);
-        let mem_bytes: f64 = self.scratch.loads.iter().map(|l| l.mem_bytes).sum();
-        let epoch_before = self.machine.exec_epoch();
-        self.machine.end_tick(dt, &self.scratch.loads);
-        self.perf_package_tick(dt, mem_bytes);
-        self.time_ns += dt;
-        self.tick_count += 1;
-        self.replayed_ticks += 1;
-        self.trace
-            .record(self.time_ns, EventKind::TickEnd, 0, tick_idx, 0);
-        self.machine.exec_epoch() == epoch_before
     }
 
     /// Plan-cache statistics summed over every seat: `(hits, misses)`.
@@ -1623,9 +1392,12 @@ impl Kernel {
             .fold((0, 0), |(h, m), (sh, sm)| (h + sh, m + sm))
     }
 
-    /// Macro-tick statistics: `(replayed_ticks, total_ticks)`.
+    /// `(0, total_ticks)`: every tick runs through [`Kernel::tick`], so
+    /// none is fast-forwarded as a whole. Kept only because the benchmark
+    /// in `perfbench/src/report.rs` calls it; remove it once that
+    /// benchmark stops calling it.
     pub fn macro_stats(&self) -> (u64, u64) {
-        (self.replayed_ticks, self.tick_count)
+        (0, self.tick_count)
     }
 
     /// Stage [`CoreWork`] for `cpu` if a task is scheduled there.
@@ -2119,7 +1891,7 @@ fn exec_core(
                         // First-touch minor faults: pages of this phase's
                         // working set beyond the task's address-space
                         // high-water mark fault in now. Charged at phase
-                        // install (an op-pull tick, never a steady macro
+                        // install (an op-pull tick, never a steady
                         // template), so replay stays fault-exact for free.
                         let pages = ph.working_set.div_ceil(PAGE_BYTES);
                         if pages > task.touched_pages {
@@ -3118,9 +2890,8 @@ mod tests {
     fn a_reinstalling_tick_is_not_a_steady_template() {
         // Mid-wait, a tick runs the carried chunk to its end and then
         // re-installs chunk after chunk with one poll: an op-pull tick,
-        // never a template. Batched ticks therefore replay nothing and
-        // stay identical to single ticks.
-        let (mut k, pid, polls) = deadline_spinner(false);
+        // never a template, so the next tick cannot replay it.
+        let (mut k, _, polls) = deadline_spinner(false);
         for _ in 0..5 {
             let before = polls_of(&polls);
             k.tick();
@@ -3130,11 +2901,6 @@ mod tests {
                 "a re-installing tick is not steady"
             );
         }
-        let (mut batched, bpid, bpolls) = deadline_spinner(false);
-        batched.tick_batch(5);
-        assert_eq!(batched.macro_stats(), (0, 5));
-        assert_eq!(batched.task_stats(bpid), k.task_stats(pid));
-        assert_eq!(polls_of(&bpolls), polls_of(&polls));
     }
 
     /// Whether `cpu`'s last tick re-applied its template instead of
@@ -3204,19 +2970,38 @@ mod tests {
         (k, pid)
     }
 
-    /// Tick until the last two `end_tick`s both left the exec epoch
-    /// unmoved, so the last tick could replay and so could the next one.
-    /// Returns the ticks run.
+    /// Each CPU's exec context as its next tick would see it under the
+    /// current assignment: frequency, LLC share, and the contention and
+    /// SMT-factor bits. A CPU's context *held* across a tick when this is
+    /// the same before and after it.
+    fn contexts(k: &Kernel) -> Vec<(u64, u64, u64, u64)> {
+        (0..k.machine.n_cpus())
+            .map(|ci| {
+                let smt_busy = k
+                    .machine
+                    .cpu_info(CpuId(ci))
+                    .smt_sibling
+                    .is_some_and(|s| k.current[s.0].is_some());
+                let c = k.machine.exec_context(CpuId(ci), smt_busy);
+                (
+                    c.freq_khz,
+                    c.llc_share_bytes,
+                    c.mem_contention.to_bits(),
+                    c.smt_factor.to_bits(),
+                )
+            })
+            .collect()
+    }
+
+    /// Tick until every CPU's context held across the last two ticks, so
+    /// the last tick could replay and so could the next one. Returns the
+    /// ticks run.
     fn tick_until_context_holds(k: &mut Kernel) -> u64 {
         let mut quiet = 0;
         for t in 1..=2_000 {
-            let epoch = k.machine().exec_epoch();
+            let before = contexts(k);
             k.tick();
-            quiet = if k.machine().exec_epoch() == epoch {
-                quiet + 1
-            } else {
-                0
-            };
+            quiet = if contexts(k) == before { quiet + 1 } else { 0 };
             if quiet >= 2 && t >= 3 {
                 return t;
             }
@@ -3226,37 +3011,70 @@ mod tests {
 
     #[test]
     fn a_lone_steady_phase_replays_whenever_its_context_holds() {
-        // A pinned scalar phase alone on raptor. From the third tick on,
-        // the previous tick was a steady template, so every tick whose
-        // predecessor's `end_tick` left the exec epoch unmoved re-applies
-        // it, and the whole run stays identical to the oracle's.
-        let run = |uncached: bool| {
+        // Two shapes on raptor: a pinned scalar phase alone on cpu0, and
+        // tickbench's one immortal dgemm per CPU. From the third tick on,
+        // each busy CPU's previous tick was a steady template, so every
+        // tick whose predecessor left that CPU's context unchanged
+        // re-applies it, and the whole run stays identical to the oracle's.
+        fn lone_scalar(k: &mut Kernel) {
+            spawn_loop(k, CpuMask::from_cpus([0]), 50_000_000_000);
+        }
+        fn dgemm_per_cpu(k: &mut Kernel) {
+            for i in 0..k.machine().n_cpus() {
+                k.spawn(
+                    &format!("w{i}"),
+                    Box::new(|_: &ProgCtx| Op::Compute(Phase::dgemm(1 << 44, 8 << 20, 0.35))),
+                    CpuMask::from_cpus([i]),
+                    0,
+                );
+            }
+        }
+        let run = |spawn: fn(&mut Kernel), uncached: bool| {
             let mut k = raptor();
             k.uncached = uncached;
-            spawn_loop(&mut k, CpuMask::from_cpus([0]), 50_000_000_000);
+            spawn(&mut k);
             let fds = open_cpu_counters(&mut k, 0);
+            let n = k.machine().n_cpus();
             let (mut eligible, mut replays) = (0, 0);
-            let mut before = k.machine().exec_epoch();
-            let mut held = false;
+            let mut held = vec![false; n];
             for t in 0..400 {
+                let before = contexts(&k);
                 k.tick();
-                if t >= 2 && held {
-                    eligible += 1;
-                    assert!(uncached || replayed(&k, 0), "tick {t} did not replay");
+                for (ci, &held) in held.iter().enumerate() {
+                    if k.current[ci].is_none() {
+                        continue;
+                    }
+                    if t >= 2 && held {
+                        eligible += 1;
+                        assert!(
+                            uncached || replayed(&k, ci),
+                            "tick {t}: cpu{ci} did not replay"
+                        );
+                    }
+                    replays += replayed(&k, ci) as u64;
                 }
-                replays += replayed(&k, 0) as u64;
-                held = k.machine().exec_epoch() == before;
-                before = k.machine().exec_epoch();
+                for (h, (b, a)) in held.iter_mut().zip(before.iter().zip(contexts(&k))) {
+                    *h = *b == a;
+                }
             }
             (observe(&mut k, &fds), eligible, replays)
         };
-        let (fast, eligible, replays) = run(false);
-        let (oracle, oracle_eligible, oracle_replays) = run(true);
-        assert_eq!(fast, oracle);
-        assert_eq!(eligible, oracle_eligible);
-        assert_eq!(oracle_replays, 0);
-        assert!(eligible > 200, "only {eligible} ticks kept their context");
-        assert!(replays >= eligible);
+        let shapes = [
+            ("lone scalar", lone_scalar as fn(&mut Kernel), 200),
+            ("dgemm per cpu", dgemm_per_cpu, 24 * 200),
+        ];
+        for (shape, spawn, min_eligible) in shapes {
+            let (fast, eligible, replays) = run(spawn, false);
+            let (oracle, oracle_eligible, oracle_replays) = run(spawn, true);
+            assert_eq!(fast, oracle, "{shape}");
+            assert_eq!(eligible, oracle_eligible, "{shape}");
+            assert_eq!(oracle_replays, 0, "{shape}");
+            assert!(
+                eligible > min_eligible,
+                "{shape}: only {eligible} CPU-ticks kept their context"
+            );
+            assert!(replays >= eligible, "{shape}");
+        }
     }
 
     #[test]
@@ -3348,11 +3166,11 @@ mod tests {
                 k.tick();
             }
             assert!(uncached || replayed(&k, 0));
-            let epoch = k.machine().exec_epoch();
+            let before = contexts(&k);
             k.tick();
             assert_eq!(k.fault_log().len(), 1);
             assert!(!replayed(&k, 0), "replayed across a fault");
-            let held = k.machine().exec_epoch() == epoch;
+            let held = contexts(&k)[0] == before[0];
             k.tick();
             assert!(uncached || !held || replayed(&k, 0));
             for _ in 0..10 {
@@ -3909,65 +3727,6 @@ mod tests {
         }
     }
 
-    /// The batched tick loop must be bit-identical to the plain one, and
-    /// must actually coalesce on a long steady phase.
-    #[test]
-    fn tick_batch_matches_single_ticks() {
-        let observe = |k: &Kernel| {
-            let mut v: Vec<(u64, u64, u64, u64)> = Vec::new();
-            for pid in 0..k.tasks.len() {
-                if let Some(st) = k.task_stats(Pid(pid as u32)) {
-                    v.push((
-                        st.instructions,
-                        st.cycles,
-                        st.flops.to_bits(),
-                        st.runtime_ns,
-                    ));
-                }
-            }
-            v
-        };
-        let boot = |macro_ticks: MacroTicks| {
-            let mut k = Kernel::boot(
-                MachineSpec::skylake_quad(),
-                KernelConfig {
-                    macro_ticks,
-                    ..Default::default()
-                },
-            );
-            for cpu in 0..2usize {
-                let pid = k.spawn(
-                    &format!("steady{cpu}"),
-                    Box::new(ScriptedProgram::new([Op::Compute(Phase::scalar(
-                        20_000_000_000,
-                    ))])),
-                    CpuMask::from_cpus([cpu]),
-                    0,
-                );
-                let _ = pid;
-            }
-            k
-        };
-        let mut coalesced = boot(MacroTicks::Auto);
-        let mut off = boot(MacroTicks::Off);
-        coalesced.tick_batch(500);
-        off.tick_batch(500);
-        assert_eq!(coalesced.time_ns(), off.time_ns());
-        assert_eq!(observe(&coalesced), observe(&off));
-        assert_eq!(
-            coalesced
-                .machine()
-                .energy_uj(simcpu::power::RaplDomain::Package),
-            off.machine().energy_uj(simcpu::power::RaplDomain::Package)
-        );
-        let (replayed, total) = coalesced.macro_stats();
-        assert_eq!(total, 500);
-        // The first ~150 ms are a DVFS ramp (a new frequency every tick,
-        // so no tick is replayable); the steady region coalesces.
-        assert!(replayed > 250, "steady phase should coalesce: {replayed}");
-        assert_eq!(off.macro_stats().0, 0);
-    }
-
     /// A random but valid compute phase.
     fn arb_phase() -> impl Strategy<Value = Phase> {
         (
@@ -4043,7 +3802,6 @@ mod tests {
                 let mut k = Kernel::boot(
                     MachineSpec::skylake_quad(),
                     KernelConfig {
-                        seed: 0x5eed_cafe,
                         ..Default::default()
                     },
                 );

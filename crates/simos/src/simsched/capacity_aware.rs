@@ -14,9 +14,7 @@
 //! the effective-throughput gain clears `migrate_gain_pm` (migration cost
 //! guard — cold caches and a dispatch round-trip are only worth paying
 //! for a ≥25 % speedup). Decisions are a pure function of the current
-//! assignment, so `quiescent` can prove the policy is at a fixed point by
-//! replanning — no time-based cooldowns, which would break macro-tick
-//! replay determinism.
+//! assignment.
 
 use super::{KernelCtx, Migration, Scheduler, TaskView};
 use simcpu::types::CpuId;
@@ -54,43 +52,6 @@ impl CapacityAware {
         }
         e
     }
-
-    /// Plan this round's migrations; returns whether any were found.
-    /// Shared by `tick` (emits) and `quiescent` (fixed-point probe).
-    fn rebalance(&self, ctx: &KernelCtx, mut emit: impl FnMut(Migration)) -> bool {
-        let mut any = false;
-        let mut claimed: u128 = 0;
-        for ci in 0..ctx.topo.len() {
-            let Some(task) = ctx.running[ci] else {
-                continue;
-            };
-            let cur_eff = self.eff(ctx, ci, claimed);
-            let mut best: Option<(u64, usize)> = None;
-            for ti in 0..ctx.topo.len() {
-                if !ctx.is_free(ti)
-                    || claimed & (1u128 << ti) != 0
-                    || !task.affinity.contains(CpuId(ti))
-                {
-                    continue;
-                }
-                let e = self.eff(ctx, ti, claimed);
-                if best.map(|(b, _)| e > b).unwrap_or(true) {
-                    best = Some((e, ti));
-                }
-            }
-            if let Some((e, ti)) = best {
-                if e * 1000 > cur_eff * self.migrate_gain_pm {
-                    claimed |= 1u128 << ti;
-                    any = true;
-                    emit(Migration {
-                        pid: task.pid,
-                        to: ti,
-                    });
-                }
-            }
-        }
-        any
-    }
 }
 
 impl Scheduler for CapacityAware {
@@ -116,13 +77,35 @@ impl Scheduler for CapacityAware {
     }
 
     fn tick(&mut self, ctx: &KernelCtx, out: &mut Vec<Migration>) {
-        self.rebalance(ctx, |m| out.push(m));
-    }
-
-    fn quiescent(&self, ctx: &KernelCtx) -> bool {
-        // At a fixed point iff replanning over the frozen assignment finds
-        // no profitable migration.
-        !self.rebalance(ctx, |_| {})
+        let mut claimed: u128 = 0;
+        for ci in 0..ctx.topo.len() {
+            let Some(task) = ctx.running[ci] else {
+                continue;
+            };
+            let cur_eff = self.eff(ctx, ci, claimed);
+            let mut best: Option<(u64, usize)> = None;
+            for ti in 0..ctx.topo.len() {
+                if !ctx.is_free(ti)
+                    || claimed & (1u128 << ti) != 0
+                    || !task.affinity.contains(CpuId(ti))
+                {
+                    continue;
+                }
+                let e = self.eff(ctx, ti, claimed);
+                if best.map(|(b, _)| e > b).unwrap_or(true) {
+                    best = Some((e, ti));
+                }
+            }
+            if let Some((e, ti)) = best {
+                if e * 1000 > cur_eff * self.migrate_gain_pm {
+                    claimed |= 1u128 << ti;
+                    out.push(Migration {
+                        pid: task.pid,
+                        to: ti,
+                    });
+                }
+            }
+        }
     }
 }
 
@@ -188,13 +171,13 @@ mod tests {
     }
 
     #[test]
-    fn steady_assignment_is_quiescent_fixed_point() {
+    fn steady_assignment_is_a_fixed_point() {
         let topo = topo_hybrid();
         let mut sched = CapacityAware::default();
         let mut tasks = table(4, CpuMask::first_n(4));
         let mut cur = vec![None; 4];
         // Two passes to let any rebalance settle, then the assignment must
-        // be a fixed point (self-reported and observed).
+        // be a fixed point.
         assign(&mut sched, &topo, &mut tasks, &mut cur, 0);
         assign(&mut sched, &topo, &mut tasks, &mut cur, 1_000_000);
         let snapshot = cur.clone();

@@ -27,10 +27,6 @@
 //!
 //! * hooks must be pure functions of `KernelCtx` + internal state that
 //!   evolves only from hook calls — no wall clock, no host randomness;
-//! * decisions must not depend on elapsed *sim time* in ways that could
-//!   flip during a macro-tick replay span (no tick-count cooldowns);
-//!   a policy whose decisions track continuously evolving hardware state
-//!   (e.g. temperature) must return `false` from [`Scheduler::quiescent`];
 //! * hooks may not allocate in steady state: reuse internal buffers.
 
 pub mod capacity_aware;
@@ -110,7 +106,8 @@ pub struct HwView<'a> {
     pub throttling: bool,
 }
 
-/// Read-only world view for scheduler hooks.
+/// Read-only world view for scheduler hooks, built by [`SchedPass::run`]
+/// on every tick.
 ///
 /// `current` and `running` reflect the assignment *as the pass mutates it*:
 /// a `select_cpu` call sees every placement made earlier in the same pass.
@@ -122,9 +119,8 @@ pub struct KernelCtx<'a> {
     pub online: &'a [bool],
     /// Per-CPU dispatch queue head (the running/placed task, if any).
     pub current: &'a [Option<Pid>],
-    /// View of the task occupying each CPU (`None` = idle). Inside a pass
-    /// this is live; in [`Scheduler::quiescent`] it is the snapshot taken
-    /// at the end of the last pass (vruntimes may have advanced since).
+    /// View of the task occupying each CPU (`None` = idle), live as the
+    /// pass mutates the assignment.
     pub running: &'a [Option<TaskView>],
     pub core_types: &'a [CoreType],
     pub hw: &'a HwView<'a>,
@@ -212,15 +208,6 @@ pub trait Scheduler: Send {
     fn tick(&mut self, ctx: &KernelCtx, out: &mut Vec<Migration>) {
         let _ = (ctx, out);
     }
-
-    /// Whether repeated passes over a *frozen* world are provably no-ops —
-    /// the macro-tick coalescing gate (`quiescent_span`). Return `false`
-    /// if [`Scheduler::tick`] could emit a migration now, or if the policy
-    /// depends on state that keeps evolving between passes (temperature).
-    fn quiescent(&self, ctx: &KernelCtx) -> bool {
-        let _ = ctx;
-        true
-    }
 }
 
 /// Scheduler-side scratch plus the policy-independent pass mechanics.
@@ -236,12 +223,6 @@ pub struct SchedPass {
 }
 
 impl SchedPass {
-    /// The per-CPU task views as of the end of the last pass, for
-    /// assembling a [`KernelCtx`] outside a pass (`quiescent_span`).
-    pub fn running_views(&self) -> &[Option<TaskView>] {
-        &self.running
-    }
-
     /// Recompute the CPU→task assignment for one tick by driving `sched`'s
     /// hooks over the shared mechanics (wakeups, vacating, queueing,
     /// placement, preemption, rebalancing, state write-back).

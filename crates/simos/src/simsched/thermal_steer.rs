@@ -19,13 +19,9 @@
 //! throttle cycling it exists to prevent. One-way is the conservative
 //! governor: pay a bounded capacity loss to stay off the ladder.
 //!
-//! Determinism: temperature keeps evolving while tasks run in place, so
-//! placement decisions can change without any exec-context change. The
-//! policy therefore reports `quiescent = false` unconditionally — runs
-//! under `SchedName::Thermal` take the plain tick path (macro-tick spans
-//! are refused with `SCHED_NOT_STEADY`) rather than risk a stale replay.
-//! The latch itself only mutates inside `tick`, which runs on real ticks
-//! only.
+//! Determinism: the latch only mutates inside `tick`, which the kernel's
+//! scheduling pass calls once per tick, so it engages at the same tick in
+//! every run of the same seed.
 
 use super::{KernelCtx, Migration, Scheduler, TaskView};
 use simcpu::types::CpuId;
@@ -91,38 +87,6 @@ impl ThermalSteer {
         ctx.hw.first_trip_mc != i64::MAX
             && ctx.hw.temp_mc >= ctx.hw.first_trip_mc - self.engage_margin_mc
     }
-
-    fn rebalance(&self, ctx: &KernelCtx, mut emit: impl FnMut(Migration)) {
-        let mut claimed: u128 = 0;
-        for ci in 0..ctx.topo.len() {
-            let Some(task) = ctx.running[ci] else {
-                continue;
-            };
-            let cur_eff = self.eff(ctx, ci, claimed);
-            let mut best: Option<(u64, usize)> = None;
-            for ti in 0..ctx.topo.len() {
-                if !ctx.is_free(ti)
-                    || claimed & (1u128 << ti) != 0
-                    || !task.affinity.contains(CpuId(ti))
-                {
-                    continue;
-                }
-                let e = self.eff(ctx, ti, claimed);
-                if best.map(|(b, _)| e > b).unwrap_or(true) {
-                    best = Some((e, ti));
-                }
-            }
-            if let Some((e, ti)) = best {
-                if e * 1000 > cur_eff * self.migrate_gain_pm {
-                    claimed |= 1u128 << ti;
-                    emit(Migration {
-                        pid: task.pid,
-                        to: ti,
-                    });
-                }
-            }
-        }
-    }
 }
 
 impl Scheduler for ThermalSteer {
@@ -151,13 +115,35 @@ impl Scheduler for ThermalSteer {
         if !self.derated && self.should_engage(ctx) {
             self.derated = true;
         }
-        self.rebalance(ctx, |m| out.push(m));
-    }
-
-    fn quiescent(&self, _ctx: &KernelCtx) -> bool {
-        // Temperature evolves between passes even when the exec context is
-        // frozen, so no span over this policy is provably a fixed point.
-        false
+        let mut claimed: u128 = 0;
+        for ci in 0..ctx.topo.len() {
+            let Some(task) = ctx.running[ci] else {
+                continue;
+            };
+            let cur_eff = self.eff(ctx, ci, claimed);
+            let mut best: Option<(u64, usize)> = None;
+            for ti in 0..ctx.topo.len() {
+                if !ctx.is_free(ti)
+                    || claimed & (1u128 << ti) != 0
+                    || !task.affinity.contains(CpuId(ti))
+                {
+                    continue;
+                }
+                let e = self.eff(ctx, ti, claimed);
+                if best.map(|(b, _)| e > b).unwrap_or(true) {
+                    best = Some((e, ti));
+                }
+            }
+            if let Some((e, ti)) = best {
+                if e * 1000 > cur_eff * self.migrate_gain_pm {
+                    claimed |= 1u128 << ti;
+                    out.push(Migration {
+                        pid: task.pid,
+                        to: ti,
+                    });
+                }
+            }
+        }
     }
 }
 
@@ -295,34 +281,5 @@ mod tests {
         let mut cur = vec![None; 4];
         assign_thermal(&mut sched, &mut tasks, &mut cur, 90_000, 600_000, 0);
         assert!(cur[2].is_some(), "deep-capped big loses to LITTLE: {cur:?}");
-    }
-
-    #[test]
-    fn never_quiescent() {
-        let mut sched = ThermalSteer::default();
-        let mut tasks = table(1, CpuMask::first_n(4));
-        let mut cur = vec![None; 4];
-        assign_thermal(&mut sched, &mut tasks, &mut cur, 45_000, u64::MAX, 0);
-        let topo = topo_hybrid();
-        let max = vec![1_800_000u64; 4];
-        let hw = HwView {
-            freq_khz: &max,
-            max_khz: &max,
-            thermal_cap_khz: [u64::MAX; 4],
-            temp_mc: 45_000,
-            first_trip_mc: 68_000,
-            throttling: false,
-        };
-        let running = vec![None; 4];
-        let ctx = super::super::KernelCtx {
-            now_ns: 0,
-            topo: &topo,
-            online: &[true; 4],
-            current: &cur,
-            running: &running,
-            core_types: &[CoreType::Performance; 4],
-            hw: &hw,
-        };
-        assert!(!sched.quiescent(&ctx));
     }
 }

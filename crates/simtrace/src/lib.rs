@@ -42,13 +42,6 @@ pub enum EventKind {
     TickBegin,
     /// Kernel tick span closes. `a` = tick index.
     TickEnd,
-    /// `tick_batch` admitted a quiescent span. `a` = span length (ticks).
-    MacroSpanAdmit,
-    /// `tick_batch` rejected coalescing. `code` = reject reason
-    /// (see `simos::kernel` reject constants / DESIGN.md §10).
-    MacroSpanReject,
-    /// One tick was fast-forwarded by template replay. `a` = tick index.
-    MacroReplay,
     /// Exec-plan cache hits during one core-tick. `code` = cpu, `a` = hits.
     PlanHit,
     /// Exec-plan cache misses during one core-tick. `code` = cpu, `a` = misses.
@@ -119,8 +112,7 @@ pub enum EventKind {
     RegionEnd,
     /// The scheduler placed a queued task on a free CPU (`select_cpu`).
     /// `code` = cpu, `a` = pid. Fires only when an unplaced task lands,
-    /// never for tasks staying put — steady-state ticks emit nothing, so
-    /// MacroTicks Auto≡Off holds on the kernel track.
+    /// never for tasks staying put, so steady-state ticks emit nothing.
     SchedDispatch,
     /// The scheduler preempted a running task (`dispatch`). `code` = cpu,
     /// `a` = winning pid, `b` = evicted pid.
@@ -157,9 +149,6 @@ pub enum EventKind {
 pub const ALL_EVENT_KINDS: &[EventKind] = &[
     EventKind::TickBegin,
     EventKind::TickEnd,
-    EventKind::MacroSpanAdmit,
-    EventKind::MacroSpanReject,
-    EventKind::MacroReplay,
     EventKind::PlanHit,
     EventKind::PlanMiss,
     EventKind::SchedMigrate,
@@ -201,9 +190,6 @@ impl EventKind {
         match self {
             EventKind::TickBegin => "tick_begin",
             EventKind::TickEnd => "tick_end",
-            EventKind::MacroSpanAdmit => "macro_span_admit",
-            EventKind::MacroSpanReject => "macro_span_reject",
-            EventKind::MacroReplay => "macro_replay",
             EventKind::PlanHit => "plan_hit",
             EventKind::PlanMiss => "plan_miss",
             EventKind::SchedMigrate => "sched_migrate",
@@ -247,16 +233,6 @@ impl EventKind {
     pub fn from_name(s: &str) -> Option<EventKind> {
         ALL_EVENT_KINDS.iter().copied().find(|k| k.name() == s)
     }
-
-    /// Macro-tick bookkeeping emitted only by the coalescing path. A
-    /// coalescing-vs-Off stream comparison filters these (DESIGN.md §10): the
-    /// simulation they describe is identical, the summary is not.
-    pub fn is_macro_summary(self) -> bool {
-        matches!(
-            self,
-            EventKind::MacroSpanAdmit | EventKind::MacroSpanReject | EventKind::MacroReplay
-        )
-    }
 }
 
 /// One recorded event: 32 bytes, `Copy`, no heap.
@@ -265,7 +241,7 @@ pub struct TraceEvent {
     /// Simulated time of the event (ns).
     pub t_ns: u64,
     pub kind: EventKind,
-    /// Small per-kind discriminator (CPU index, reject reason, …).
+    /// Small per-kind discriminator (CPU index, shed reason, …).
     pub code: u32,
     pub a: u64,
     pub b: u64,
@@ -588,25 +564,5 @@ mod tests {
         assert_ne!(snap, span::snapshot_flow_id(43));
         assert_eq!(span::hop_name(span::CLIENT), "rpc:client");
         assert_eq!(span::hop_name(99), "span");
-    }
-
-    #[test]
-    fn macro_summary_kinds_are_exactly_the_documented_set() {
-        for k in [
-            EventKind::MacroSpanAdmit,
-            EventKind::MacroSpanReject,
-            EventKind::MacroReplay,
-        ] {
-            assert!(k.is_macro_summary());
-        }
-        for k in [
-            EventKind::TickBegin,
-            EventKind::TickEnd,
-            EventKind::SchedMigrate,
-            EventKind::DvfsTransition,
-            EventKind::FaultCpuOffline,
-        ] {
-            assert!(!k.is_macro_summary());
-        }
     }
 }

@@ -79,14 +79,12 @@ echo "== bench (compile only) =="
 cargo bench --offline --workspace --no-run
 
 echo "== tick throughput (quick, emits BENCH_tick.json) =="
-# Perf *baseline*, not a gate: batched and single-tick ticks/sec per preset
-# (with host_cpus) land in BENCH_tick.json for future PRs to diff. The only
-# hard assertion inside is macro_counter_drift == 0: the macro-tick run
-# must match the single-tick run bit for bit. Single ticks are not full
-# execution either (a CPU whose last tick was a steady template replays
-# it), so this compares macro spans against per-CPU replay; the reference
-# that executes every slice is the uncached oracle behind the kernel's
-# `plan_cache_equals_uncached` proptest, run by the test step above.
+# Perf *baseline*, not a gate: ticks/sec of `tick()` and the plan-cache
+# hit rate per preset (with host_cpus) land in BENCH_tick.json for later
+# changes to diff. Most of its ticks replay each CPU's last tick; the
+# reference that executes every slice is the uncached oracle behind the
+# kernel's `plan_cache_equals_uncached` proptest, run by the test step
+# above.
 cargo run --offline --release -p bench-harness --bin tickbench -- --quick
 
 echo "== exec hot path (quick, emits BENCH_exec.json) =="
@@ -101,7 +99,7 @@ cargo run --offline --release -p bench-harness --bin execbench -- --quick
 echo "== trace smoke (400-tick traced raptor run, validated chrome JSON) =="
 # Flight recorder on, full fault plan, live PAPI eventset: the exported
 # Chrome trace-event JSON must pass the strict jsonw validator with
-# per-CPU tracks plus fault and macro-tick span events present.
+# per-CPU tracks plus tick, plan-cache, DVFS, fault and PAPI events present.
 cargo run --offline --release -p bench-harness --bin tickbench -- --trace-smoke
 
 echo "== metricsd load smoke (quick, emits BENCH_metricsd.json) =="

@@ -6,8 +6,7 @@
 //! `FaultPlan` on every machine preset, folds *everything* observable
 //! (perf reads, RAPL energy, the fault log, task stats, DVFS frequencies)
 //! into one FNV-1a hash, and asserts the hash is identical across two
-//! back-to-back same-seed runs and across per-tick and batched
-//! (macro-tick on and off) tick loops.
+//! back-to-back same-seed runs and equal to recorded goldens.
 
 use simcpu::events::ArchEvent;
 use simcpu::machine::MachineSpec;
@@ -15,7 +14,7 @@ use simcpu::phase::Phase;
 use simcpu::power::RaplDomain;
 use simcpu::types::{CpuId, CpuMask};
 use simos::faults::{FaultKind, FaultPlan, TransientErrno};
-use simos::kernel::{Kernel, KernelConfig, MacroTicks};
+use simos::kernel::{Kernel, KernelConfig};
 use simos::perf::{EventConfig, EventFd, PerfAttr, PmuKind, RaplConfig, Target, UncoreConfig};
 use simos::simsched::SchedName;
 use simos::task::{Op, Pid, ScriptedProgram};
@@ -266,38 +265,23 @@ fn mid_open(k: &mut Kernel, fds: &mut Vec<EventFd>, h: &mut Fnv) {
 
 /// Run the scenario for 400 ticks and fold all observable state into a hash.
 fn run_case(spec: MachineSpec) -> u64 {
-    run_case_cfg(
-        spec,
-        KernelConfig {
-            seed: 0x5eed_cafe,
-            ..Default::default()
-        },
-        false,
-    )
+    run_case_cfg(spec, KernelConfig::default())
 }
 
 type SpecFn = fn() -> MachineSpec;
 
-/// [`run_case`] with full config control. `batched: true` drives the run
-/// through two `tick_batch` calls (the mid-run open splitting them) instead
-/// of 400 individual `tick`s — the result must be bit-identical either way.
-fn run_case_cfg(spec: MachineSpec, cfg: KernelConfig, batched: bool) -> u64 {
+/// [`run_case`] with full config control.
+fn run_case_cfg(spec: MachineSpec, cfg: KernelConfig) -> u64 {
     let mut k = Kernel::boot(spec, cfg);
     spawn_workload(&mut k);
     let mut fds = open_events(&mut k);
     k.install_faults(&fault_plan());
 
     let mut h = Fnv::new();
-    if batched {
-        k.tick_batch(201);
-        mid_open(&mut k, &mut fds, &mut h);
-        k.tick_batch(199);
-    } else {
-        for step in 0..400 {
-            k.tick();
-            if step == 200 {
-                mid_open(&mut k, &mut fds, &mut h);
-            }
+    for step in 0..400 {
+        k.tick();
+        if step == 200 {
+            mid_open(&mut k, &mut fds, &mut h);
         }
     }
     digest(&mut k, &fds, &mut h);
@@ -369,7 +353,6 @@ fn conformance(name: &str, spec: fn() -> MachineSpec) {
     let golden = run_case(spec());
     let replay = run_case(spec());
     assert_eq!(golden, replay, "{name}: replay with the same seed diverged");
-    macro_conformance(name, spec, golden);
     region_conformance(name, spec);
 }
 
@@ -381,13 +364,7 @@ fn region_conformance(name: &str, spec: fn() -> MachineSpec) {
     use perftool::regions::{begin_hook, end_hook, RegionConfig, RegionId, Regions};
     use workloads::micro::Analytic;
     let run = || -> u64 {
-        let kernel = Kernel::boot_handle(
-            spec(),
-            KernelConfig {
-                seed: 0x5eed_cafe,
-                ..Default::default()
-            },
-        );
+        let kernel = Kernel::boot_handle(spec(), KernelConfig::default());
         let r = RegionId(0);
         let kern = Analytic::server(2_000_000, 4, 2_000_000);
         let n_cpus = kernel.lock().machine().n_cpus();
@@ -422,73 +399,6 @@ fn region_conformance(name: &str, spec: fn() -> MachineSpec) {
     assert_eq!(run(), run(), "{name}: marker-region replay diverged");
 }
 
-/// Macro-tick conformance: `tick_batch` with quiescent coalescing on and
-/// off must both reproduce the per-tick golden hash, even with the full
-/// fault plan and the mid-run open in play.
-fn macro_conformance(name: &str, spec: fn() -> MachineSpec, golden: u64) {
-    for macro_ticks in [MacroTicks::Auto, MacroTicks::Off] {
-        let h = run_case_cfg(
-            spec(),
-            KernelConfig {
-                seed: 0x5eed_cafe,
-                macro_ticks,
-                ..Default::default()
-            },
-            true,
-        );
-        assert_eq!(
-            golden, h,
-            "{name}: batched run with macro_ticks={macro_ticks:?} diverged from per-tick run"
-        );
-    }
-}
-
-/// A workload built to coalesce: immortal pinned compute tasks whose phases
-/// outlive the run. After the DVFS ramp settles the kernel must fast-forward
-/// most ticks, and the digest must still match the non-coalesced run.
-#[test]
-fn macro_ticks_coalesce_and_match() {
-    let run = |macro_ticks: MacroTicks| {
-        let mut k = Kernel::boot(
-            MachineSpec::skylake_quad(),
-            KernelConfig {
-                seed: 0x5eed_cafe,
-                macro_ticks,
-                ..Default::default()
-            },
-        );
-        let n = k.machine().n_cpus();
-        for i in 0..n {
-            k.spawn(
-                &format!("w{i}"),
-                Box::new(move |_: &simos::task::ProgCtx| {
-                    Op::Compute(Phase::scalar(20_000_000_000))
-                }),
-                CpuMask::from_cpus([i]),
-                0,
-            );
-        }
-        k.tick_batch(500);
-        let mut h = Fnv::new();
-        digest(&mut k, &[], &mut h);
-        (h.0, k.macro_stats())
-    };
-    let (coalesced, (replayed, total)) = run(MacroTicks::Auto);
-    let (off, (off_replayed, _)) = run(MacroTicks::Off);
-    assert_eq!(
-        coalesced, off,
-        "macro-tick digest diverged from per-tick run"
-    );
-    assert_eq!(total, 500);
-    assert_eq!(off_replayed, 0, "MacroTicks::Off must never coalesce");
-    // The DVFS slew ramp (~143 ticks on skylake_quad) is correctly
-    // non-replayable; the steady tail after it must coalesce.
-    assert!(
-        replayed > 250,
-        "steady phases should coalesce most of the run: {replayed}"
-    );
-}
-
 /// The flight recorder is a pure observer: running the full conformance
 /// scenario with tracing on (big enough rings that nothing drops) must
 /// reproduce the untraced golden digest bit-for-bit.
@@ -498,11 +408,9 @@ fn tracing_does_not_perturb_the_golden_digest() {
     let traced = run_case_cfg(
         MachineSpec::skylake_quad(),
         KernelConfig {
-            seed: 0x5eed_cafe,
             trace: TraceConfig::enabled_with_cap(1 << 15),
             ..Default::default()
         },
-        false,
     );
     assert_eq!(
         golden, traced,
@@ -563,11 +471,9 @@ fn cfs_like_matches_pre_simsched_goldens() {
         let h = run_case_cfg(
             spec(),
             KernelConfig {
-                seed: 0x5eed_cafe,
                 sched: SchedName::Cfs,
                 ..Default::default()
             },
-            false,
         );
         assert_eq!(
             h, golden,
@@ -877,14 +783,8 @@ fn digest_userpages(k: &mut Kernel, fds: &[EventFd], h: &mut Fnv) {
 /// userpage before each action, each sampling event's record count and
 /// last record, then every fd's read (closed fds hash their error) and
 /// the rest of the observable state ([`digest`]).
-fn perf_lifecycle_case(spec: MachineSpec, batched: bool) -> u64 {
-    let mut k = Kernel::boot(
-        spec,
-        KernelConfig {
-            seed: 0x5eed_cafe,
-            ..Default::default()
-        },
-    );
+fn perf_lifecycle_case(spec: MachineSpec) -> u64 {
+    let mut k = Kernel::boot(spec, KernelConfig::default());
     spawn_workload(&mut k);
     let long = spawn_long_tasks(&mut k);
     let fds = open_lifecycle_events(&mut k, long);
@@ -892,24 +792,12 @@ fn perf_lifecycle_case(spec: MachineSpec, batched: bool) -> u64 {
     let mut h = Fnv::new();
     let mut done = 0u64;
     for (step, action) in PERF_ACTIONS {
-        if batched {
-            k.tick_batch(step + 1 - done);
-        } else {
-            for _ in done..=step {
-                k.tick();
-            }
-        }
+        k.tick_batch(step + 1 - done);
         done = step + 1;
         digest_userpages(&mut k, &fds.all, &mut h);
         perf_action(&mut k, &fds, action);
     }
-    if batched {
-        k.tick_batch(400 - done);
-    } else {
-        for _ in done..400 {
-            k.tick();
-        }
-    }
+    k.tick_batch(400 - done);
     for &fd in &fds.sampling {
         let recs = k.event_samples(fd).unwrap();
         h.u64(recs.len() as u64);
@@ -927,7 +815,7 @@ fn perf_lifecycle_case(spec: MachineSpec, batched: bool) -> u64 {
 /// The perf paths [`run_case`] does not reach — mid-run close of a group
 /// leader and of a lone member, group disable/enable, `ThreadOnCpu`
 /// events and a sampling event — reproduce digests recorded before the
-/// kernel kept per-context event lists, under both tick loops.
+/// kernel kept per-context event lists.
 #[test]
 fn perf_lifecycle_matches_golden() {
     let presets: [(&str, SpecFn, u64); 2] = [
@@ -943,20 +831,17 @@ fn perf_lifecycle_matches_golden() {
         ),
     ];
     for (name, spec, golden) in presets {
-        for batched in [false, true] {
-            let h = perf_lifecycle_case(spec(), batched);
-            assert_eq!(
-                h, golden,
-                "{name}: perf lifecycle digest {h:#018x} diverged (batched: {batched})"
-            );
-        }
+        let h = perf_lifecycle_case(spec());
+        assert_eq!(
+            h, golden,
+            "{name}: perf lifecycle digest {h:#018x} diverged"
+        );
     }
 }
 
 /// Every registered scheduler honours the determinism contract on the full
-/// conformance scenario (all 7 fault kinds, mid-run open): same seed ⇒
-/// bit-identical digests across per-tick vs batched (`MacroTicks::Auto`/
-/// `Off`) tick loops.
+/// conformance scenario (all 7 fault kinds, mid-run open): two runs with
+/// the same config ⇒ bit-identical digests.
 #[test]
 fn every_scheduler_is_deterministic() {
     let presets: [(&str, SpecFn); 2] = [
@@ -965,22 +850,13 @@ fn every_scheduler_is_deterministic() {
     ];
     for sched in SchedName::ALL {
         for (name, spec) in presets {
-            let cfg = |macro_ticks| KernelConfig {
-                macro_ticks,
-                seed: 0x5eed_cafe,
+            let cfg = || KernelConfig {
                 sched,
                 ..Default::default()
             };
-            let golden = run_case_cfg(spec(), cfg(MacroTicks::Auto), false);
-            for macro_ticks in [MacroTicks::Auto, MacroTicks::Off] {
-                let batched = run_case_cfg(spec(), cfg(macro_ticks), true);
-                assert_eq!(
-                    golden,
-                    batched,
-                    "{}/{name}: batched macro_ticks={macro_ticks:?} diverged",
-                    sched.as_str()
-                );
-            }
+            let first = run_case_cfg(spec(), cfg());
+            let second = run_case_cfg(spec(), cfg());
+            assert_eq!(first, second, "{}/{name}: replay diverged", sched.as_str());
         }
     }
 }

@@ -9,11 +9,10 @@ use simcpu::phase::Phase;
 use simcpu::power::energy_delta_uj;
 use simcpu::types::{CpuId, CpuMask};
 use simos::faults::{FaultKind, FaultPlan, TransientErrno};
-use simos::kernel::{Kernel, KernelConfig, MacroTicks};
+use simos::kernel::{Kernel, KernelConfig};
 use simos::perf::{PerfAttr, Target};
 use simos::simsched::SchedName;
 use simos::task::{Op, ScriptedProgram};
-use simtrace::TraceConfig;
 
 /// A random but valid compute phase.
 fn arb_phase() -> impl Strategy<Value = Phase> {
@@ -262,7 +261,6 @@ proptest! {
         let mut k = Kernel::boot(
             MachineSpec::skylake_quad(),
             KernelConfig {
-                seed: 0x5eed_cafe,
                 sched,
                 ..Default::default()
             },
@@ -341,152 +339,6 @@ proptest! {
             let cap = if i % 5 == 0 { 2_000_000 } else { u64::MAX };
             d.step(1_000_000, *u, scale, cap);
             prop_assert!((1_500_000..=4_100_000).contains(&d.cur_khz()));
-        }
-    }
-
-    /// Software-event determinism: the kernel-side PMU (task clock,
-    /// context switches, migrations, page faults) is fed from scheduler
-    /// state, not hardware counters, so its reads must be bit-identical —
-    /// value and all three clocks — across macro-tick coalescing and
-    /// batched vs per-tick loops, for any workload shape.
-    #[test]
-    fn software_events_mode_invariant(
-        progs in proptest::collection::vec(
-            (
-                proptest::collection::vec(arb_phase(), 1..4),
-                0u64..4_000_000,                                 // sleep ns
-                proptest::collection::vec(0usize..24, 1..4),     // affinity
-            ),
-            1..6,
-        ),
-        ticks in 20u64..120,
-    ) {
-        let run = |macro_ticks: MacroTicks, batched: bool| {
-            let mut k = Kernel::boot(
-                MachineSpec::raptor_lake_i7_13700(),
-                KernelConfig {
-                    macro_ticks,
-                    seed: 0x5eed_cafe,
-                    ..Default::default()
-                },
-            );
-            let sw = k.pmu_by_name("software").unwrap().id;
-            let mut fds = Vec::new();
-            for (phases, sleep_ns, cpus) in &progs {
-                let mut ops: Vec<Op> = Vec::new();
-                for (i, ph) in phases.iter().enumerate() {
-                    ops.push(Op::Compute(ph.clone()));
-                    if i == 0 && *sleep_ns > 0 {
-                        ops.push(Op::Sleep(*sleep_ns));
-                    }
-                }
-                ops.push(Op::Exit);
-                let pid = k.spawn(
-                    "w",
-                    Box::new(ScriptedProgram::new(ops)),
-                    CpuMask::from_cpus(cpus.iter().copied()),
-                    0,
-                );
-                for cfg in [
-                    simos::perf::EventConfig::SwTaskClock,
-                    simos::perf::EventConfig::SwContextSwitches,
-                    simos::perf::EventConfig::SwCpuMigrations,
-                    simos::perf::EventConfig::SwPageFaults,
-                ] {
-                    let attr = simos::perf::PerfAttr {
-                        pmu_type: sw,
-                        config: cfg,
-                        disabled: true,
-                        sample_period: 0,
-                        pinned: false,
-                    };
-                    fds.push(k.perf_event_open(attr, Target::Thread(pid), None).unwrap());
-                }
-            }
-            for &fd in &fds {
-                k.ioctl_enable(fd, false).unwrap();
-            }
-            if batched {
-                k.tick_batch(ticks);
-            } else {
-                for _ in 0..ticks {
-                    k.tick();
-                }
-            }
-            fds.into_iter()
-                .map(|fd| k.read_event(fd).unwrap())
-                .collect::<Vec<_>>()
-        };
-        let golden = run(MacroTicks::Off, false);
-        let coalesced = run(MacroTicks::Auto, true);
-        prop_assert_eq!(&golden, &coalesced, "macro-tick coalescing diverged");
-        let batched_off = run(MacroTicks::Off, true);
-        prop_assert_eq!(&golden, &batched_off, "batched per-tick run diverged");
-    }
-
-    /// Mode-invariance of the flight recorder (DESIGN.md §10). With rings
-    /// big enough that nothing drops, a coalescing run (`MacroTicks::Auto`)
-    /// matches a non-coalescing one (`Off`) on the kernel and hw tracks
-    /// once the macro-summary bookkeeping kinds (`is_macro_summary`) are
-    /// filtered out — per-CPU tracks are excluded by design, since
-    /// replayed ticks skip the exec layer and so record no plan-cache
-    /// events.
-    #[test]
-    fn trace_event_order_mode_invariant(
-        progs in proptest::collection::vec(
-            (
-                proptest::collection::vec(arb_phase(), 1..3),
-                proptest::collection::vec(0usize..8, 1..3),
-            ),
-            1..6,
-        ),
-        ticks in 30u64..100,
-    ) {
-        let run = |macro_ticks: MacroTicks| {
-            let mut k = Kernel::boot(
-                MachineSpec::skylake_quad(),
-                KernelConfig {
-                    macro_ticks,
-                    seed: 0x5eed_cafe,
-                    trace: TraceConfig::enabled_with_cap(1 << 15),
-                    ..Default::default()
-                },
-            );
-            for (phases, cpus) in &progs {
-                let ops: Vec<Op> = phases
-                    .iter()
-                    .cloned()
-                    .map(Op::Compute)
-                    .chain([Op::Exit])
-                    .collect();
-                k.spawn(
-                    "w",
-                    Box::new(ScriptedProgram::new(ops)),
-                    CpuMask::from_cpus(cpus.iter().copied()),
-                    0,
-                );
-            }
-            k.tick_batch(ticks);
-            k.trace_tracks()
-        };
-        let coalesced = run(MacroTicks::Auto);
-        let off = run(MacroTicks::Off);
-        for name in ["kernel", "hw"] {
-            let pick = |tracks: &[simtrace::Track]| -> Vec<simtrace::TraceEvent> {
-                tracks
-                    .iter()
-                    .find(|t| t.name == name)
-                    .unwrap()
-                    .events
-                    .iter()
-                    .filter(|e| !e.kind.is_macro_summary())
-                    .copied()
-                    .collect()
-            };
-            prop_assert_eq!(
-                pick(&coalesced), pick(&off),
-                "track {} diverged between MacroTicks::Auto and Off", name
-            );
         }
     }
 }
