@@ -23,7 +23,14 @@
 //! The caliper workflow the paper contrasts with the `perf` tool —
 //! `PAPI_start()` / `PAPI_stop()` around arbitrary code regions — is
 //! [`Papi::start`]/[`Papi::stop`] driven from instrumentation hooks;
-//! [`Papi::run_instrumented`] is the canonical loop.
+//! [`Papi::run_instrumented`] is the canonical loop. As in real PAPI,
+//! `start` and `reset` issue only reset/enable ioctls, no reads.
+//!
+//! The library never sees the 48-bit hardware counter width: the
+//! kernel's `read()` returns 64-bit counts, and the rdpmc path of
+//! [`Papi::read_fast`] gets exact sums from
+//! [`simos::perf::UserPage::rdpmc`], which sign-extends the page's
+//! hardware bits from its `pmc_width`.
 
 pub mod avail;
 pub mod error;
@@ -46,7 +53,6 @@ pub use sysdetect::{DetectMethod, DetectionReport};
 use eventset::{plan_groups, Entry, NativeRef};
 use pfmlib::{Pfm, PfmOptions};
 use simcpu::phase::Phase;
-use simcpu::pmu::COUNTER_MASK;
 use simcpu::types::{CpuId, Nanos};
 use simos::kernel::KernelHandle;
 use simos::perf::{EventFd, PerfError, PmuKind, ReadValue};
@@ -140,8 +146,9 @@ fn retry_transient<T>(mut f: impl FnMut() -> Result<T, PerfError>) -> Result<T, 
     }
 }
 
-/// Sum one entry's member counters, 48-bit-unwrapping and loss-scaling
-/// each, and report the worst member quality.
+/// Sum one entry's member counters, loss-scaling each, and report the
+/// worst member quality. `read()` returns 64-bit counts (the kernel folds
+/// the hardware counter width), so values are summed as read.
 ///
 /// * A member absent from `by_fd` (its group read failed persistently)
 ///   is `Lost` and contributes nothing.
@@ -155,7 +162,6 @@ fn entry_value(
     es: &EventSet,
     entry: &Entry,
     by_fd: &HashMap<EventFd, ReadValue>,
-    wrap_base: &HashMap<EventFd, u64>,
 ) -> Result<(u64, ReadQuality), PapiError> {
     let mut total = 0u64;
     let mut quality = ReadQuality::Ok;
@@ -167,11 +173,6 @@ fn entry_value(
             quality = quality.max(ReadQuality::Lost);
             continue;
         };
-        let raw = rv.value;
-        let unwrapped = match wrap_base.get(&fd) {
-            Some(base) => raw.wrapping_sub(*base) & COUNTER_MASK,
-            None => raw,
-        };
         if rv.time_running == 0 {
             if rv.time_matched > 0 {
                 quality = quality.max(ReadQuality::Lost);
@@ -179,10 +180,10 @@ fn entry_value(
             // matched == 0: nothing to count (e.g. wrong-core-type half
             // of a derived preset) — an exact zero.
         } else if rv.time_running < rv.time_matched {
-            total += (unwrapped as f64 * rv.time_matched as f64 / rv.time_running as f64) as u64;
+            total += (rv.value as f64 * rv.time_matched as f64 / rv.time_running as f64) as u64;
             quality = quality.max(ReadQuality::Scaled);
         } else {
-            total += unwrapped;
+            total += rv.value;
         }
     }
     Ok((total, quality))
@@ -201,11 +202,6 @@ pub struct Papi {
     /// Per (eventset, entry): the sequence number of the next overflow
     /// record to drain (see `simos::perf::SampleRing`).
     overflow_seen: HashMap<(usize, usize), u64>,
-    /// 48-bit unwrap state: the raw counter value observed at the last
-    /// start/reset, per core-PMU fd. Counters may begin anywhere in the
-    /// 48-bit range (and wrap mid-run); `(raw − base) & COUNTER_MASK`
-    /// recovers the exact delta regardless.
-    wrap_base: HashMap<EventFd, u64>,
     /// Flight recorder for the library's own start/stop/read activity,
     /// inheriting the kernel's trace configuration.
     trace: TraceSink,
@@ -254,7 +250,6 @@ impl Papi {
             preset_defs: preset_table::parse_preset_csv(preset_table::BUILTIN_CSV)
                 .expect("built-in preset table is valid"),
             overflow_seen: HashMap::new(),
-            wrap_base: HashMap::new(),
             trace,
         })
     }
@@ -733,25 +728,11 @@ impl Papi {
         let es = self.es(id)?;
         let leaders = es.group_leaders.clone();
         let attach = es.attach;
-        let core_fds: Vec<EventFd> = es
-            .natives
-            .iter()
-            .filter(|n| n.pmu_kind == PmuKind::CoreHw)
-            .filter_map(|n| n.fd)
-            .collect();
-        let mut bases = Vec::with_capacity(core_fds.len());
         {
             let mut k = self.kernel.lock();
             for fd in &leaders {
                 k.ioctl_reset(*fd, true)?;
                 k.ioctl_enable(*fd, true)?;
-            }
-            // Baseline the 48-bit unwrap state: a freshly reset hardware
-            // counter shows an arbitrary point in its 48-bit range, not
-            // zero. Later reads subtract this modulo 2^48.
-            for fd in core_fds {
-                let rv = retry_transient(|| k.read_event(fd))?;
-                bases.push((fd, rv.value));
             }
             // In-process overhead: PAPI_start's tail executes inside the
             // measurement window.
@@ -764,7 +745,6 @@ impl Papi {
                 }
             }
         }
-        self.wrap_base.extend(bases);
         self.es_mut(id)?.state = EsState::Running;
         if self.trace.enabled() {
             let t = self.kernel.lock().time_ns();
@@ -816,7 +796,7 @@ impl Papi {
         let es = self.es(id)?;
         let mut out = Vec::with_capacity(es.entries.len());
         for entry in &es.entries {
-            let (total, _) = entry_value(es, entry, &by_fd, &self.wrap_base)?;
+            let (total, _) = entry_value(es, entry, &by_fd)?;
             out.push((entry.label.clone(), total));
         }
         // The strict path either returned exact/scaled-free values or
@@ -840,7 +820,7 @@ impl Papi {
         let mut out = Vec::with_capacity(es.entries.len());
         let mut worst = ReadQuality::Ok;
         for entry in &es.entries {
-            let (total, q) = entry_value(es, entry, &by_fd, &self.wrap_base)?;
+            let (total, q) = entry_value(es, entry, &by_fd)?;
             worst = worst.max(q);
             out.push((entry.label.clone(), total, q));
         }
@@ -884,27 +864,11 @@ impl Papi {
 
     /// `PAPI_reset`.
     pub fn reset(&mut self, id: EventSetId) -> Result<(), PapiError> {
-        let es = self.es(id)?;
-        let leaders = es.group_leaders.clone();
-        let core_fds: Vec<EventFd> = es
-            .natives
-            .iter()
-            .filter(|n| n.pmu_kind == PmuKind::CoreHw)
-            .filter_map(|n| n.fd)
-            .collect();
-        let mut bases = Vec::with_capacity(core_fds.len());
-        {
-            let mut k = self.kernel.lock();
-            for fd in leaders {
-                k.ioctl_reset(fd, true)?;
-            }
-            // Reset re-baselines the 48-bit unwrap state (see `start`).
-            for fd in core_fds {
-                let rv = retry_transient(|| k.read_event(fd))?;
-                bases.push((fd, rv.value));
-            }
+        let leaders = self.es(id)?.group_leaders.clone();
+        let mut k = self.kernel.lock();
+        for fd in leaders {
+            k.ioctl_reset(fd, true)?;
         }
-        self.wrap_base.extend(bases);
         Ok(())
     }
 
@@ -951,14 +915,10 @@ impl Papi {
             let mut k = self.kernel.lock();
             for &fd in &fds {
                 let page = k.mmap_userpage(fd)?;
-                let raw = match page.rdpmc() {
+                total += match page.rdpmc() {
                     Some(v) => v,
                     // Not on a hardware counter: take the syscall.
                     None => retry_transient(|| k.read_event(fd))?.value,
-                };
-                total += match self.wrap_base.get(&fd) {
-                    Some(base) => raw.wrapping_sub(*base) & COUNTER_MASK,
-                    None => raw,
                 };
             }
         }
@@ -1038,9 +998,6 @@ impl Papi {
             for fd in &old_fds {
                 let _ = k.close_event(*fd);
             }
-        }
-        for fd in &old_fds {
-            self.wrap_base.remove(fd);
         }
         self.ensure_opened(id)
     }
@@ -1347,6 +1304,32 @@ mod tests {
         // Length mismatch.
         let mut wrong = [0u64; 2];
         assert!(papi.accum(es, &mut wrong).is_err());
+    }
+
+    /// `PAPI_start` and `PAPI_reset` issue ioctls only, as real PAPI's
+    /// do: the kernel's `read()` returns 64-bit counts, so there is no
+    /// counter width to take a baseline against.
+    #[test]
+    fn start_and_reset_issue_no_read_syscalls() {
+        let kernel = boot(MachineSpec::raptor_lake_i7_13700());
+        let pid = spawn_loop(&kernel, CpuMask::from_cpus([0]), 1_000_000);
+        let mut papi = Papi::init(kernel.clone()).unwrap();
+        let es = papi.create_eventset();
+        papi.attach(es, Attach::Task(pid)).unwrap();
+        papi.add_named(es, "adl_glc::INST_RETIRED:ANY").unwrap();
+        papi.add_named(es, "adl_glc::CPU_CLK_UNHALTED:THREAD")
+            .unwrap();
+        papi.add_named(es, "adl_grt::INST_RETIRED:ANY").unwrap();
+        let before = papi.syscall_stats();
+        papi.start(es).unwrap();
+        let started = papi.syscall_stats();
+        assert_eq!(started.reads, before.reads, "start reads nothing");
+        // One reset and one enable per group (one group per core PMU).
+        assert_eq!(started.ioctls, before.ioctls + 4);
+        papi.reset(es).unwrap();
+        let reset = papi.syscall_stats();
+        assert_eq!(reset.reads, before.reads, "reset reads nothing");
+        assert_eq!(reset.ioctls, started.ioctls + 2);
     }
 
     #[test]

@@ -40,7 +40,7 @@ use metricsd::queue::ClientPipe;
 use metricsd::wire::{agg, fnv64, series, Request, Response};
 use metricsd::{
     ChaosConfig, ChaosStats, ChaosTransport, Connector, Daemon, DaemonConfig, MirrorOutcome,
-    ResilientClient, ResilientConfig, ResilientStats, SloSpec, StreamMirror,
+    ResilientClient, ResilientStats, SloSpec, StreamMirror,
 };
 use simtrace::TraceConfig;
 
@@ -114,11 +114,7 @@ fn make_bot(connector: &Connector, chaos: ChaosConfig, idx: usize, scenario_seed
                 .with_shared_stats(Arc::clone(&sink2)),
         )
     });
-    let rcfg = ResilientConfig {
-        seed: scenario_seed ^ idx as u64,
-        ..ResilientConfig::default()
-    };
-    let mut c = ResilientClient::new(dial, rcfg);
+    let mut c = ResilientClient::new(dial, scenario_seed ^ idx as u64);
     // Every 8th RPC carries a sampled trace context in its frame header
     // through whatever the chaos preset does to the link — a corrupted
     // header must come back as a typed refusal and reissue like any

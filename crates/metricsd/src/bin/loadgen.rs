@@ -50,18 +50,15 @@ use std::time::Instant;
 
 use metricsd::queue::ClientPipe;
 use metricsd::wire::{agg, metrics, series, Request, Response, MAX_RANGE_POINTS};
-use metricsd::{Daemon, DaemonConfig, MetricsClient, MirrorOutcome, SloSpec, StreamMirror};
+use metricsd::{
+    Daemon, DaemonConfig, MetricsClient, MirrorOutcome, SloSpec, StreamMirror, STALL_GRACE_PUMPS,
+};
 use simtrace::metrics::{percentile_of_sorted, Histogram};
 use simtrace::{EventKind, TraceConfig};
 
 use common::{boot_machine, final_values_digest, session_mask, session_metrics};
 
 const TICKS_PER_PUMP: u32 = 20;
-/// Outbox-full pumps tolerated before eviction. Explicit (not the
-/// config default) because the whole bench is calibrated against it:
-/// healthy sessions drain every pump and must never come near it, and
-/// the slow consumer must cross it well before the run ends.
-const STALL_GRACE_PUMPS: u32 = 8;
 
 type Client = MetricsClient<ClientPipe>;
 
@@ -189,7 +186,6 @@ fn run_once(n_sessions: usize, pumps: u64) -> FleetResult {
         boot_machine(TraceConfig::default()),
         DaemonConfig {
             ticks_per_pump: TICKS_PER_PUMP,
-            stall_grace_pumps: STALL_GRACE_PUMPS,
             ..DaemonConfig::default()
         },
     );
@@ -387,7 +383,6 @@ fn run_fanout(n_sessions: usize, pumps: u64) -> FanoutResult {
         boot_machine(TraceConfig::default()),
         DaemonConfig {
             ticks_per_pump: TICKS_PER_PUMP,
-            stall_grace_pumps: STALL_GRACE_PUMPS,
             ..DaemonConfig::default()
         },
     );
@@ -582,7 +577,6 @@ fn run_query_phase(n_sessions: usize, pumps: u64, traced: bool) -> QueryPhaseRes
         boot_machine(trace_cfg.clone()),
         DaemonConfig {
             ticks_per_pump: TICKS_PER_PUMP,
-            stall_grace_pumps: STALL_GRACE_PUMPS,
             // Zero queueing term: latency depends only on snapshot
             // time, never on position in the serve order, which keeps
             // the recorded p99 and history digests comparable with

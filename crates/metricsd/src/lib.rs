@@ -57,7 +57,9 @@ pub mod wire;
 pub use chaos::{ChaosConfig, ChaosStats, ChaosTransport};
 pub use client::{ClientError, MetricsClient, MirrorOutcome, StreamMirror, Transport};
 pub use history::{Breach, History, RangeResult, Rollup, SloKind, SloSpec};
-pub use resilient::{ResilientClient, ResilientConfig, ResilientStats};
-pub use server::{Connector, Daemon, DaemonConfig};
+pub use resilient::{ResilientClient, ResilientStats};
+pub use server::{
+    Connector, Daemon, DaemonConfig, RESUME_TTL_PUMPS, RETRY_AFTER_PUMPS, STALL_GRACE_PUMPS,
+};
 pub use snapshot::{Collector, CpuCounters, SnapshotCache, StreamFrames, TickSnapshot};
 pub use wire::{CpuKeyframe, FrameDecoder, HistSummary, Request, Response, PROTO_VERSION};

@@ -10,7 +10,7 @@
 //!
 //! The recovery ladder, from cheapest to most drastic:
 //!
-//! 1. **Reissue** — no reply within `rpc_timeout_rounds`, or a typed
+//! 1. **Reissue** — no reply within `RPC_TIMEOUT_ROUNDS`, or a typed
 //!    refusal (`BAD_CHECKSUM`, `BAD_FRAME`): resend the *same*
 //!    sequence id. The daemon's per-session reply cache makes this
 //!    idempotent — an RPC applied once is never applied twice.
@@ -26,7 +26,7 @@
 //!    via `ReadQuality::Scaled` on resumed subscriptions — explicit,
 //!    never silent.
 //! 4. **Start over** — token expired (`NO_SUCH_TOKEN` after
-//!    `resume_grace` retries) or eviction: fresh `Hello`, and
+//!    `RESUME_GRACE` retries) or eviction: fresh `Hello`, and
 //!    [`ResilientClient::take_session_lost`] tells the caller its
 //!    subscriptions are gone and must be rebuilt.
 
@@ -40,37 +40,19 @@ use simtrace::{span, EventKind, TraceSink};
 use crate::client::{ClientError, Transport};
 use crate::wire::{errcode, Header, Request, Response, TraceCtx, PROTO_VERSION};
 
-/// Retry/backoff tuning, all in lockstep rounds.
-#[derive(Debug, Clone, Copy)]
-pub struct ResilientConfig {
-    /// Rounds to wait for a reply before reissuing the same seq.
-    pub rpc_timeout_rounds: u32,
-    /// First reconnect backoff (doubles per consecutive failure).
-    pub backoff_base_rounds: u32,
-    /// Backoff ceiling.
-    pub backoff_cap_rounds: u32,
-    /// Reissue attempts per RPC before giving up with `Timeout`.
-    pub max_attempts: u32,
-    /// `NO_SUCH_TOKEN` replies tolerated (the daemon may not have
-    /// parked the old session yet) before falling back to a fresh
-    /// `Hello`.
-    pub resume_grace: u32,
-    /// Seed for the deterministic backoff jitter.
-    pub seed: u64,
-}
+// Retry/backoff tuning, all in lockstep rounds.
 
-impl Default for ResilientConfig {
-    fn default() -> ResilientConfig {
-        ResilientConfig {
-            rpc_timeout_rounds: 3,
-            backoff_base_rounds: 1,
-            backoff_cap_rounds: 8,
-            max_attempts: 200,
-            resume_grace: 4,
-            seed: 0,
-        }
-    }
-}
+/// Rounds to wait for a reply before reissuing the same seq.
+const RPC_TIMEOUT_ROUNDS: u32 = 3;
+/// First reconnect backoff (doubles per consecutive failure).
+const BACKOFF_BASE_ROUNDS: u32 = 1;
+/// Backoff ceiling.
+const BACKOFF_CAP_ROUNDS: u32 = 8;
+/// Reissue attempts per RPC before giving up with `Timeout`.
+const MAX_ATTEMPTS: u32 = 200;
+/// `NO_SUCH_TOKEN` replies tolerated (the daemon may not have parked the
+/// old session yet) before falling back to a fresh `Hello`.
+const RESUME_GRACE: u32 = 4;
 
 /// Client-observed recovery counts, for cross-checking against the
 /// chaos injector's stats and the daemon's self-metrics.
@@ -92,7 +74,7 @@ pub struct ResilientStats {
     pub overloads: u64,
     /// Sessions lost for good (token expired or evicted).
     pub sessions_lost: u64,
-    /// RPCs abandoned after `max_attempts`.
+    /// RPCs abandoned after `MAX_ATTEMPTS`.
     pub give_ups: u64,
 }
 
@@ -151,7 +133,6 @@ pub struct ResilientClient<T: Transport, F: FnMut() -> Option<T>> {
     dial: F,
     t: Option<T>,
     link: Link,
-    cfg: ResilientConfig,
     rng: StdRng,
     round: u64,
     consecutive_fails: u32,
@@ -179,13 +160,13 @@ pub struct ResilientClient<T: Transport, F: FnMut() -> Option<T>> {
 impl<T: Transport, F: FnMut() -> Option<T>> ResilientClient<T, F> {
     /// `dial` yields a fresh transport per attempt (or `None` when the
     /// endpoint is down right now — the client backs off and retries).
-    pub fn new(dial: F, cfg: ResilientConfig) -> ResilientClient<T, F> {
+    /// `seed` drives the deterministic backoff jitter.
+    pub fn new(dial: F, seed: u64) -> ResilientClient<T, F> {
         ResilientClient {
             dial,
             t: None,
             link: Link::Down { backoff_left: 0 },
-            rng: StdRng::seed_from_u64(cfg.seed),
-            cfg,
+            rng: StdRng::seed_from_u64(seed),
             round: 0,
             consecutive_fails: 0,
             resume_denials: 0,
@@ -316,12 +297,9 @@ impl<T: Transport, F: FnMut() -> Option<T>> ResilientClient<T, F> {
     /// the dead session before a Resume can find it.
     fn begin_backoff(&mut self) {
         self.consecutive_fails += 1;
-        let exp = self
-            .cfg
-            .backoff_base_rounds
+        let exp = BACKOFF_BASE_ROUNDS
             .saturating_mul(1u32 << (self.consecutive_fails - 1).min(16))
-            .min(self.cfg.backoff_cap_rounds)
-            .max(1);
+            .clamp(1, BACKOFF_CAP_ROUNDS);
         let jitter = self.rng.gen_range_u64(0, exp as u64 + 1) as u32;
         self.link = Link::Down {
             backoff_left: (exp + jitter).max(1),
@@ -454,7 +432,7 @@ impl<T: Transport, F: FnMut() -> Option<T>> ResilientClient<T, F> {
             }
             Response::Err { code, .. } if code == errcode::NO_SUCH_TOKEN => {
                 self.resume_denials += 1;
-                if self.resume_denials > self.cfg.resume_grace {
+                if self.resume_denials > RESUME_GRACE {
                     // Token gone for good: start a fresh session and
                     // tell the caller its subscriptions died with it.
                     self.session_token = None;
@@ -520,7 +498,6 @@ impl<T: Transport, F: FnMut() -> Option<T>> ResilientClient<T, F> {
             },
             GaveUp,
         }
-        let cfg = self.cfg;
         let act = {
             let Some(inf) = (if greeting {
                 self.greet.as_mut()
@@ -545,9 +522,9 @@ impl<T: Transport, F: FnMut() -> Option<T>> ResilientClient<T, F> {
                 }
             } else {
                 inf.rounds_waiting += 1;
-                if inf.rounds_waiting > cfg.rpc_timeout_rounds {
+                if inf.rounds_waiting > RPC_TIMEOUT_ROUNDS {
                     inf.attempts += 1;
-                    if inf.attempts >= cfg.max_attempts {
+                    if inf.attempts >= MAX_ATTEMPTS {
                         Act::GaveUp
                     } else {
                         // Reissue next step (same seq — the dedup cache

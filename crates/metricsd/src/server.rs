@@ -22,7 +22,7 @@
 //!
 //! Backpressure is explicit: a session whose outbox is full keeps its
 //! requests queued in its inbox (nothing is dropped), and a session that
-//! stays stalled for `stall_grace_pumps` consecutive pumps is evicted —
+//! stays stalled for [`STALL_GRACE_PUMPS`] consecutive pumps is evicted —
 //! a best-effort [`Response::Evicted`] is forced into its outbox and the
 //! queue closes. The daemon never blocks on a slow consumer.
 //!
@@ -38,7 +38,7 @@
 //!   (inbox closed and drained without an orderly `Close` or an
 //!   eviction) is *parked*: its subscriptions, delta-stream setting, and
 //!   reply cache move to a token-keyed table for
-//!   `resume_ttl_pumps`. A reconnecting client sends
+//!   [`RESUME_TTL_PUMPS`]. A reconnecting client sends
 //!   [`Request::Resume`] with the token from its `Welcome` and
 //!   continues where it left off; resumed subscriptions answer reads
 //!   as `ReadQuality::Scaled` until the client re-baselines them.
@@ -68,6 +68,19 @@ use crate::wire::{
 /// that restored it); four leaves slack.
 const REPLY_CACHE: usize = 4;
 
+/// The stall grace: consecutive pumps a session may sit with a full
+/// outbox (a push attempted and refused) before it is evicted as a slow
+/// consumer. Healthy sessions that drain every pump never accumulate
+/// stalled pumps and are never evicted.
+pub const STALL_GRACE_PUMPS: u32 = 8;
+
+/// Pumps a parked (dead-transport) session stays resumable before its
+/// token is reaped and its state dropped.
+pub const RESUME_TTL_PUMPS: u64 = 256;
+
+/// Back-off hint carried in [`Response::Overloaded`] replies.
+pub const RETRY_AFTER_PUMPS: u32 = 2;
+
 /// Daemon tuning knobs.
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
@@ -78,11 +91,6 @@ pub struct DaemonConfig {
     pub outbox_cap: usize,
     /// Per-session inbox capacity (frames).
     pub inbox_cap: usize,
-    /// The stall grace: consecutive pumps a session may sit with a full
-    /// outbox (a push attempted and refused) before it is evicted as a
-    /// slow consumer. Healthy sessions that drain every pump never
-    /// accumulate stalled pumps and are never evicted.
-    pub stall_grace_pumps: u32,
     /// Virtual serving cost per request or push (sim-ns), the queueing
     /// term in reported latency.
     pub serve_ns: u64,
@@ -97,11 +105,6 @@ pub struct DaemonConfig {
     /// requests before they are shed with [`Response::Overloaded`]
     /// (0 = no deadline).
     pub deadline_pumps: u32,
-    /// Pumps a parked (dead-transport) session stays resumable before
-    /// its token is reaped and its state dropped.
-    pub resume_ttl_pumps: u64,
-    /// Back-off hint carried in [`Response::Overloaded`] replies.
-    pub retry_after_pumps: u32,
     /// Per-tier frame capacity of the rollup history ring (floored at
     /// [`crate::history::TIER_FANOUT`]).
     pub history_cap: usize,
@@ -116,13 +119,10 @@ impl Default for DaemonConfig {
             ticks_per_pump: 20,
             outbox_cap: 64,
             inbox_cap: 64,
-            stall_grace_pumps: 8,
             serve_ns: 500,
             max_requests_per_pump: 16,
             pump_budget: 0,
             deadline_pumps: 0,
-            resume_ttl_pumps: 256,
-            retry_after_pumps: 2,
             history_cap: 512,
             slos: Vec::new(),
         }
@@ -494,10 +494,9 @@ impl Daemon {
             true
         });
         // TTL-reap the parked table.
-        let ttl = self.cfg.resume_ttl_pumps;
         let mut reaped = 0u64;
         self.parked.retain(|_, p| {
-            let keep = pumps.saturating_sub(p.parked_at_pump) <= ttl;
+            let keep = pumps.saturating_sub(p.parked_at_pump) <= RESUME_TTL_PUMPS;
             if !keep {
                 reaped += 1;
             }
@@ -780,7 +779,7 @@ fn serve(sessions: &mut [Session], ctx: &mut PumpCtx) -> u64 {
                 ctx.trace
                     .record(snap.time_ns, EventKind::LoadShed, reason, session.id, 0);
                 let reply = Response::Overloaded {
-                    retry_after_pumps: cfg.retry_after_pumps,
+                    retry_after_pumps: RETRY_AFTER_PUMPS,
                 }
                 .encode();
                 if session.outbox.push(reply).is_err() {
@@ -796,7 +795,7 @@ fn serve(sessions: &mut [Session], ctx: &mut PumpCtx) -> u64 {
 
         if stalled {
             session.stalled_pumps += 1;
-            if session.stalled_pumps > cfg.stall_grace_pumps {
+            if session.stalled_pumps > STALL_GRACE_PUMPS {
                 session.evicted = true;
                 ctx.rollup.evictions += 1;
                 ctx.trace.record(

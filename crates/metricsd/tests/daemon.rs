@@ -10,7 +10,10 @@ use std::time::Duration;
 
 use metricsd::queue::ClientPipe;
 use metricsd::wire::{errcode, metrics, Header, Request, Response, TraceCtx};
-use metricsd::{ClientError, Daemon, DaemonConfig, MetricsClient, Transport};
+use metricsd::{
+    ClientError, Daemon, DaemonConfig, MetricsClient, Transport, RESUME_TTL_PUMPS,
+    RETRY_AFTER_PUMPS, STALL_GRACE_PUMPS,
+};
 use proptest::prelude::*;
 use simcpu::machine::MachineSpec;
 use simcpu::phase::Phase;
@@ -189,13 +192,7 @@ fn hotplugged_cpu_degrades_quality_without_hanging() {
 
 #[test]
 fn slow_consumer_is_evicted_daemon_keeps_serving() {
-    let mut daemon = Daemon::new(
-        boot(None),
-        DaemonConfig {
-            stall_grace_pumps: 4,
-            ..DaemonConfig::default()
-        },
-    );
+    let mut daemon = Daemon::new(boot(None), DaemonConfig::default());
     let connector = daemon.connector();
     let mut healthy = MetricsClient::new(connector.connect());
     let mut slow = MetricsClient::new(connector.connect_with_outbox_cap(2));
@@ -227,7 +224,7 @@ fn slow_consumer_is_evicted_daemon_keeps_serving() {
     // Slow stops draining here; its outbox (cap 2) holds the two acks,
     // every delta-stream push after them is refused, and it stays full.
 
-    for _ in 0..12 {
+    for _ in 0..STALL_GRACE_PUMPS + 4 {
         healthy
             .post(&Request::Read {
                 sub_id: healthy_sub,
@@ -749,7 +746,6 @@ fn overload_sheds_typed_replies_and_never_evicts() {
         boot(None),
         DaemonConfig {
             pump_budget: 1,
-            retry_after_pumps: 3,
             ..DaemonConfig::default()
         },
     );
@@ -801,7 +797,10 @@ fn overload_sheds_typed_replies_and_never_evicts() {
         match Response::decode_framed(&frame).unwrap() {
             (Some(_), Response::Counters { .. }) => served += 1,
             (None, Response::Overloaded { retry_after_pumps }) => {
-                assert_eq!(retry_after_pumps, 3, "the backoff hint rides along");
+                assert_eq!(
+                    retry_after_pumps, RETRY_AFTER_PUMPS,
+                    "the backoff hint rides along"
+                );
                 shed += 1;
             }
             other => panic!("{other:?}"),
@@ -842,13 +841,7 @@ fn overload_sheds_typed_replies_and_never_evicts() {
 
 #[test]
 fn parked_sessions_expire_after_ttl() {
-    let mut daemon = Daemon::new(
-        boot(None),
-        DaemonConfig {
-            resume_ttl_pumps: 2,
-            ..DaemonConfig::default()
-        },
-    );
+    let mut daemon = Daemon::new(boot(None), DaemonConfig::default());
     let connector = daemon.connector();
     let mut t = connector.connect();
 
@@ -868,7 +861,7 @@ fn parked_sessions_expire_after_ttl() {
     assert_eq!(daemon.parked_count(), 1);
 
     // Sit past the TTL; the parked state is reaped for good.
-    for _ in 0..4 {
+    for _ in 0..RESUME_TTL_PUMPS + 2 {
         daemon.pump_quiescent();
     }
     assert_eq!(daemon.parked_count(), 0, "stale parked session reaped");
@@ -969,6 +962,51 @@ fn delta_stream_pushes_keyframe_then_deltas_and_mirror_tracks() {
     assert!(saw_keyframe, "nack forced a fresh keyframe");
     assert!(mirror.synced);
     assert_eq!(mirror.desyncs, 0);
+}
+
+#[test]
+fn counter_wrap_before_open_serves_the_unfaulted_counts() {
+    use metricsd::{MirrorOutcome, StreamMirror};
+
+    // Installed at boot, the wrap fault fires before the collector opens
+    // its events: every register starts within 1,000 counts of the
+    // 48-bit limit, and the busy CPUs' wrap in the first tick. `read()`
+    // returns 64-bit counts, so the per-CPU instructions and cycles the
+    // daemon streams equal an unfaulted daemon's, pump for pump.
+    let served = |faults: Option<FaultPlan>| -> Vec<Vec<(u64, u64)>> {
+        let mut daemon = Daemon::new(boot(faults), DaemonConfig::default());
+        let mut c = MetricsClient::new(daemon.connector().connect());
+        c.post(&Request::Hello {
+            proto: metricsd::PROTO_VERSION,
+        })
+        .unwrap();
+        daemon.pump();
+        assert!(matches!(c.take().unwrap(), Response::Welcome { .. }));
+        c.post(&Request::StreamDeltas { every_pumps: 1 }).unwrap();
+        daemon.pump();
+        let mut mirror = StreamMirror::new();
+        (0..8)
+            .map(|_| {
+                daemon.pump();
+                while let Some(resp) = c.try_take().unwrap() {
+                    if let MirrorOutcome::NeedKeyframe = mirror.apply(&resp) {
+                        panic!("healthy stream desynced: {resp:?}");
+                    }
+                }
+                assert!(mirror.synced);
+                mirror.cpus.clone()
+            })
+            .collect()
+    };
+    let clean = served(None);
+    let wrapped = served(Some(
+        FaultPlan::new(5).at(0, FaultKind::CounterWrap { headroom: 1_000 }),
+    ));
+    assert_eq!(wrapped, clean, "the wrap fault changed served counts");
+    assert!(
+        clean.iter().all(|cpus| cpus[0].0 > 0 && cpus[0].1 > 0),
+        "cpu0 counts instructions and cycles every pump"
+    );
 }
 
 #[test]

@@ -9,9 +9,7 @@
 
 use metricsd::queue::ClientPipe;
 use metricsd::wire::{metrics, Request, Response};
-use metricsd::{
-    ChaosConfig, ChaosTransport, Daemon, DaemonConfig, ResilientClient, ResilientConfig,
-};
+use metricsd::{ChaosConfig, ChaosTransport, Daemon, DaemonConfig, ResilientClient};
 use simcpu::machine::MachineSpec;
 use simos::kernel::{Kernel, KernelConfig, KernelHandle};
 use simtrace::{EventKind, TraceConfig, TraceSink, Track};
@@ -108,10 +106,7 @@ fn chaos_recovery_events_land_in_both_flight_recorders() {
                 chaos.with_seed(0xC0FFEE ^ attempt.wrapping_mul(0x9e3779b97f4a7c15)),
             ))
         },
-        ResilientConfig {
-            seed: 5,
-            ..ResilientConfig::default()
-        },
+        5,
     );
     c.set_trace(TraceSink::new(&TraceConfig::enabled_with_cap(4096)));
 
@@ -165,13 +160,7 @@ fn load_sheds_are_traced_and_all_ledgers_agree() {
     let mut clients: Vec<ResilientClient<ClientPipe, _>> = (0..3)
         .map(|i| {
             let conn = connector.clone();
-            ResilientClient::new(
-                move || Some(conn.connect()),
-                ResilientConfig {
-                    seed: i,
-                    ..ResilientConfig::default()
-                },
-            )
+            ResilientClient::new(move || Some(conn.connect()), i)
         })
         .collect();
 

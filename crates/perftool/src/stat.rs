@@ -546,6 +546,42 @@ mod tests {
         assert_eq!(res.total_for("cpu_atom"), 2_000_000);
     }
 
+    /// A counter-wrap fault armed before `arm` opens the events puts every
+    /// register within 1,000 counts of the 48-bit limit. `read()` returns
+    /// 64-bit counts, so each system-wide row still equals the unfaulted
+    /// run's.
+    #[test]
+    fn counter_wrap_armed_before_open_leaves_rows_exact() {
+        use simos::faults::{FaultKind, FaultPlan};
+        let run = |faults: Option<FaultPlan>| {
+            let kernel = boot();
+            if let Some(plan) = faults {
+                kernel.lock().install_faults(&plan);
+            }
+            spawn(&kernel, "0", 3_000_000);
+            spawn(&kernel, "16", 2_000_000);
+            let cfg = StatConfig {
+                events: vec!["instructions".into(), "cycles".into()],
+                system_wide: true,
+                cpus: None,
+            };
+            let session = arm(&kernel, &cfg, None).unwrap();
+            kernel.lock().run_to_completion(60_000_000_000);
+            let res = session.finish().unwrap();
+            res.rows
+                .iter()
+                .map(|r| (r.label.clone(), r.value, r.time_enabled, r.time_running))
+                .collect::<Vec<_>>()
+        };
+        let clean = run(None);
+        let wrapped = run(Some(
+            FaultPlan::new(5).at(0, FaultKind::CounterWrap { headroom: 1_000 }),
+        ));
+        assert_eq!(wrapped, clean);
+        assert_eq!(clean[0].1, 3_000_000, "cpu_core instructions");
+        assert_eq!(clean[1].1, 2_000_000, "cpu_atom instructions");
+    }
+
     #[test]
     fn system_wide_cpu_filter() {
         let kernel = boot();

@@ -19,9 +19,11 @@
 //! * [`FaultKind::TransientOpen`] / [`FaultKind::TransientRead`] — the
 //!   next N calls fail `EINTR`/`EBUSY`. Callers with a retry loop never
 //!   notice; callers without one see a transient [`PerfError`].
-//! * [`FaultKind::CounterWrap`] — newly opened core events start near the
-//!   48-bit hardware limit and visibly wrap mid-run. Readers that track
-//!   deltas modulo 2^48 recover exact counts.
+//! * [`FaultKind::CounterWrap`] — the hardware registers of newly opened
+//!   core events start near the 48-bit limit and wrap mid-run. As on
+//!   Linux, `read()` returns the 64-bit count and absorbs the wrap; only
+//!   the rdpmc userpage carries the wrapped bits, and its readers recover
+//!   exact counts by sign-extending them from `pmc_width`.
 //! * [`FaultKind::RaplWrapBurst`] — injects whole 32-bit wraps of package
 //!   energy between two samples, the blind spot of naive RAPL deltas.
 //! * [`FaultKind::SysfsFlaky`] — every sysfs read in a time window fails,
@@ -72,9 +74,11 @@ pub enum FaultKind {
     TransientOpen { errno: TransientErrno, count: u32 },
     /// The next `count` perf `read` calls fail with `errno`.
     TransientRead { errno: TransientErrno, count: u32 },
-    /// Arm 48-bit counter wrap: every core hardware counting event opened
-    /// from this point starts within `headroom` counts of the 48-bit
-    /// limit (exact offset drawn from the plan's seeded RNG).
+    /// Arm 48-bit counter wrap: the hardware register of every core
+    /// counting event opened from this point starts within `headroom`
+    /// counts of the 48-bit limit (exact offset drawn from the plan's
+    /// seeded RNG). `read()` still returns the exact 64-bit count; the
+    /// wrapped bits show on the rdpmc userpage only.
     CounterWrap { headroom: u64 },
     /// Inject `wraps` full 32-bit wraps plus `extra_uj` of package energy
     /// into the RAPL counters in one tick.

@@ -1024,9 +1024,9 @@ impl Kernel {
             }
         };
         let mut ev = PerfEvent::new(fd, attr, pmu.kind, target, leader);
-        // Armed 48-bit wrap fault: core counting events start near the
-        // hardware counter limit. The draw is logged so two same-seed
-        // runs can be diffed.
+        // Armed 48-bit wrap fault: the hardware register of a core
+        // counting event starts near its limit, which only the userpage
+        // shows. The draw is logged so two same-seed runs can be diffed.
         if pmu.kind == PmuKind::CoreHw && attr.sample_period == 0 {
             let time_ns = self.time_ns;
             if let Some(fs) = self.faults.as_mut() {
@@ -1223,27 +1223,19 @@ impl Kernel {
     /// fast path is unavailable *right now* — multiplexed out, wrong core
     /// type, or the target is not running — and the reader must fall back
     /// to the `read()` syscall. This is the §V.5 interaction the paper
-    /// flags for hybrid EventSets.
+    /// flags for hybrid EventSets. A drawn wrap bias shows here and
+    /// nowhere else: in the page's wrapped hardware bits, which
+    /// [`crate::perf::UserPage::rdpmc`] sign-extends from `pmc_width`.
     pub fn mmap_userpage(&mut self, fd: EventFd) -> Result<crate::perf::UserPage, PerfError> {
         self.charge(LAT_RDPMC_NS);
         self.stats.rdpmc_reads += 1;
         let scheduled = self.is_scheduled(fd);
         let e = self.event(fd)?;
         // Counting-mode hardware events only.
-        let hw = e.kind == PmuKind::CoreHw;
-        let on_hw = scheduled && hw && e.enabled && e.attr.sample_period == 0;
-        Ok(crate::perf::UserPage {
-            lock_seq: (self.perf_gen as u32) << 1, // always an even snapshot
-            index: if on_hw { 1 } else { 0 },
-            // The simulation folds hardware bits into the software count
-            // every tick, so the page's base is the count (wrap bias
-            // included — rdpmc sees raw hardware bits) and the residual
-            // hardware delta is zero.
-            offset: e.visible_count(),
-            hw_value: 0,
-            time_enabled: e.time_enabled,
-            time_running: e.time_running,
-        })
+        let on_hw =
+            scheduled && e.kind == PmuKind::CoreHw && e.enabled && e.attr.sample_period == 0;
+        // Always an even snapshot.
+        Ok(e.userpage(on_hw, (self.perf_gen as u32) << 1))
     }
 
     /// Read an event's recorded samples (sampling mode).
@@ -1604,7 +1596,6 @@ impl Kernel {
                     PmuKind::Rapl | PmuKind::Uncore => {}
                 }
             }
-            // (The physical PMU slots were updated by `exec_core`.)
         }
     }
 
@@ -3657,16 +3648,18 @@ mod tests {
             )
             .unwrap();
         k.ioctl_enable(fd, false).unwrap();
-        let raw0 = k.read_event(fd).unwrap().value;
+        let hw0 = k.mmap_userpage(fd).unwrap().hw_value;
         assert!(
-            raw0 > COUNTER_MASK - 1_000_000,
-            "baseline starts near the wrap point: {raw0:#x}"
+            hw0 > COUNTER_MASK - 1_000_000,
+            "the register starts near the wrap point: {hw0:#x}"
         );
         k.run_to_completion(10_000_000_000);
-        let raw1 = k.read_event(fd).unwrap().value;
-        assert!(raw1 < raw0, "the visible counter wrapped past 2^48");
-        // Modular 48-bit subtraction recovers the exact count.
-        assert_eq!(raw1.wrapping_sub(raw0) & COUNTER_MASK, 5_000_000);
+        let hw1 = k.mmap_userpage(fd).unwrap().hw_value;
+        assert!(hw1 < hw0, "the hardware bits wrapped past 2^48");
+        // Modular 48-bit subtraction of the register recovers the exact
+        // count, which `read()` returns as is.
+        assert_eq!(hw1.wrapping_sub(hw0) & COUNTER_MASK, 5_000_000);
+        assert_eq!(k.read_event(fd).unwrap().value, 5_000_000);
         let log: Vec<&str> = k.fault_log().iter().map(|r| r.desc.as_str()).collect();
         assert!(log.iter().any(|d| d.contains("wrap bias")), "{log:?}");
     }
@@ -3696,7 +3689,7 @@ mod tests {
                 )
                 .unwrap();
             k.ioctl_enable(fd, false).unwrap();
-            let base = k.read_event(fd).unwrap().value;
+            let base = k.mmap_userpage(fd).unwrap().hw_value;
             k.run_to_completion(30_000_000_000);
             let log = k
                 .fault_log()

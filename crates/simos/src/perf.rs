@@ -25,7 +25,7 @@
 
 use crate::task::Pid;
 use simcpu::events::ArchEvent;
-use simcpu::pmu::COUNTER_MASK;
+use simcpu::pmu::{COUNTER_BITS, COUNTER_MASK};
 use simcpu::types::{CpuId, CpuMask, Nanos};
 use simcpu::uarch::{Microarch, UarchParams};
 use std::collections::{vec_deque, VecDeque};
@@ -302,22 +302,31 @@ pub struct UserPage {
     pub lock_seq: u32,
     /// Hardware counter index + 1; 0 = rdpmc unavailable right now.
     pub index: u32,
-    /// Software offset to add to the hardware counter value.
+    /// Software offset to add to the sign-extended hardware bits.
     pub offset: u64,
     /// Raw hardware counter bits to add when `index != 0`.
     pub hw_value: u64,
+    /// Width of the hardware counter in bits (`pmc_width` in Linux).
+    pub pmc_width: u16,
     pub time_enabled: Nanos,
     pub time_running: Nanos,
 }
 
 impl UserPage {
     /// Complete an rdpmc read: None when the fast path is unavailable.
+    /// The hardware bits are sign-extended from `pmc_width` before the
+    /// offset is added, as PAPI's `mmap_read_self` does, so the sum is
+    /// the 64-bit count whether or not the register has wrapped.
     pub fn rdpmc(&self) -> Option<u64> {
         if self.index == 0 {
-            None
-        } else {
-            Some(self.offset.wrapping_add(self.hw_value))
+            return None;
         }
+        let mut pmc = self.hw_value as i64;
+        if (1..64).contains(&self.pmc_width) {
+            let shift = 64 - u32::from(self.pmc_width);
+            pmc = (pmc << shift) >> shift;
+        }
+        Some(self.offset.wrapping_add(pmc as u64))
     }
 }
 
@@ -382,9 +391,10 @@ pub struct PerfEvent {
     pub time_running: Nanos,
     /// See [`ReadValue::time_matched`].
     pub time_matched: Nanos,
-    /// Fault injection: a fixed offset near the 48-bit counter limit,
-    /// applied modulo 2^48 at read time so the counter visibly wraps
-    /// mid-run. Zero means no wrap fault armed (values pass through).
+    /// Fault injection: where the hardware register started, near the
+    /// 48-bit counter limit, so its bits wrap mid-run. Only the userpage
+    /// shows it (`PerfEvent::userpage`); `read()` returns the 64-bit
+    /// count, as Linux's does. Zero means no wrap bias was drawn.
     pub wrap_bias: u64,
     /// Sampling accumulator and ring.
     pub sample_accum: u64,
@@ -438,22 +448,39 @@ impl PerfEvent {
         }
     }
 
-    /// The counter value as user space sees it: the true count plus any
-    /// armed wrap bias, truncated to the 48 hardware bits. With no wrap
-    /// fault armed this is the count itself.
-    pub fn visible_count(&self) -> u64 {
-        if self.wrap_bias == 0 {
-            self.count
+    /// The event's mmap'd page (`perf_event_mmap_page`), with `index`
+    /// set when the event holds a hardware counter right now. The
+    /// simulation folds hardware bits into the count every tick, so
+    /// without a wrap bias the page's base is the count and the residual
+    /// hardware bits are zero. With one, the page carries the register's
+    /// bits, `(count + wrap_bias) mod 2^48`, and an offset of the count
+    /// minus their signed value, which [`UserPage::rdpmc`] adds back.
+    pub(crate) fn userpage(&self, on_hw: bool, lock_seq: u32) -> UserPage {
+        let (offset, hw_value) = if self.wrap_bias == 0 {
+            (self.count, 0)
         } else {
-            self.count.wrapping_add(self.wrap_bias) & COUNTER_MASK
+            let hw = self.count.wrapping_add(self.wrap_bias) & COUNTER_MASK;
+            let shift = 64 - COUNTER_BITS;
+            let signed = ((hw << shift) as i64 >> shift) as u64;
+            (self.count.wrapping_sub(signed), hw)
+        };
+        UserPage {
+            lock_seq,
+            index: u32::from(on_hw),
+            offset,
+            hw_value,
+            pmc_width: COUNTER_BITS as u16,
+            time_enabled: self.time_enabled,
+            time_running: self.time_running,
         }
     }
 
-    /// Snapshot for `read()`.
+    /// Snapshot for `read()`: the 64-bit count, whatever the register's
+    /// width.
     pub fn read_value(&self) -> ReadValue {
         ReadValue {
             fd: self.fd,
-            value: self.visible_count(),
+            value: self.count,
             time_enabled: self.time_enabled,
             time_running: self.time_running,
             time_matched: self.time_matched,
@@ -594,12 +621,17 @@ mod tests {
         );
         ev.wrap_bias = COUNTER_MASK - 99; // 100 counts of headroom
         ev.add_count(60, 0, CpuId(0));
-        assert_eq!(ev.visible_count(), COUNTER_MASK - 39);
-        // 60 more counts carries the visible value across the 48-bit edge.
+        let page = ev.userpage(true, 0);
+        assert_eq!(page.hw_value, COUNTER_MASK - 39);
+        assert_eq!(page.rdpmc(), Some(60));
+        // 60 more counts carries the hardware bits across the 48-bit edge;
+        // rdpmc's sign extension keeps the sum exact on both sides.
         ev.add_count(60, 0, CpuId(0));
-        assert_eq!(ev.visible_count(), 20);
-        // The true count is untouched: an unwrapping reader can recover it.
-        assert_eq!(ev.count, 120);
+        let page = ev.userpage(true, 0);
+        assert_eq!(page.hw_value, 20);
+        assert_eq!(page.rdpmc(), Some(120));
+        // `read()` never shows the register: it returns the 64-bit count.
+        assert_eq!(ev.read_value().value, 120);
     }
 
     #[test]

@@ -79,8 +79,9 @@ echo "== bench (compile only) =="
 cargo bench --offline --workspace --no-run
 
 echo "== tick throughput (quick, emits BENCH_tick.json) =="
-# Perf *baseline*, not a gate: ticks/sec of `tick()` and the plan-cache
-# hit rate per preset (with host_cpus) land in BENCH_tick.json for later
+# Perf *baseline*, not a gate: ticks/sec of `tick()` (the median of 5
+# timed windows, with the slowest and fastest) and the plan-cache hit
+# rate per preset (with host_cpus) land in BENCH_tick.json for later
 # changes to diff. Most of its ticks replay each CPU's last tick; the
 # reference that executes every slice is the uncached oracle behind the
 # kernel's `plan_cache_equals_uncached` proptest, run by the test step
@@ -132,5 +133,13 @@ echo "== metricsd chaos smoke (quick, emits BENCH_chaos.json) =="
 # or duplicated RPCs, zero lost sessions — and every ledger (injector,
 # client, daemon self-metrics) must agree where the link is loss-free.
 cargo run --offline --release -p metricsd --bin chaosbench -- --quick
+
+echo "== full-scale reproduction check (every paper table and figure) =="
+# Hard gate: reruns the whole paper-experiment suite at full scale
+# (HPL_SCALE=1, N_RUNS=3, OPI_SCALE=1) in a temp dir and diffs it
+# against the committed results/: every CSV byte for byte, every table's
+# text with its `wrote` lines removed. Any difference exits nonzero.
+# About 3-4 min on 2 vCPUs.
+./run_experiments.sh --check
 
 echo "tier1: OK"

@@ -17,6 +17,7 @@ use simcpu::pmu::COUNTER_MASK;
 use simcpu::power::{energy_delta_uj, energy_delta_uj_hinted, RaplDomain, ENERGY_WRAP_UJ};
 use simcpu::types::CpuId;
 use simos::faults::{FaultKind, FaultPlan, TransientErrno};
+use simos::perf::EventFd;
 use simos::sysfs;
 use telemetry::Poller;
 use workloads::micro::{spawn_hybrid_test, spawn_noise, HybridTestConfig, HOOK_START, HOOK_STOP};
@@ -192,9 +193,9 @@ fn transient_errors_retry_then_surface_then_recover() {
                     count: 2,
                 },
             )
-            // Armed after start()'s wrap baseline read, before any caller
-            // read: 20 failures = two full retry budgets (1 + 8 each) plus
-            // two absorbed by the third call.
+            // Armed after start(), before any caller read: 20 failures =
+            // two full retry budgets (1 + 8 each) plus two absorbed by the
+            // third call.
             .at(
                 1_000_000,
                 FaultKind::TransientRead {
@@ -271,9 +272,10 @@ fn hotplug_mid_run_keeps_thread_counts_exact_at_100m() {
     assert_exact_reps(&results, 100);
 }
 
-/// 48-bit counter wrap: both PMUs' counters start within `headroom` of the
-/// 2⁴⁸ limit and wrap mid-run; modular re-baselining in the PAPI layer
-/// recovers every count exactly.
+/// 48-bit counter wrap: both PMUs' hardware registers start within
+/// `headroom` of the 2⁴⁸ limit and wrap mid-run; the kernel's `read()`
+/// returns the 64-bit count, as Linux's does, so every count stays exact
+/// with no unwrapping in the PAPI layer.
 #[test]
 fn counter_wrap_unwraps_exactly_across_100m_instructions() {
     let plan = FaultPlan::new(77).at(
@@ -299,6 +301,86 @@ fn counter_wrap_unwraps_exactly_across_100m_instructions() {
     // the raw value is guaranteed to have wrapped, yet every repetition
     // still sums exactly.
     assert_exact_reps(&results, 100);
+}
+
+/// The rdpmc fast path across a counter wrap. Only the userpage carries
+/// the register's wrapped 48-bit bits; the kernel's `read()` returns the
+/// 64-bit count. `read_fast` must equal `read()` and the task's own
+/// instruction count both before the bits cross 2⁴⁸, where adding them
+/// without sign-extending from `pmc_width` is 2⁴⁸ too high, and after.
+#[test]
+fn rdpmc_read_fast_stays_exact_across_the_counter_wrap() {
+    let session = Session::raptor_lake();
+    let kernel = session.kernel();
+    kernel.lock().install_faults(&FaultPlan::new(3).at(
+        0,
+        FaultKind::CounterWrap {
+            headroom: 50_000_000,
+        },
+    ));
+    let pid = kernel.lock().spawn(
+        "w",
+        Box::new(ScriptedProgram::new([
+            Op::Compute(Phase::scalar(200_000_000)),
+            Op::Exit,
+        ])),
+        CpuMask::from_cpus([0]),
+        0,
+    );
+    let mut papi = session.papi().unwrap();
+    let es = papi.create_eventset();
+    papi.attach(es, Attach::Task(pid)).unwrap();
+    papi.add_named(es, "adl_glc::INST_RETIRED:ANY").unwrap();
+    papi.start(es).unwrap();
+    let (fd, bias) = kernel
+        .lock()
+        .fault_log()
+        .iter()
+        .find_map(|r| {
+            let (fd, bias) = r.desc.strip_prefix("fd")?.split_once(" wrap bias ")?;
+            Some((EventFd(fd.parse().ok()?), bias.parse::<u64>().ok()?))
+        })
+        .expect("the P-core event drew a wrap bias");
+    // start() reset the count to 0, so the register's bits are
+    // `count + bias` and cross 2⁴⁸ once the count reaches this.
+    let wraps_at = COUNTER_MASK - bias + 1;
+    let mut checked = [false; 2];
+    for _ in 0..10_000 {
+        kernel.lock().tick();
+        let counted = kernel.lock().task_stats(pid).unwrap().instructions;
+        let side = usize::from(counted >= wraps_at);
+        if checked[side] {
+            continue;
+        }
+        let before = papi.syscall_stats();
+        let fast = papi.read_fast(es, 0).unwrap();
+        let after = papi.syscall_stats();
+        assert_eq!(
+            (after.rdpmc_reads, after.reads),
+            (before.rdpmc_reads + 1, before.reads),
+            "read_fast took the rdpmc path, not the syscall fallback"
+        );
+        let slow = papi.read(es).unwrap()[0].1;
+        assert_eq!(fast, slow, "rdpmc equals read() (wrapped: {side})");
+        assert_eq!(fast, counted, "rdpmc equals the task's instructions");
+        let mut k = kernel.lock();
+        assert_eq!(
+            k.mmap_userpage(fd).unwrap().hw_value,
+            counted.wrapping_add(bias) & COUNTER_MASK,
+            "the userpage carries the register's wrapped bits"
+        );
+        assert_eq!(k.read_event(fd).unwrap().value, counted, "read() is 64-bit");
+        drop(k);
+        checked[side] = true;
+        if side == 1 {
+            break;
+        }
+    }
+    assert_eq!(
+        checked,
+        [true, true],
+        "read once before and once after the wrap"
+    );
 }
 
 /// NMI-watchdog theft of the instructions fixed counter under full GP
