@@ -80,6 +80,14 @@ struct Bot {
     need_nack: bool,
 }
 
+impl Bot {
+    /// Begin an RPC, which the bench must see completed exactly once.
+    fn begin(&mut self, req: &Request) {
+        assert!(self.c.begin(req));
+        self.begun += 1;
+    }
+}
+
 /// Feed any queued pushes through the bot's mirror. A delta that does
 /// not apply flips `need_nack`; the bot resolves it with an `AckTick 0`
 /// RPC at the next idle step, and the daemon answers the nack with a
@@ -94,6 +102,67 @@ fn drain_pushes(b: &mut Bot) {
             }
         }
     }
+}
+
+/// A scenario's daemon and the fleet of bots it serves.
+struct Fleet {
+    name: &'static str,
+    daemon: Daemon,
+    bots: Vec<Bot>,
+}
+
+impl Fleet {
+    /// One pump of a scenario phase. Every bot, in fleet order, may begin
+    /// an RPC (`turn` returns false to sit the pump out), then steps its
+    /// client, feeds queued pushes to its mirror, and must still hold its
+    /// session; an RPC that finished counts as completed, must have
+    /// succeeded, and goes to `done` with its reply. Then the daemon
+    /// pumps: a ticking pump when `quiescent` is `None`, otherwise a
+    /// zero-tick pump counted into the phase's pumps, which must stay
+    /// under [`PHASE_CAP`].
+    fn pump(
+        &mut self,
+        phase: &str,
+        quiescent: Option<&mut u64>,
+        mut turn: impl FnMut(usize, &mut Bot) -> bool,
+        mut done: impl FnMut(usize, &mut Bot, Response),
+    ) {
+        let name = self.name;
+        let ticking = quiescent.is_none();
+        if let Some(pumps) = quiescent {
+            *pumps += 1;
+            assert!(*pumps < PHASE_CAP, "{name}: {phase} phase wedged");
+        }
+        for (i, b) in self.bots.iter_mut().enumerate() {
+            if !turn(i, b) {
+                continue;
+            }
+            b.c.step();
+            drain_pushes(b);
+            assert!(
+                !b.c.take_session_lost(),
+                "{name}: client {i} lost its session in the {phase} phase"
+            );
+            match b.c.take_done() {
+                Some(Ok(resp)) => {
+                    b.completed += 1;
+                    done(i, b, resp);
+                }
+                Some(Err(e)) => panic!("{name}: client {i} {phase} rpc failed: {e:?}"),
+                None => {}
+            }
+        }
+        if ticking {
+            self.daemon.pump();
+        } else {
+            self.daemon.pump_quiescent();
+        }
+    }
+}
+
+/// The turn of a phase that begins nothing per pump: every bot steps.
+fn step_only(_: usize, _: &mut Bot) -> bool {
+    true
 }
 
 fn make_bot(connector: &Connector, chaos: ChaosConfig, idx: usize, scenario_seed: u64) -> Bot {
@@ -194,75 +263,45 @@ fn run_scenario(
         slos: vec![SloSpec::p99_latency_ns(1, 4)],
         ..DaemonConfig::default()
     };
-    let mut daemon = Daemon::new(boot_machine(TraceConfig::default()), dcfg);
+    let daemon = Daemon::new(boot_machine(TraceConfig::default()), dcfg);
     let n_cpus = daemon.n_cpus() as usize;
     let connector = daemon.connector();
     let scenario_seed = fnv64(name.as_bytes());
-
-    let mut bots: Vec<Bot> = (0..n_clients)
+    let bots = (0..n_clients)
         .map(|i| make_bot(&connector, chaos, i, scenario_seed))
         .collect();
+    let mut fleet = Fleet { name, daemon, bots };
 
     // Phase 1 — setup on quiescent pumps: counters frozen at boot
     // values, so baselines are identical however long chaos delays
     // each subscribe.
-    for (i, b) in bots.iter_mut().enumerate() {
-        assert!(b.c.begin(&Request::Subscribe {
+    for (i, b) in fleet.bots.iter_mut().enumerate() {
+        b.begin(&Request::Subscribe {
             cpu_mask: session_mask(i, n_cpus),
             metrics: session_metrics(i),
-        }));
-        b.begun += 1;
+        });
     }
     let mut setup_pumps = 0u64;
-    while bots.iter().any(|b| b.sub_id == 0) {
-        setup_pumps += 1;
-        assert!(setup_pumps < PHASE_CAP, "{name}: setup wedged");
-        for (i, b) in bots.iter_mut().enumerate() {
-            b.c.step();
-            assert!(
-                !b.c.take_session_lost(),
-                "{name}: client {i} lost session in setup"
-            );
-            if let Some(done) = b.c.take_done() {
-                match done {
-                    Ok(Response::Subscribed { sub_id, .. }) => {
-                        b.sub_id = sub_id;
-                        b.completed += 1;
-                    }
-                    other => panic!("{name}: client {i} subscribe answered {other:?}"),
-                }
-            }
-        }
-        daemon.pump_quiescent();
+    while fleet.bots.iter().any(|b| b.sub_id == 0) {
+        let done = |i, b: &mut Bot, resp| match resp {
+            Response::Subscribed { sub_id, .. } => b.sub_id = sub_id,
+            other => panic!("{name}: client {i} subscribe answered {other:?}"),
+        };
+        fleet.pump("setup", Some(&mut setup_pumps), step_only, done);
     }
 
     // Phase 1b — delta subscribers enable their push stream, still on
     // quiescent pumps (pushes begin flowing, frozen at boot values).
-    for b in bots.iter_mut().filter(|b| b.mirror.is_some()) {
-        assert!(b.c.begin(&Request::StreamDeltas { every_pumps: 1 }));
-        b.begun += 1;
+    for b in fleet.bots.iter_mut().filter(|b| b.mirror.is_some()) {
+        b.begin(&Request::StreamDeltas { every_pumps: 1 });
     }
-    while bots.iter().any(|b| b.mirror.is_some() && !b.stream_ready) {
-        setup_pumps += 1;
-        assert!(setup_pumps < PHASE_CAP, "{name}: stream setup wedged");
-        for (i, b) in bots.iter_mut().enumerate() {
-            b.c.step();
-            drain_pushes(b);
-            assert!(
-                !b.c.take_session_lost(),
-                "{name}: client {i} lost session in stream setup"
-            );
-            if let Some(done) = b.c.take_done() {
-                match done {
-                    Ok(Response::Subscribed { .. }) => {
-                        b.stream_ready = true;
-                        b.completed += 1;
-                    }
-                    other => panic!("{name}: client {i} stream setup answered {other:?}"),
-                }
-            }
-        }
-        daemon.pump_quiescent();
+    let streaming = |b: &Bot| b.mirror.is_some() && !b.stream_ready;
+    while fleet.bots.iter().any(streaming) {
+        let done = |i, b: &mut Bot, resp| match resp {
+            Response::Subscribed { .. } => b.stream_ready = true,
+            other => panic!("{name}: client {i} stream setup answered {other:?}"),
+        };
+        fleet.pump("stream setup", Some(&mut setup_pumps), step_only, done);
     }
 
     // Phase 2 — exactly `rounds` ticking pumps: the only phase where
@@ -271,79 +310,52 @@ fn run_scenario(
     // as a base-tick gap, the mirror nacks, and the daemon heals the
     // stream with a keyframe — all without perturbing a single counter.
     for round in 0..rounds {
-        for (i, b) in bots.iter_mut().enumerate() {
+        let turn = |i, b: &mut Bot| {
             if b.c.is_idle() {
                 if b.need_nack {
-                    assert!(b.c.begin(&Request::AckTick { tick: 0 }));
-                    b.begun += 1;
+                    b.begin(&Request::AckTick { tick: 0 });
                     b.need_nack = false;
                 } else if round % session_cadence(i) == 0 {
-                    assert!(b.c.begin(&Request::Read {
+                    b.begin(&Request::Read {
                         sub_id: b.sub_id,
                         submit_ns: 0,
-                    }));
-                    b.begun += 1;
+                    });
                 }
             }
-            b.c.step();
-            drain_pushes(b);
-            assert!(
-                !b.c.take_session_lost(),
-                "{name}: client {i} lost session mid-run"
-            );
-            if let Some(done) = b.c.take_done() {
-                match done {
-                    Ok(_) => b.completed += 1,
-                    Err(e) => panic!("{name}: client {i} rpc failed: {e:?}"),
-                }
-            }
-        }
-        daemon.pump();
+            true
+        };
+        fleet.pump("ticking", None, turn, |_, _, _| {});
     }
 
     // Phase 3 — quiescent drain: stragglers finish, then one final
     // read per client with the counters frozen at their end state.
     let mut drain_pumps = 0u64;
-    while bots.iter().any(|b| b.final_vals.is_none()) {
-        drain_pumps += 1;
-        assert!(drain_pumps < PHASE_CAP, "{name}: drain wedged");
-        for (i, b) in bots.iter_mut().enumerate() {
+    while fleet.bots.iter().any(|b| b.final_vals.is_none()) {
+        let turn = |_, b: &mut Bot| {
             if b.final_vals.is_some() {
-                continue;
+                return false;
             }
             if !b.pending_final && b.c.is_idle() {
-                assert!(b.c.begin(&Request::Read {
+                b.begin(&Request::Read {
                     sub_id: b.sub_id,
                     submit_ns: 0,
-                }));
-                b.begun += 1;
+                });
                 b.pending_final = true;
             }
-            b.c.step();
-            drain_pushes(b);
-            assert!(
-                !b.c.take_session_lost(),
-                "{name}: client {i} lost session in drain"
-            );
-            if let Some(done) = b.c.take_done() {
-                let resp = match done {
-                    Ok(r) => r,
-                    Err(e) => panic!("{name}: client {i} drain rpc failed: {e:?}"),
-                };
-                b.completed += 1;
-                if b.pending_final {
-                    match resp {
-                        Response::Counters { values, .. } => {
-                            b.final_vals =
-                                Some(values.iter().map(|v| (v.metric, v.value)).collect());
-                        }
-                        other => panic!("{name}: client {i} final read answered {other:?}"),
+            true
+        };
+        // A reply before the final read is a straggling main-phase read
+        // completing late.
+        fleet.pump("drain", Some(&mut drain_pumps), turn, |i, b, resp| {
+            if b.pending_final {
+                match resp {
+                    Response::Counters { values, .. } => {
+                        b.final_vals = Some(values.iter().map(|v| (v.metric, v.value)).collect());
                     }
+                    other => panic!("{name}: client {i} final read answered {other:?}"),
                 }
-                // else: a straggling main-phase read completing late.
             }
-        }
-        daemon.pump_quiescent();
+        });
     }
 
     // Phase 3c — ranged history queries and the SLO health row through
@@ -352,7 +364,7 @@ fn run_scenario(
     // (`RangeReply`/`Health`), never a panic or a silent drop.
     let mut queries_ok = 0u64;
     let mut health_ok = 0u64;
-    for (i, b) in bots.iter_mut().enumerate() {
+    for (i, b) in fleet.bots.iter_mut().enumerate() {
         let req = if i % 2 == 0 {
             Request::QueryRange {
                 series: series::READS,
@@ -364,36 +376,19 @@ fn run_scenario(
         } else {
             Request::GetHealth
         };
-        assert!(b.c.begin(&req));
-        b.begun += 1;
+        b.begin(&req);
     }
     let mut query_pumps = 0u64;
-    while bots.iter().any(|b| !b.c.is_idle()) {
-        query_pumps += 1;
-        assert!(query_pumps < PHASE_CAP, "{name}: query phase wedged");
-        for (i, b) in bots.iter_mut().enumerate() {
-            b.c.step();
-            drain_pushes(b);
-            assert!(
-                !b.c.take_session_lost(),
-                "{name}: client {i} lost session in query phase"
-            );
-            if let Some(done) = b.c.take_done() {
-                match done {
-                    Ok(Response::RangeReply { .. }) => {
-                        queries_ok += 1;
-                        b.completed += 1;
-                    }
-                    Ok(Response::Health { slos, .. }) => {
-                        assert!(!slos.is_empty(), "{name}: health reply lost its SLO rows");
-                        health_ok += 1;
-                        b.completed += 1;
-                    }
-                    other => panic!("{name}: client {i} query answered {other:?}"),
-                }
+    while fleet.bots.iter().any(|b| !b.c.is_idle()) {
+        let done = |i, _: &mut Bot, resp| match resp {
+            Response::RangeReply { .. } => queries_ok += 1,
+            Response::Health { slos, .. } => {
+                assert!(!slos.is_empty(), "{name}: health reply lost its SLO rows");
+                health_ok += 1;
             }
-        }
-        daemon.pump_quiescent();
+            other => panic!("{name}: client {i} query answered {other:?}"),
+        };
+        fleet.pump("query", Some(&mut query_pumps), step_only, done);
     }
     assert!(
         queries_ok >= 1 && health_ok >= 1,
@@ -407,40 +402,24 @@ fn run_scenario(
     // AND all clients idle, checked together so a late desync re-enters
     // the loop instead of slipping past the ledger asserts. Pushes
     // continue on quiescent pumps; counters stay frozen.
+    let converged = |b: &Bot| {
+        b.c.is_idle()
+            && b.mirror
+                .as_ref()
+                .is_none_or(|m| m.synced && m.keyframes >= 1 && !b.need_nack)
+    };
     let mut settle_pumps = 0u64;
-    loop {
-        let converged = bots.iter().all(|b| {
-            b.c.is_idle()
-                && b.mirror
-                    .as_ref()
-                    .is_none_or(|m| m.synced && m.keyframes >= 1 && !b.need_nack)
-        });
-        if converged {
-            break;
-        }
-        settle_pumps += 1;
-        assert!(settle_pumps < PHASE_CAP, "{name}: stream settle wedged");
-        for (i, b) in bots.iter_mut().enumerate() {
+    while !fleet.bots.iter().all(converged) {
+        let turn = |_, b: &mut Bot| {
             if b.need_nack && b.c.is_idle() {
-                assert!(b.c.begin(&Request::AckTick { tick: 0 }));
-                b.begun += 1;
+                b.begin(&Request::AckTick { tick: 0 });
                 b.need_nack = false;
             }
-            b.c.step();
-            drain_pushes(b);
-            assert!(
-                !b.c.take_session_lost(),
-                "{name}: client {i} lost session in settle"
-            );
-            if let Some(done) = b.c.take_done() {
-                match done {
-                    Ok(_) => b.completed += 1,
-                    Err(e) => panic!("{name}: client {i} settle rpc failed: {e:?}"),
-                }
-            }
-        }
-        daemon.pump_quiescent();
+            true
+        };
+        fleet.pump("settle", Some(&mut settle_pumps), turn, |_, _, _| {});
     }
+    let Fleet { daemon, bots, .. } = fleet;
     let digest = final_values_digest(
         bots.iter()
             .map(|b| b.final_vals.as_deref().expect("final read present")),

@@ -228,10 +228,6 @@ fn run_once(n_sessions: usize, pumps: u64) -> FleetResult {
                 .expect("post read");
                 posted[i].push_back(Instant::now());
             }
-            // A sprinkle of hot-path queries served from the cache.
-            if i % 97 == 0 && pump % 5 == 0 {
-                c.post(&Request::LatestSample).expect("post sample");
-            }
         }
         daemon.pump();
         for (i, c) in clients.iter_mut().enumerate() {

@@ -201,9 +201,7 @@ impl<T: Transport> MetricsClient<T> {
 
     fn observe(&mut self, resp: &Response) {
         match resp {
-            Response::Counters { time_ns, .. }
-            | Response::Sample { time_ns, .. }
-            | Response::TickKeyframe { time_ns, .. } => {
+            Response::Counters { time_ns, .. } | Response::TickKeyframe { time_ns, .. } => {
                 self.last_seen_ns = self.last_seen_ns.max(*time_ns);
             }
             _ => {}
@@ -297,22 +295,6 @@ impl<T: Transport> MetricsClient<T> {
                 Ok(())
             }
             _ => Err(ClientError::Unexpected("wanted Welcome")),
-        }
-    }
-
-    /// Hardware description as JSON (served from the snapshot cache).
-    pub fn hardware_info(&mut self) -> Result<String, ClientError> {
-        match self.rpc(&Request::GetHardwareInfo)? {
-            Response::HardwareInfo { json } => Ok(json),
-            _ => Err(ClientError::Unexpected("wanted HardwareInfo")),
-        }
-    }
-
-    /// Available preset names (served from the snapshot cache).
-    pub fn presets(&mut self) -> Result<Vec<String>, ClientError> {
-        match self.rpc(&Request::ListPresets)? {
-            Response::Presets { names } => Ok(names),
-            _ => Err(ClientError::Unexpected("wanted Presets")),
         }
     }
 

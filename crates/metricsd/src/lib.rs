@@ -8,8 +8,9 @@
 //! exactly one kernel pass per pump (the batching window), publishes an
 //! immutable [`snapshot::TickSnapshot`] to a [`snapshot::SnapshotCache`],
 //! and the [`server::Daemon`] answers every client session from that
-//! snapshot — hot static queries (hardware info, preset list) are
-//! pre-encoded frames that never touch the kernel lock at all.
+//! snapshot without touching the kernel lock. The wire carries only
+//! the verbs its clients send; the hardware description stays with PAPI
+//! (`papi_avail --json`).
 //!
 //! Because sessions never touch the kernel, the kernel-op sequence —
 //! and therefore every served count — depends only on the pump schedule,

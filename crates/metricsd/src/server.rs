@@ -41,7 +41,8 @@
 //!   [`RESUME_TTL_PUMPS`]. A reconnecting client sends
 //!   [`Request::Resume`] with the token from its `Welcome` and
 //!   continues where it left off; resumed subscriptions answer reads
-//!   as `ReadQuality::Scaled` until the client re-baselines them.
+//!   as `ReadQuality::Scaled`, and a client re-baselines by subscribing
+//!   again.
 //! * **Load shedding** — with `pump_budget` or
 //!   `deadline_pumps` configured, excess or overdue queued requests
 //!   are answered with a typed [`Response::Overloaded`] (carrying a
@@ -140,9 +141,9 @@ struct Subscription {
     /// Per-CPU offline epochs at baseline (full width).
     base_epochs: Vec<u32>,
     base_gaps: u32,
-    /// Set when the subscription survived a session resume: reads
+    /// Set when the subscription survived a session resume: its reads
     /// answer `ReadQuality::Scaled` (the client missed pushes during
-    /// the gap) until the client re-baselines with `ResetSub`.
+    /// the gap). A client re-baselines by subscribing again.
     resumed: bool,
 }
 
@@ -246,7 +247,6 @@ impl Connector {
 struct PumpCtx<'a> {
     snap: &'a TickSnapshot,
     stream: &'a StreamFrames,
-    cache: &'a SnapshotCache,
     cfg: &'a DaemonConfig,
     tick_ns: u64,
     /// This pump's `GetSelfMetrics` reply, frozen at pump start.
@@ -308,9 +308,8 @@ pub struct Daemon {
 }
 
 impl Daemon {
-    /// Boot the serving layer over an already-booted kernel. Probes the
-    /// hardware once (via the PAPI layer) to pre-encode the static
-    /// hot-query responses, then opens the collector's counters.
+    /// Boot the serving layer over an already-booted kernel: open the
+    /// collector's counters and publish an empty tick-0 snapshot.
     pub fn new(kernel: KernelHandle, cfg: DaemonConfig) -> Daemon {
         let (n_cpus, tick_ns, trace_cfg, cluster_of) = {
             let k = kernel.lock();
@@ -332,25 +331,11 @@ impl Daemon {
                 cluster_of,
             )
         };
-        let papi = papi::Papi::init(kernel.clone()).expect("papi init");
-        let hw_frame = Response::HardwareInfo {
-            json: papi::avail::avail_json(&papi),
-        }
-        .encode();
-        let presets_frame = Response::Presets {
-            names: papi
-                .available_presets()
-                .iter()
-                .map(|p| p.papi_name().to_string())
-                .collect(),
-        }
-        .encode();
-        drop(papi);
         let mut collector = Collector::new(kernel);
         collector.set_trace(TraceSink::new(&trace_cfg));
         let first = collector_boot_snapshot(&collector);
         let prev_time_ns = first.time_ns;
-        let cache = Arc::new(SnapshotCache::new(first, hw_frame, presets_frame));
+        let cache = Arc::new(SnapshotCache::new(first));
         let history = History::new(cfg.history_cap, cfg.slos.clone());
         let health_frame = Response::Health {
             pumps: 0,
@@ -445,7 +430,6 @@ impl Daemon {
         let mut ctx = PumpCtx {
             snap: &snap,
             stream: &stream,
-            cache: &self.cache,
             cfg: &self.cfg,
             tick_ns: self.tick_ns,
             self_metrics: &self_metrics,
@@ -622,8 +606,8 @@ fn self_metrics_frame(reg: &Registry) -> Vec<u8> {
 /// matching tick-0 view for the cache without another kernel pass.
 fn collector_boot_snapshot(c: &Collector) -> Arc<TickSnapshot> {
     // The collector's boot sample is not retained; an empty placeholder
-    // with tick 0 suffices until the first pump publishes (hot static
-    // queries don't read it, and counter queries require a pump first).
+    // with tick 0 suffices until the first pump publishes (counter
+    // queries require a pump first).
     let k = c.kernel().lock();
     Arc::new(TickSnapshot {
         tick: 0,
@@ -632,7 +616,6 @@ fn collector_boot_snapshot(c: &Collector) -> Arc<TickSnapshot> {
         temp_mc: 0,
         energy_pkg_uj: 0,
         sysfs_gaps: 0,
-        gap: false,
     })
 }
 
@@ -857,6 +840,8 @@ fn handle_frame(session: &mut Session, frame: &[u8], ctx: &mut PumpCtx) -> Vec<u
             let code = if e == WireError::CHECKSUM {
                 ctx.reg.inc("bad_checksums", 1);
                 errcode::BAD_CHECKSUM
+            } else if e == WireError::UNKNOWN_TAG {
+                errcode::UNKNOWN_TAG
             } else {
                 errcode::BAD_FRAME
             };
@@ -996,10 +981,6 @@ fn dispatch(session: &mut Session, req: Request, ctx: &mut PumpCtx, trace_id: u6
                 .encode(),
             }
         }
-        // Hot static queries: pre-encoded bytes, no kernel lock, no
-        // re-encoding.
-        Request::GetHardwareInfo => ctx.cache.hardware_info_frame.clone(),
-        Request::ListPresets => ctx.cache.presets_frame.clone(),
         Request::Subscribe {
             cpu_mask,
             metrics: m,
@@ -1067,35 +1048,6 @@ fn dispatch(session: &mut Session, req: Request, ctx: &mut PumpCtx, trace_id: u6
             }
             .encode(),
         },
-        Request::ResetSub { sub_id } => match session.subs.iter_mut().find(|s| s.id == sub_id) {
-            Some(sub) => {
-                sub.base = metrics::iter(sub.metrics)
-                    .map(|metric| snap.sum_metric(sub.cpu_mask, metric))
-                    .collect();
-                sub.base_epochs = snap.cpus.iter().map(|c| c.offline_epochs).collect();
-                sub.base_gaps = snap.sysfs_gaps;
-                sub.resumed = false;
-                Response::Subscribed {
-                    sub_id,
-                    base_tick: snap.tick,
-                }
-                .encode()
-            }
-            None => Response::Err {
-                code: errcode::NO_SUCH_SUB,
-                msg: format!("no subscription {sub_id}"),
-            }
-            .encode(),
-        },
-        Request::LatestSample => Response::Sample {
-            tick: snap.tick,
-            time_ns: snap.time_ns,
-            temp_mc: snap.temp_mc,
-            energy_pkg_uj: snap.energy_pkg_uj,
-            mean_freq_khz: snap.mean_freq_khz(),
-            gap: snap.gap,
-        }
-        .encode(),
         Request::StreamDeltas { every_pumps } => {
             session.delta_every = every_pumps;
             // No base yet (or the client explicitly restarted the

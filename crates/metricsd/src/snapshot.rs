@@ -3,8 +3,9 @@
 //! Sessions never touch the kernel. A single [`Collector`] owns per-CPU
 //! counting events (instructions + cycles via each core PMU) and, once
 //! per pump, does exactly one kernel pass: advance the simulation, read
-//! every counter (bounded transient retry), and sample telemetry through
-//! the same fault-aware sysfs the poller uses. The result is an immutable
+//! every counter (bounded transient retry), and sample telemetry (the
+//! thermal canary and RAPL package energy) through the same fault-aware
+//! sysfs the poller uses. The result is an immutable
 //! [`TickSnapshot`]; every client read in that pump is served from it.
 //!
 //! This is what makes served counts independent of the sessions: the
@@ -36,7 +37,6 @@ pub struct CpuCounters {
     pub offline_epochs: u32,
     pub instructions: u64,
     pub cycles: u64,
-    pub freq_khz: u64,
     /// A transient read failure exhausted its retries this pump; the
     /// counter values are carried over from the previous pump.
     pub stale: bool,
@@ -54,10 +54,9 @@ pub struct TickSnapshot {
     /// Unwrapped package energy accumulated since boot (µJ).
     pub energy_pkg_uj: u64,
     /// Cumulative count of pumps whose sysfs sampling was lost to a
-    /// flaky window (energy accumulation bridged the gap).
+    /// flaky window (energy accumulation bridged the gap); telemetry
+    /// fields are carried over such a pump.
     pub sysfs_gaps: u32,
-    /// This pump's sysfs sampling failed; telemetry fields are carried.
-    pub gap: bool,
 }
 
 impl TickSnapshot {
@@ -80,21 +79,6 @@ impl TickSnapshot {
                 .sum(),
             metrics::ENERGY_PKG => self.energy_pkg_uj,
             _ => 0,
-        }
-    }
-
-    /// Mean online-CPU frequency, kHz (0 when everything is offline).
-    pub fn mean_freq_khz(&self) -> u64 {
-        let online: Vec<u64> = self
-            .cpus
-            .iter()
-            .filter(|c| c.online)
-            .map(|c| c.freq_khz)
-            .collect();
-        if online.is_empty() {
-            0
-        } else {
-            online.iter().sum::<u64>() / online.len() as u64
         }
     }
 }
@@ -234,9 +218,7 @@ impl Collector {
             c.offline_epochs = self.offline_epochs[i];
             c.stale = false;
             if !online {
-                // Counters freeze at their last value; freq reads as 0,
-                // matching the poller's view of a hotplugged CPU.
-                c.freq_khz = 0;
+                // Counters freeze at their last value.
                 continue;
             }
             if let Some((ins_fd, cyc_fd)) = self.fds[i] {
@@ -270,18 +252,6 @@ impl Collector {
         {
             Some(t) => {
                 self.temp_mc = t;
-                for i in 0..self.n_cpus {
-                    if !self.cpus[i].online {
-                        continue;
-                    }
-                    self.cpus[i].freq_khz = sysfs::read(
-                        &k,
-                        &format!("/sys/devices/system/cpu/cpu{i}/cpufreq/scaling_cur_freq"),
-                    )
-                    .ok()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(self.cpus[i].freq_khz);
-                }
                 if self.has_rapl {
                     match sysfs::read(&k, "/sys/class/powercap/intel-rapl:0/energy_uj")
                         .ok()
@@ -311,7 +281,6 @@ impl Collector {
             temp_mc: self.temp_mc,
             energy_pkg_uj: self.energy_acc_uj,
             sysfs_gaps: self.sysfs_gaps,
-            gap,
         })
     }
 }
@@ -391,31 +360,20 @@ fn build_stream_frames(prev: &TickSnapshot, snap: &TickSnapshot) -> StreamFrames
     }
 }
 
-/// Lock-free-ish cache of the latest snapshot plus pre-encoded static
-/// responses (hardware info, preset list) and the delta stream's
-/// shared frames. Hot queries are answered from here without ever
-/// taking the kernel lock.
+/// Lock-free-ish cache of the latest snapshot and the delta stream's
+/// shared frames, both replaced at each publish. Serving reads them
+/// without ever taking the kernel lock.
 pub struct SnapshotCache {
     latest: RwLock<Arc<TickSnapshot>>,
     stream: RwLock<Arc<StreamFrames>>,
-    /// Pre-encoded `Response::HardwareInfo` frame bytes.
-    pub hardware_info_frame: Vec<u8>,
-    /// Pre-encoded `Response::Presets` frame bytes.
-    pub presets_frame: Vec<u8>,
 }
 
 impl SnapshotCache {
-    pub fn new(
-        first: Arc<TickSnapshot>,
-        hardware_info_frame: Vec<u8>,
-        presets_frame: Vec<u8>,
-    ) -> SnapshotCache {
+    pub fn new(first: Arc<TickSnapshot>) -> SnapshotCache {
         let stream = build_stream_frames(&first, &first);
         SnapshotCache {
             latest: RwLock::new(first),
             stream: RwLock::new(Arc::new(stream)),
-            hardware_info_frame,
-            presets_frame,
         }
     }
 
@@ -491,7 +449,6 @@ mod tests {
         assert!(s1.sum_metric(1 << 3, metrics::INSTRUCTIONS) == 0);
         assert!(s1.energy_pkg_uj > 0, "package energy accumulates");
         assert!(s1.temp_mc > 0);
-        assert!(s1.mean_freq_khz() > 0);
     }
 
     #[test]
@@ -512,7 +469,6 @@ mod tests {
             let s = c.advance(10);
             if !s.cpus[17].online {
                 saw_offline = true;
-                assert_eq!(s.cpus[17].freq_khz, 0);
             }
             last = s;
         }
@@ -530,29 +486,31 @@ mod tests {
             &FaultPlan::new(5).at(20_000_000, FaultKind::SysfsFlaky { dur_ns: 45_000_000 }),
         );
         let mut c = Collector::new(kernel);
-        let mut gaps = 0;
-        let mut last_temp = 0;
+        let mut last = c.advance(10);
         for _ in 0..40 {
             let s = c.advance(10);
-            if s.gap {
-                gaps += 1;
-                assert_eq!(s.temp_mc, last_temp, "carried temperature");
+            if s.sysfs_gaps > last.sysfs_gaps {
+                assert_eq!(s.sysfs_gaps, last.sysfs_gaps + 1, "one gap per pump");
+                assert_eq!(s.temp_mc, last.temp_mc, "carried temperature");
+                assert_eq!(s.energy_pkg_uj, last.energy_pkg_uj, "carried energy");
             }
-            last_temp = s.temp_mc;
+            last = s;
         }
-        assert!(gaps >= 2, "flaky window produced gap-flagged pumps: {gaps}");
+        assert!(
+            last.sysfs_gaps >= 2,
+            "flaky window produced gap pumps: {}",
+            last.sysfs_gaps
+        );
         let s = c.advance(10);
-        assert!(!s.gap);
-        assert_eq!(s.sysfs_gaps, gaps, "cumulative gap count");
+        assert_eq!(s.sysfs_gaps, last.sysfs_gaps, "the window closed");
     }
 
     #[test]
     fn snapshot_cache_publishes_latest() {
         let mut c = Collector::new(boot_with_work());
-        let cache = SnapshotCache::new(c.advance(5), vec![1, 2], vec![3]);
+        let cache = SnapshotCache::new(c.advance(5));
         assert_eq!(cache.latest().tick, 1);
         cache.publish(c.advance(5));
         assert_eq!(cache.latest().tick, 2);
-        assert_eq!(cache.hardware_info_frame, vec![1, 2]);
     }
 }

@@ -6,8 +6,10 @@
 //! per `Vec<u8>`; TCP carries the byte stream and re-frames on read).
 //!
 //! Requests (client → daemon) use tags `0x01..=0x3f`, responses
-//! `0x80..=0xbf`. Unknown request tags get [`Response::Err`], not a
-//! dropped connection — version skew degrades, it does not wedge.
+//! `0x80..=0xbf`. An unknown request tag decodes to
+//! [`WireError::UNKNOWN_TAG`] and is answered with an `UNKNOWN_TAG`
+//! [`Response::Err`], not a dropped connection — version skew degrades,
+//! it does not wedge. Retired tags stay unassigned; no tag is renumbered.
 //!
 //! A frame may carry the fixed [`Header`] (tag bit [`HEADER_BIT`]):
 //! `[u32 len][u8 tag|0x40][u64 crc][u32 seq][u64 trace_id]
@@ -16,7 +18,7 @@
 //! without the bit has exactly the layout above.
 
 /// Protocol version spoken by this build.
-pub const PROTO_VERSION: u16 = 2;
+pub const PROTO_VERSION: u16 = 3;
 
 /// Tag bit marking a frame that carries the [`Header`], on requests and
 /// replies alike. No message tag has it set.
@@ -212,20 +214,12 @@ pub fn stream_crc(tick: u64, energy_uj: u64, cpus: &[(u64, u64)]) -> u64 {
 pub enum Request {
     /// Handshake; must be the session's first frame.
     Hello { proto: u16 },
-    /// Hardware summary (served from the snapshot cache).
-    GetHardwareInfo,
-    /// Available preset list (served from the snapshot cache).
-    ListPresets,
     /// Start a counter subscription over a CPU set.
     Subscribe { cpu_mask: u64, metrics: u8 },
     /// Read a subscription's counters (delta since subscribe).
     /// `submit_ns` is the client's last-seen snapshot time, echoed into
     /// the reply's latency figure.
     Read { sub_id: u32, submit_ns: u64 },
-    /// Re-baseline a subscription to the current snapshot.
-    ResetSub { sub_id: u32 },
-    /// Latest cached telemetry sample (freq/temp/energy).
-    LatestSample,
     /// Orderly goodbye.
     Close,
     /// The daemon's self-metrics registry: named counters plus
@@ -304,13 +298,6 @@ pub enum Response {
         /// token for `resume_ttl_pumps`.
         session_token: u64,
     },
-    /// `papi_avail --json`-shaped document.
-    HardwareInfo {
-        json: String,
-    },
-    Presets {
-        names: Vec<String>,
-    },
     Subscribed {
         sub_id: u32,
         base_tick: u64,
@@ -323,15 +310,6 @@ pub enum Response {
         /// papi::ReadQuality as 0=Ok, 1=Scaled, 2=Lost.
         quality: u8,
         values: Vec<MetricValue>,
-    },
-    Sample {
-        tick: u64,
-        time_ns: u64,
-        temp_mc: i64,
-        energy_pkg_uj: u64,
-        mean_freq_khz: u64,
-        /// Sysfs was unreadable this pump; the values are carried over.
-        gap: bool,
     },
     Err {
         code: u16,
@@ -349,8 +327,8 @@ pub enum Response {
     /// Ack for [`Request::Resume`]: the session continues from its
     /// parked cursor. `gap_pumps > 0` means snapshots were published
     /// while the client was away — the explicit loss marker (resumed
-    /// subscriptions additionally read as `ReadQuality::Scaled` until
-    /// re-baselined).
+    /// subscriptions additionally read as `ReadQuality::Scaled`; a client
+    /// re-baselines by subscribing again).
     Resumed {
         session_id: u64,
         session_token: u64,
@@ -521,6 +499,8 @@ impl std::error::Error for WireError {}
 impl WireError {
     /// A [`Header`] whose checksum does not match the frame.
     pub const CHECKSUM: WireError = WireError("header checksum mismatch");
+    /// A request tag this protocol version does not assign.
+    pub const UNKNOWN_TAG: WireError = WireError("unknown request tag");
 }
 
 impl<'a> Dec<'a> {
@@ -599,8 +579,6 @@ impl Request {
                 e.u16(*proto);
                 e.finish()
             }
-            Request::GetHardwareInfo => Enc::new(0x02).finish(),
-            Request::ListPresets => Enc::new(0x03).finish(),
             Request::Subscribe { cpu_mask, metrics } => {
                 let mut e = Enc::new(0x04);
                 e.u64(*cpu_mask);
@@ -613,12 +591,6 @@ impl Request {
                 e.u64(*submit_ns);
                 e.finish()
             }
-            Request::ResetSub { sub_id } => {
-                let mut e = Enc::new(0x06);
-                e.u32(*sub_id);
-                e.finish()
-            }
-            Request::LatestSample => Enc::new(0x07).finish(),
             Request::Close => Enc::new(0x0a).finish(),
             Request::GetSelfMetrics => Enc::new(0x0b).finish(),
             Request::Resume { session_token } => {
@@ -671,8 +643,6 @@ impl Request {
         let (header, tag, mut d) = split_frame(frame)?;
         let req = match tag {
             0x01 => Request::Hello { proto: d.u16()? },
-            0x02 => Request::GetHardwareInfo,
-            0x03 => Request::ListPresets,
             0x04 => Request::Subscribe {
                 cpu_mask: d.u64()?,
                 metrics: d.u8()?,
@@ -681,8 +651,6 @@ impl Request {
                 sub_id: d.u32()?,
                 submit_ns: d.u64()?,
             },
-            0x06 => Request::ResetSub { sub_id: d.u32()? },
-            0x07 => Request::LatestSample,
             0x0a => Request::Close,
             0x0b => Request::GetSelfMetrics,
             0x0c => Request::Resume {
@@ -700,7 +668,7 @@ impl Request {
                 max_points: d.u32()?,
             },
             0x12 => Request::GetHealth,
-            _ => return Err(WireError("unknown request tag")),
+            _ => return Err(WireError::UNKNOWN_TAG),
         };
         d.done()?;
         Ok((header, req))
@@ -723,21 +691,6 @@ impl Response {
                 e.u32(*n_cpus);
                 e.u64(*tick_ns);
                 e.u64(*session_token);
-                e.finish()
-            }
-            Response::HardwareInfo { json } => {
-                let mut e = Enc::new(0x82);
-                // JSON can exceed u16: length-prefix with u32.
-                e.u32(json.len() as u32);
-                e.buf.extend_from_slice(json.as_bytes());
-                e.finish()
-            }
-            Response::Presets { names } => {
-                let mut e = Enc::new(0x83);
-                e.u16(names.len() as u16);
-                for n in names {
-                    e.str(n);
-                }
                 e.finish()
             }
             Response::Subscribed { sub_id, base_tick } => {
@@ -765,23 +718,6 @@ impl Response {
                     e.u8(v.metric);
                     e.u64(v.value);
                 }
-                e.finish()
-            }
-            Response::Sample {
-                tick,
-                time_ns,
-                temp_mc,
-                energy_pkg_uj,
-                mean_freq_khz,
-                gap,
-            } => {
-                let mut e = Enc::new(0x86);
-                e.u64(*tick);
-                e.u64(*time_ns);
-                e.i64(*temp_mc);
-                e.u64(*energy_pkg_uj);
-                e.u64(*mean_freq_khz);
-                e.u8(u8::from(*gap));
                 e.finish()
             }
             Response::Err { code, msg } => {
@@ -941,20 +877,6 @@ impl Response {
                 tick_ns: d.u64()?,
                 session_token: d.u64()?,
             },
-            0x82 => {
-                let n = d.u32()? as usize;
-                let json =
-                    String::from_utf8(d.take(n)?.to_vec()).map_err(|_| WireError("bad utf-8"))?;
-                Response::HardwareInfo { json }
-            }
-            0x83 => {
-                let n = d.u16()? as usize;
-                let mut names = Vec::with_capacity(n);
-                for _ in 0..n {
-                    names.push(d.str()?);
-                }
-                Response::Presets { names }
-            }
             0x84 => Response::Subscribed {
                 sub_id: d.u32()?,
                 base_tick: d.u64()?,
@@ -982,14 +904,6 @@ impl Response {
                     values,
                 }
             }
-            0x86 => Response::Sample {
-                tick: d.u64()?,
-                time_ns: d.u64()?,
-                temp_mc: d.i64()?,
-                energy_pkg_uj: d.u64()?,
-                mean_freq_khz: d.u64()?,
-                gap: d.u8()? != 0,
-            },
             0x88 => Response::Err {
                 code: d.u16()?,
                 msg: d.str()?,
@@ -1242,8 +1156,6 @@ mod tests {
             Request::Hello {
                 proto: PROTO_VERSION,
             },
-            Request::GetHardwareInfo,
-            Request::ListPresets,
             Request::Subscribe {
                 cpu_mask: 0b1011,
                 metrics: metrics::ALL,
@@ -1252,8 +1164,6 @@ mod tests {
                 sub_id: 7,
                 submit_ns: 123_456,
             },
-            Request::ResetSub { sub_id: 7 },
-            Request::LatestSample,
             Request::Close,
             Request::GetSelfMetrics,
             Request::Resume {
@@ -1302,12 +1212,6 @@ mod tests {
                 tick_ns: 1_000_000,
                 session_token: 0x1234_5678_9abc_def0,
             },
-            Response::HardwareInfo {
-                json: "{\"x\":1}".into(),
-            },
-            Response::Presets {
-                names: vec!["PAPI_TOT_INS".into(), "PAPI_TOT_CYC".into()],
-            },
             Response::Subscribed {
                 sub_id: 3,
                 base_tick: 9,
@@ -1328,14 +1232,6 @@ mod tests {
                         value: 55,
                     },
                 ],
-            },
-            Response::Sample {
-                tick: 10,
-                time_ns: 5_000,
-                temp_mc: 45_000,
-                energy_pkg_uj: 12_345,
-                mean_freq_khz: 3_200_000,
-                gap: true,
             },
             Response::Err {
                 code: errcode::NO_SUCH_SUB,
@@ -1475,10 +1371,12 @@ mod tests {
         f.push(0);
         f[0] = 2;
         assert!(Request::decode(&f).is_err());
-        // Unknown tags.
+        // Unknown tags: an unassigned request tag is named as such.
         let mut f = Request::Close.encode();
         f[4] = 0x7f;
         assert!(Request::decode(&f).is_err());
+        f[4] = 0x06;
+        assert_eq!(Request::decode(&f), Err(WireError::UNKNOWN_TAG));
         let mut f = Response::Closed.encode();
         f[4] = 0xff;
         assert!(Response::decode(&f).is_err());

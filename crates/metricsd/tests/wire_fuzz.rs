@@ -12,30 +12,26 @@ use metricsd::wire::{
 use proptest::prelude::*;
 
 /// Request variants `request_from` builds.
-const REQUESTS: u8 = 14;
+const REQUESTS: u8 = 10;
 
 /// Build one of every request variant from a generated value pool.
 fn request_from(sel: u8, a: u64, b: u64, c: u32, d: u8, e: u16) -> Request {
     match sel % REQUESTS {
         0 => Request::Hello { proto: e },
-        1 => Request::GetHardwareInfo,
-        2 => Request::ListPresets,
-        3 => Request::Subscribe {
+        1 => Request::Subscribe {
             cpu_mask: a,
             metrics: d,
         },
-        4 => Request::Read {
+        2 => Request::Read {
             sub_id: c,
             submit_ns: b,
         },
-        5 => Request::ResetSub { sub_id: c },
-        6 => Request::LatestSample,
-        7 => Request::Close,
-        8 => Request::GetSelfMetrics,
-        9 => Request::Resume { session_token: a },
-        10 => Request::StreamDeltas { every_pumps: c },
-        11 => Request::AckTick { tick: a },
-        12 => Request::QueryRange {
+        3 => Request::Close,
+        4 => Request::GetSelfMetrics,
+        5 => Request::Resume { session_token: a },
+        6 => Request::StreamDeltas { every_pumps: c },
+        7 => Request::AckTick { tick: a },
+        8 => Request::QueryRange {
             series: d % 10,
             agg: d % 6,
             start_tick: a,
@@ -58,6 +54,9 @@ fn header_from(a: u64, c: u32, d: u8) -> Header {
     }
 }
 
+/// Response variants `response_from` builds.
+const RESPONSES: u8 = 13;
+
 /// Build one of every response variant from a generated value pool.
 #[allow(clippy::too_many_arguments)]
 fn response_from(
@@ -70,7 +69,7 @@ fn response_from(
     s: String,
     vals: Vec<MetricValue>,
 ) -> Response {
-    match sel % 16 {
+    match sel % RESPONSES {
         0 => Response::Welcome {
             session_id: a,
             proto: PROTO_VERSION,
@@ -78,15 +77,11 @@ fn response_from(
             tick_ns: b,
             session_token: a ^ b,
         },
-        1 => Response::HardwareInfo { json: s },
-        2 => Response::Presets {
-            names: vec![s, "PAPI_TOT_INS".to_string()],
-        },
-        3 => Response::Subscribed {
+        1 => Response::Subscribed {
             sub_id: c,
             base_tick: b,
         },
-        4 => Response::Counters {
+        2 => Response::Counters {
             sub_id: c,
             tick: a,
             time_ns: b,
@@ -94,18 +89,10 @@ fn response_from(
             quality: d % 3,
             values: vals,
         },
-        5 => Response::Sample {
-            tick: a,
-            time_ns: b,
-            temp_mc: a as i64,
-            energy_pkg_uj: b,
-            mean_freq_khz: a,
-            gap: d & 1 == 1,
-        },
-        6 => Response::Err { code: e, msg: s },
-        7 => Response::Evicted { reason: s },
-        8 => Response::Closed,
-        9 => Response::SelfMetrics {
+        3 => Response::Err { code: e, msg: s },
+        4 => Response::Evicted { reason: s },
+        5 => Response::Closed,
+        6 => Response::SelfMetrics {
             counters: vec![(s, a)],
             hists: vec![HistSummary {
                 name: "read_latency_ns".to_string(),
@@ -117,13 +104,13 @@ fn response_from(
                 p99: a,
             }],
         },
-        10 => Response::Resumed {
+        7 => Response::Resumed {
             session_id: a,
             session_token: b,
             cur_tick: a ^ b,
             gap_pumps: b,
         },
-        11 => Response::TickKeyframe {
+        8 => Response::TickKeyframe {
             tick: a,
             time_ns: b,
             temp_mc: a as i64,
@@ -142,7 +129,7 @@ fn response_from(
                 },
             ],
         },
-        12 => Response::TickDelta {
+        9 => Response::TickDelta {
             base_tick: a,
             tick: a.wrapping_add(1),
             d_time_ns: b,
@@ -151,10 +138,10 @@ fn response_from(
             crc: b.rotate_left(33),
             cpu_deltas: vec![(a as i64, -(c as i64)), (i64::MIN, i64::MAX)],
         },
-        13 => Response::Overloaded {
+        10 => Response::Overloaded {
             retry_after_pumps: c,
         },
-        14 => Response::RangeReply {
+        11 => Response::RangeReply {
             series: d % 10,
             agg: d % 6,
             tier: d % 4,
@@ -215,7 +202,7 @@ proptest! {
     /// and without the header.
     #[test]
     fn responses_round_trip(
-        sel in 0u8..16,
+        sel in 0u8..RESPONSES,
         a in 0u64..u64::MAX,
         b in 0u64..u64::MAX,
         c in 0u32..u32::MAX,
@@ -240,7 +227,7 @@ proptest! {
     /// little as every older variant.
     #[test]
     fn truncated_observability_responses_are_typed_errors(
-        sel in 14u8..16,
+        sel in RESPONSES - 2..RESPONSES,
         a in 0u64..u64::MAX,
         b in 0u64..u64::MAX,
         c in 0u32..u32::MAX,

@@ -11,6 +11,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Every cargo command that resolves dependencies runs with --locked, so a
+# manifest edit that would rewrite Cargo.lock or perfbench/Cargo.lock
+# fails here instead of silently changing a lockfile. perfbench/ is the
+# benchmark's own package, and its lockfile changes only with it.
+
 FIRST_PARTY=(simcpu simos pfmlib papi workloads telemetry perftool jsonw metricsd simtrace hetero-papi)
 
 # `tier1.sh --sched-smoke`: just the scheduler-tournament gate plus the
@@ -20,9 +25,9 @@ if [[ "${1:-}" == "--sched-smoke" ]]; then
     # Hard gates inside schedbench: bit-identical Serial replay
     # (drift == 0), capacity beats cfs on the Table II straggler
     # scenario, thermal beats cfs on the Table IV inversion scenario.
-    cargo run --offline --release -p bench-harness --bin schedbench -- --quick
+    cargo run --offline --locked --release -p bench-harness --bin schedbench -- --quick
     echo "== sched smoke: exec hot path floor =="
-    cargo run --offline --release -p bench-harness --bin execbench -- --quick
+    cargo run --offline --locked --release -p bench-harness --bin execbench -- --quick
     echo "tier1 --sched-smoke: OK"
     exit 0
 fi
@@ -36,7 +41,7 @@ if [[ "${1:-}" == "--query-smoke" ]]; then
     # p99; the impossible p99 SLO breaches with an exemplar trace id
     # that resolves to recorded spans; the Perfetto export validates
     # with flow arrows; queries/s clears the floor.
-    cargo run --offline --release -p metricsd --bin loadgen -- \
+    cargo run --offline --locked --release -p metricsd --bin loadgen -- \
         --query-smoke --floor-queries 20000
     echo "tier1 --query-smoke: OK"
     exit 0
@@ -48,10 +53,10 @@ for c in "${FIRST_PARTY[@]}"; do fmt_args+=(-p "$c"); done
 cargo fmt "${fmt_args[@]}" --check
 
 echo "== build (offline, all targets) =="
-cargo build --offline --workspace --all-targets
+cargo build --offline --locked --workspace --all-targets
 
 echo "== test (offline, full workspace) =="
-cargo test --offline --workspace
+cargo test --offline --locked --workspace
 
 echo "== perfbench helper tests (builds the benchmark) =="
 # perfbench is a package of its own (outside the workspace) that the
@@ -59,12 +64,12 @@ echo "== perfbench helper tests (builds the benchmark) =="
 # change that breaks its build, or drifts its emitted metric names and
 # units from BENCHMARK.json's (one of its helper tests checks that),
 # fail tier 1 instead of the benchmark run.
-cargo test --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
 
 echo "== clippy (first-party, -D warnings) =="
 args=()
 for c in "${FIRST_PARTY[@]}"; do args+=(-p "$c"); done
-cargo clippy --offline "${args[@]}" --all-targets -- -D warnings
+cargo clippy --offline --locked "${args[@]}" --all-targets -- -D warnings
 
 echo "== event validation (Röhl matrix, emits BENCH_validation.json) =="
 # Hard gates inside: every analytic kernel × core type × hardware+software
@@ -73,10 +78,10 @@ echo "== event validation (Röhl matrix, emits BENCH_validation.json) =="
 # NMI counter theft while hardware reads degrade. Set VALIDATION_QUICK=1
 # for the quick subset: the instruction count shrinks but the full
 # kernel × core-type × event matrix shape is kept.
-VALIDATION_QUICK="${VALIDATION_QUICK:-}" cargo test --offline --test event_validation
+VALIDATION_QUICK="${VALIDATION_QUICK:-}" cargo test --offline --locked --test event_validation
 
 echo "== bench (compile only) =="
-cargo bench --offline --workspace --no-run
+cargo bench --offline --locked --workspace --no-run
 
 echo "== tick throughput (quick, emits BENCH_tick.json) =="
 # Perf *baseline*, not a gate: ticks/sec of `tick()` (the median of 5
@@ -86,7 +91,7 @@ echo "== tick throughput (quick, emits BENCH_tick.json) =="
 # reference that executes every slice is the uncached oracle behind the
 # kernel's `plan_cache_equals_uncached` proptest, run by the test step
 # above.
-cargo run --offline --release -p bench-harness --bin tickbench -- --quick
+cargo run --offline --locked --release -p bench-harness --bin tickbench -- --quick
 
 echo "== exec hot path (quick, emits BENCH_exec.json) =="
 # Hard gate inside: raptor_lake_i7_13700 per-tick serial ticks/s must stay
@@ -95,13 +100,13 @@ echo "== exec hot path (quick, emits BENCH_exec.json) =="
 # from `KernelConfig::default()`, which traces nothing, so this doubles
 # as the trace-overhead gate: the disabled flight recorder (one branch
 # per record site) must stay within noise of the pre-simtrace floor.
-cargo run --offline --release -p bench-harness --bin execbench -- --quick
+cargo run --offline --locked --release -p bench-harness --bin execbench -- --quick
 
 echo "== trace smoke (400-tick traced raptor run, validated chrome JSON) =="
 # Flight recorder on, full fault plan, live PAPI eventset: the exported
 # Chrome trace-event JSON must pass the strict jsonw validator with
 # per-CPU tracks plus tick, plan-cache, DVFS, fault and PAPI events present.
-cargo run --offline --release -p bench-harness --bin tickbench -- --trace-smoke
+cargo run --offline --locked --release -p bench-harness --bin tickbench -- --trace-smoke
 
 echo "== metricsd load smoke (quick, emits BENCH_metricsd.json) =="
 # Hard gates inside: the fleet's counter digest is bit-identical across
@@ -115,7 +120,7 @@ echo "== metricsd load smoke (quick, emits BENCH_metricsd.json) =="
 # accounting, an untraced control serving the same reads and p99, SLO
 # breach exemplars resolving to recorded spans, a validated flow-linked
 # Perfetto export, and a queries/s floor.
-cargo run --offline --release -p metricsd --bin loadgen -- --quick \
+cargo run --offline --locked --release -p metricsd --bin loadgen -- --quick \
     --floor-per-core 200000 --floor-queries 20000
 
 echo "== scheduler tournament (quick, emits BENCH_sched.json) =="
@@ -123,7 +128,7 @@ echo "== scheduler tournament (quick, emits BENCH_sched.json) =="
 # capacity-aware scheduler must beat CfsLike on the Table II straggler
 # scenario and the thermal-steering one must beat it on the Table IV
 # inversion scenario — the paper pathologies stay reproduced AND fixed.
-cargo run --offline --release -p bench-harness --bin schedbench -- --quick
+cargo run --offline --locked --release -p bench-harness --bin schedbench -- --quick
 
 echo "== metricsd chaos smoke (quick, emits BENCH_chaos.json) =="
 # Hard gates inside: with deterministic transport fault injection
@@ -132,7 +137,7 @@ echo "== metricsd chaos smoke (quick, emits BENCH_chaos.json) =="
 # counter digests bit-identical to the fault-free reference, zero lost
 # or duplicated RPCs, zero lost sessions — and every ledger (injector,
 # client, daemon self-metrics) must agree where the link is loss-free.
-cargo run --offline --release -p metricsd --bin chaosbench -- --quick
+cargo run --offline --locked --release -p metricsd --bin chaosbench -- --quick
 
 echo "== full-scale reproduction check (every paper table and figure) =="
 # Hard gate: reruns the whole paper-experiment suite at full scale
