@@ -126,36 +126,12 @@ fn bench_miss_profile(c: &mut Criterion) {
     });
 }
 
-/// The cycle-batch engine with and without the exec-plan cache — the
-/// per-call cost `exec_core` pays for every batch on every CPU every tick.
-fn bench_exec_plan(c: &mut Criterion) {
-    use simcpu::exec::{advance, advance_planned, ExecContext};
-    use simcpu::plan::PlanCache;
-    let phase = Phase::dgemm(1 << 44, 26 << 30, 0.35);
-    let ctx = ExecContext {
-        uarch: &simcpu::uarch::GOLDEN_COVE,
-        freq_khz: 3_400_000,
-        ref_khz: 2_100_000,
-        llc_share_bytes: 15 << 20,
-        mem_contention: 1.2,
-        smt_factor: 1.0,
-    };
-    let mut group = c.benchmark_group("exec_advance");
-    group.bench_function("uncached", |b| b.iter(|| advance(&phase, 3.4e6, &ctx)));
-    let mut cache = PlanCache::new();
-    group.bench_function("planned", |b| {
-        b.iter(|| advance_planned(&phase, 3.4e6, &ctx, &mut cache))
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_papi_read,
     bench_group_split,
     bench_kernel_tick,
     bench_cache_sim,
-    bench_miss_profile,
-    bench_exec_plan
+    bench_miss_profile
 );
 criterion_main!(benches);

@@ -133,7 +133,7 @@ mod tests {
     use simcpu::machine::MachineSpec;
     use simcpu::phase::Phase;
     use simcpu::types::CpuMask;
-    use simos::kernel::{Kernel, KernelConfig};
+    use simos::kernel::{run_with_hooks, Kernel, KernelConfig};
     use simos::task::{HookId, Op, ScriptedProgram};
 
     /// Drive a two-region instrumented task through the HL API.
@@ -162,25 +162,12 @@ mod tests {
         let mut hl =
             HighLevel::new(kernel.clone(), pid, &["PAPI_TOT_INS", "PAPI_TOT_CYC"]).unwrap();
         // Drive hooks: 1/2 = region a, 3/4 = region b.
-        loop {
-            let hooks = {
-                let mut k = kernel.lock();
-                if k.all_exited() || k.time_ns() > 120_000_000_000 {
-                    break;
-                }
-                k.tick();
-                k.take_pending_hooks()
-            };
-            for (p, h) in hooks {
-                match h.0 {
-                    1 => hl.region_begin("a").unwrap(),
-                    2 => hl.region_end("a").unwrap(),
-                    3 => hl.region_begin("b").unwrap(),
-                    _ => hl.region_end("b").unwrap(),
-                }
-                kernel.lock().resume(p).unwrap();
-            }
-        }
+        run_with_hooks(&kernel, 120_000_000_000, |_, _, h| match h.0 {
+            1 => hl.region_begin("a").unwrap(),
+            2 => hl.region_end("a").unwrap(),
+            3 => hl.region_begin("b").unwrap(),
+            _ => hl.region_end("b").unwrap(),
+        });
         let regions = hl.regions();
         let a = &regions["a"];
         let b = &regions["b"];

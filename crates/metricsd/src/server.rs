@@ -275,7 +275,7 @@ struct PumpCtx<'a> {
 pub struct Daemon {
     cfg: DaemonConfig,
     collector: Collector,
-    cache: Arc<SnapshotCache>,
+    cache: SnapshotCache,
     /// Live sessions in admission order, which is the serve order.
     sessions: Vec<Session>,
     /// Requests served since boot (the `reads_served` gauge).
@@ -335,7 +335,7 @@ impl Daemon {
         collector.set_trace(TraceSink::new(&trace_cfg));
         let first = collector_boot_snapshot(&collector);
         let prev_time_ns = first.time_ns;
-        let cache = Arc::new(SnapshotCache::new(first));
+        let cache = SnapshotCache::new(first);
         let history = History::new(cfg.history_cap, cfg.slos.clone());
         let health_frame = Response::Health {
             pumps: 0,
@@ -376,8 +376,8 @@ impl Daemon {
 
     /// The snapshot cache, for tools and tests that read the latest
     /// snapshot.
-    pub fn cache(&self) -> Arc<SnapshotCache> {
-        self.cache.clone()
+    pub fn cache(&self) -> &SnapshotCache {
+        &self.cache
     }
 
     /// Sessions currently parked awaiting resume.
@@ -425,11 +425,10 @@ impl Daemon {
         let self_metrics = self_metrics_frame(&self.reg);
         self.trace
             .record(snap.time_ns, EventKind::DaemonPump, 0, self.pumps, 0);
-        let stream = self.cache.stream_frames();
         let mut rollup = self.open_rollup(&snap);
         let mut ctx = PumpCtx {
             snap: &snap,
-            stream: &stream,
+            stream: self.cache.stream_frames(),
             cfg: &self.cfg,
             tick_ns: self.tick_ns,
             self_metrics: &self_metrics,

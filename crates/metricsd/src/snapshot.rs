@@ -12,7 +12,6 @@
 //! kernel-op sequence depends only on the pump schedule, not on how many
 //! sessions exist or how subscriptions are spread over them.
 
-use parking_lot::RwLock;
 use simcpu::power::energy_delta_uj;
 use simcpu::types::CpuId;
 use simos::kernel::KernelHandle;
@@ -360,41 +359,37 @@ fn build_stream_frames(prev: &TickSnapshot, snap: &TickSnapshot) -> StreamFrames
     }
 }
 
-/// Lock-free-ish cache of the latest snapshot and the delta stream's
-/// shared frames, both replaced at each publish. Serving reads them
-/// without ever taking the kernel lock.
+/// The latest snapshot and the delta stream's shared frames, both
+/// replaced at each publish. The pump thread publishes and serves from
+/// it, so serving never takes the kernel lock.
 pub struct SnapshotCache {
-    latest: RwLock<Arc<TickSnapshot>>,
-    stream: RwLock<Arc<StreamFrames>>,
+    latest: Arc<TickSnapshot>,
+    stream: StreamFrames,
 }
 
 impl SnapshotCache {
     pub fn new(first: Arc<TickSnapshot>) -> SnapshotCache {
         let stream = build_stream_frames(&first, &first);
         SnapshotCache {
-            latest: RwLock::new(first),
-            stream: RwLock::new(Arc::new(stream)),
+            latest: first,
+            stream,
         }
     }
 
     /// Publish a new snapshot — the pump's single point of invalidation.
     /// Also encodes this pump's keyframe + delta frames exactly once.
-    pub fn publish(&self, snap: Arc<TickSnapshot>) {
-        let frames = {
-            let prev = self.latest.read();
-            build_stream_frames(&prev, &snap)
-        };
-        *self.latest.write() = snap;
-        *self.stream.write() = Arc::new(frames);
+    pub fn publish(&mut self, snap: Arc<TickSnapshot>) {
+        self.stream = build_stream_frames(&self.latest, &snap);
+        self.latest = snap;
     }
 
-    pub fn latest(&self) -> Arc<TickSnapshot> {
-        self.latest.read().clone()
+    pub fn latest(&self) -> &TickSnapshot {
+        &self.latest
     }
 
     /// The delta stream's shared frames for the latest publish.
-    pub fn stream_frames(&self) -> Arc<StreamFrames> {
-        self.stream.read().clone()
+    pub fn stream_frames(&self) -> &StreamFrames {
+        &self.stream
     }
 }
 
@@ -508,7 +503,7 @@ mod tests {
     #[test]
     fn snapshot_cache_publishes_latest() {
         let mut c = Collector::new(boot_with_work());
-        let cache = SnapshotCache::new(c.advance(5));
+        let mut cache = SnapshotCache::new(c.advance(5));
         assert_eq!(cache.latest().tick, 1);
         cache.publish(c.advance(5));
         assert_eq!(cache.latest().tick, 2);

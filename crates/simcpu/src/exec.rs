@@ -143,23 +143,6 @@ pub fn advance(phase: &Phase, budget_cycles: f64, ctx: &ExecContext<'_>) -> Exec
     result_for_inst(phase, ctx, &m, cpi, inst)
 }
 
-/// [`advance`] through a [`PlanCache`]: bit-identical results, with the
-/// miss profile + CPI (and, on the common steady path, the whole
-/// [`ExecResult`]) served from the memoized plan instead of recomputed.
-/// One [`PlanCache::plan`] lookup, then [`advance_with_plan`].
-pub fn advance_planned(
-    phase: &Phase,
-    budget_cycles: f64,
-    ctx: &ExecContext<'_>,
-    cache: &mut PlanCache,
-) -> ExecResult {
-    if phase.instructions == 0 || budget_cycles <= 0.0 {
-        return ExecResult::default();
-    }
-    let plan = cache.plan(phase, ctx);
-    advance_with_plan(phase, budget_cycles, ctx, cache, plan)
-}
-
 /// [`advance`] from a plan the caller already holds for `phase` under
 /// `ctx` (see [`PlanCache::plan`]): no key is built or hashed.
 pub fn advance_with_plan(

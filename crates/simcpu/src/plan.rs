@@ -274,8 +274,8 @@ mod tests {
         let mut cache = PlanCache::new();
         let fresh = exec::advance(&p, 1e6, &c);
         for _ in 0..10 {
-            let planned = exec::advance_planned(&p, 1e6, &c, &mut cache);
-            assert_eq!(planned, fresh);
+            let id = cache.plan(&p, &c);
+            assert_eq!(exec::advance_with_plan(&p, 1e6, &c, &mut cache, id), fresh);
         }
         let (hits, misses) = cache.stats();
         assert_eq!((hits, misses), (9, 1));
@@ -341,14 +341,14 @@ mod tests {
         let p = Phase::scalar(1_000_000);
         let c = ctx(3_000_000);
         let mut cache = PlanCache::new();
-        let _ = exec::advance_planned(&p, 1e6, &c, &mut cache);
-        let _ = exec::advance_planned(&p, 1e6, &c, &mut cache);
+        let _ = cache.plan(&p, &c);
+        let _ = cache.plan(&p, &c);
         assert_eq!(cache.stats().0, 1);
         cache.set_epoch(1);
-        let _ = exec::advance_planned(&p, 1e6, &c, &mut cache);
+        let _ = cache.plan(&p, &c);
         assert_eq!(cache.stats(), (1, 2), "epoch bump forced a recompute");
         cache.set_epoch(1);
-        let _ = exec::advance_planned(&p, 1e6, &c, &mut cache);
+        let _ = cache.plan(&p, &c);
         assert_eq!(cache.stats(), (2, 2), "same epoch keeps entries");
     }
 }

@@ -14,21 +14,6 @@ pub type Nanos = u64;
 /// Frequency in kHz (the unit used by `/sys/devices/system/cpu/*/cpufreq`).
 pub type Khz = u64;
 
-/// One nanosecond expressed in seconds.
-pub const NS_PER_SEC: u64 = 1_000_000_000;
-
-/// Convert nanoseconds to (floating) seconds.
-#[inline]
-pub fn ns_to_s(ns: Nanos) -> f64 {
-    ns as f64 / NS_PER_SEC as f64
-}
-
-/// Convert kHz to Hz as `f64`.
-#[inline]
-pub fn khz_to_hz(khz: Khz) -> f64 {
-    khz as f64 * 1e3
-}
-
 /// Index of a *physical core* within a machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CoreId(pub usize);
@@ -316,11 +301,5 @@ mod tests {
     fn coretype_letters() {
         assert_eq!(CoreType::Performance.letter(), "P");
         assert_eq!(CoreType::Efficiency.letter(), "E");
-    }
-
-    #[test]
-    fn unit_helpers() {
-        assert_eq!(ns_to_s(1_500_000_000), 1.5);
-        assert_eq!(khz_to_hz(2_100_000), 2.1e9);
     }
 }

@@ -65,8 +65,6 @@ pub struct KernelConfig {
     /// Scheduling policy, from the [`crate::simsched`] registry
     /// (default `cfs`, the legacy capacity-aware policy).
     pub sched: SchedName,
-    /// Multiplex rotation interval, ns.
-    pub mux_interval_ns: Nanos,
     /// Has no effect: nothing in the kernel draws random numbers (the
     /// fault plan carries its own seed). Kept only because the benchmark
     /// in `perfbench/src` names it.
@@ -87,7 +85,6 @@ impl Default for KernelConfig {
         KernelConfig {
             tick_ns: 1_000_000,
             sched: SchedName::default(),
-            mux_interval_ns: 4_000_000,
             seed: 0x5eed,
             firmware: Firmware::DeviceTree,
             exec_mode: ExecMode::Serial,
@@ -95,6 +92,9 @@ impl Default for KernelConfig {
         }
     }
 }
+
+/// Multiplex rotation interval, ns.
+const MUX_INTERVAL_NS: Nanos = 4_000_000;
 
 /// Modeled syscall latencies (ns) — calibrated to the magnitudes reported
 /// for perf_event self-monitoring overhead studies.
@@ -1620,7 +1620,7 @@ impl Kernel {
         // of GP counters on a set of groups in any order, and
         // `scheduled` is only used as a set — so only the clock moves.
         if st.for_task == running && st.at_gen == self.perf_gen && !st.rotate_necessary {
-            self.cpu_perf[cpu.0].advance_rotation(self.time_ns, self.cfg.mux_interval_ns);
+            self.cpu_perf[cpu.0].advance_rotation(self.time_ns, MUX_INTERVAL_NS);
             return;
         }
 
@@ -1657,7 +1657,7 @@ impl Kernel {
         if cands.is_empty() {
             let st = &mut self.cpu_perf[cpu.0];
             st.scheduled.clear();
-            st.advance_rotation(self.time_ns, self.cfg.mux_interval_ns);
+            st.advance_rotation(self.time_ns, MUX_INTERVAL_NS);
             st.for_task = running;
             st.at_gen = self.perf_gen;
             st.rotate_necessary = false;
@@ -1673,7 +1673,7 @@ impl Kernel {
             let rot = st.rotation % n_unpinned;
             cands[first_unpinned..].rotate_left(rot);
         }
-        st.advance_rotation(self.time_ns, self.cfg.mux_interval_ns);
+        st.advance_rotation(self.time_ns, MUX_INTERVAL_NS);
 
         let reqs: Vec<GroupReq> = cands
             .iter()

@@ -4,9 +4,7 @@
 //!
 //! Usage: call [`install`] once at bin startup, then [`stash`] a fresh
 //! [`crate::export::text_dump`] at convenient checkpoints. On panic the
-//! hook prints the stashed dump after the normal panic report; a bin can
-//! also call [`dump_now`] explicitly when a gate fails without
-//! panicking.
+//! hook prints the stashed dump after the normal panic report.
 
 use std::sync::{Mutex, Once};
 
@@ -21,17 +19,6 @@ pub fn stash(dump: String) {
 /// Take the stashed dump, leaving the slot empty.
 pub fn take() -> Option<String> {
     SLOT.lock().unwrap().take()
-}
-
-/// Print the stashed dump (if any) to stderr, leaving it stashed.
-pub fn dump_now() {
-    if let Ok(slot) = SLOT.lock() {
-        if let Some(dump) = slot.as_ref() {
-            eprintln!("---- simtrace post-mortem (last stashed dump) ----");
-            eprint!("{dump}");
-            eprintln!("---- end simtrace post-mortem ----");
-        }
-    }
 }
 
 /// Chain a panic hook that prints the stashed dump after the default

@@ -40,25 +40,12 @@ fn main() {
     )
     .expect("hl init");
 
-    loop {
-        let hooks = {
-            let mut k = kernel.lock();
-            if k.all_exited() || k.time_ns() > 600_000_000_000 {
-                break;
-            }
-            k.tick();
-            k.take_pending_hooks()
-        };
-        for (p, h) in hooks {
-            match h.0 {
-                1 => hl.region_begin("compute").unwrap(),
-                2 => hl.region_end("compute").unwrap(),
-                3 => hl.region_begin("memory").unwrap(),
-                _ => hl.region_end("memory").unwrap(),
-            }
-            kernel.lock().resume(p).unwrap();
-        }
-    }
+    run_with_hooks(&kernel, 600_000_000_000, |_, _, h| match h.0 {
+        1 => hl.region_begin("compute").unwrap(),
+        2 => hl.region_end("compute").unwrap(),
+        3 => hl.region_begin("memory").unwrap(),
+        _ => hl.region_end("memory").unwrap(),
+    });
 
     println!("{}", hl.report());
     // Derived metrics per region.

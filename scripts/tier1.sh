@@ -19,15 +19,15 @@ cd "$(dirname "$0")/.."
 FIRST_PARTY=(simcpu simos pfmlib papi workloads telemetry perftool jsonw metricsd simtrace hetero-papi)
 
 # `tier1.sh --sched-smoke`: just the scheduler-tournament gate plus the
-# exec hot-path floor — the fast loop while iterating on a scheduler.
+# tick hot-path floor — the fast loop while iterating on a scheduler.
 if [[ "${1:-}" == "--sched-smoke" ]]; then
     echo "== sched smoke: tournament (quick, emits BENCH_sched.json) =="
     # Hard gates inside schedbench: bit-identical Serial replay
     # (drift == 0), capacity beats cfs on the Table II straggler
     # scenario, thermal beats cfs on the Table IV inversion scenario.
     cargo run --offline --locked --release -p bench-harness --bin schedbench -- --quick
-    echo "== sched smoke: exec hot path floor =="
-    cargo run --offline --locked --release -p bench-harness --bin execbench -- --quick
+    echo "== sched smoke: tick hot path floor =="
+    cargo run --offline --locked --release -p bench-harness --bin tickbench -- --quick
     echo "tier1 --sched-smoke: OK"
     exit 0
 fi
@@ -83,30 +83,22 @@ VALIDATION_QUICK="${VALIDATION_QUICK:-}" cargo test --offline --locked --test ev
 echo "== bench (compile only) =="
 cargo bench --offline --locked --workspace --no-run
 
-echo "== tick throughput (quick, emits BENCH_tick.json) =="
-# Perf *baseline*, not a gate: ticks/sec of `tick()` (the median of 5
+echo "== tick throughput and hot path floor (quick, emits BENCH_tick.json) =="
+# Perf *baseline* per preset: ticks/sec of `tick()` (the median of 5
 # timed windows, with the slowest and fastest) and the plan-cache hit
 # rate per preset (with host_cpus) land in BENCH_tick.json for later
 # changes to diff. Most of its ticks replay each CPU's last tick; the
 # reference that executes every slice is the uncached oracle behind the
 # kernel's `plan_cache_equals_uncached` proptest, run by the test step
 # above.
+# Hard gate inside: the `finishing_phases` row (raptor_lake_i7_13700,
+# phases that finish every tick) must stay at or above the ticks/s the
+# uncached path recorded before the plan cache, or the run exits
+# nonzero and fails tier1. Its kernel boots from
+# `KernelConfig::default()`, which traces nothing, so this doubles as
+# the trace-overhead gate: the disabled flight recorder (one branch per
+# record site) must stay within noise of the pre-simtrace floor.
 cargo run --offline --locked --release -p bench-harness --bin tickbench -- --quick
-
-echo "== exec hot path (quick, emits BENCH_exec.json) =="
-# Hard gate inside: raptor_lake_i7_13700 per-tick serial ticks/s must stay
-# at or above the pre-plan-cache PR-3 baseline recorded in the JSON — a
-# hot-path regression exits nonzero and fails tier1. Its kernel boots
-# from `KernelConfig::default()`, which traces nothing, so this doubles
-# as the trace-overhead gate: the disabled flight recorder (one branch
-# per record site) must stay within noise of the pre-simtrace floor.
-cargo run --offline --locked --release -p bench-harness --bin execbench -- --quick
-
-echo "== trace smoke (400-tick traced raptor run, validated chrome JSON) =="
-# Flight recorder on, full fault plan, live PAPI eventset: the exported
-# Chrome trace-event JSON must pass the strict jsonw validator with
-# per-CPU tracks plus tick, plan-cache, DVFS, fault and PAPI events present.
-cargo run --offline --locked --release -p bench-harness --bin tickbench -- --trace-smoke
 
 echo "== metricsd load smoke (quick, emits BENCH_metricsd.json) =="
 # Hard gates inside: the fleet's counter digest is bit-identical across

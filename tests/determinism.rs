@@ -466,19 +466,25 @@ fn cfs_like_matches_pre_simsched_goldens() {
             0xd239_6f16_e642_adf5,
         ),
     ];
-    for (name, spec, golden) in presets {
-        let h = run_case_cfg(
-            spec(),
-            KernelConfig {
-                sched: SchedName::Cfs,
-                ..Default::default()
-            },
-        );
-        assert_eq!(
-            h, golden,
-            "{name}: CfsLike digest diverged from the pre-simsched golden"
-        );
-    }
+    // Run every preset before asserting, so a re-pin or a regression
+    // shows every preset that moved, not just the first.
+    let moved: Vec<String> = presets
+        .into_iter()
+        .filter_map(|(name, spec, golden)| {
+            let h = run_case_cfg(
+                spec(),
+                KernelConfig {
+                    sched: SchedName::Cfs,
+                    ..Default::default()
+                },
+            );
+            (h != golden).then(|| format!("{name}: {h:#018x} (golden {golden:#018x})"))
+        })
+        .collect();
+    assert!(
+        moved.is_empty(),
+        "CfsLike digest diverged from the pre-simsched golden on: {moved:#?}"
+    );
 }
 
 /// The paper's C2 measurement must repeat: HPL on raptor's P+E set under

@@ -16,7 +16,7 @@ use simcpu::types::{CpuId, CpuMask};
 use simos::faults::{FaultKind, FaultPlan, TransientErrno};
 use simos::kernel::{Kernel, KernelConfig, KernelHandle};
 use simos::task::{Op, Pid, ScriptedProgram};
-use simtrace::{chrome_trace_json, EventKind, TraceConfig, Track};
+use simtrace::{chrome_trace_json, span, EventKind, TraceConfig, Track};
 use std::collections::BTreeSet;
 
 fn traced_cfg() -> KernelConfig {
@@ -208,7 +208,12 @@ fn traced_raptor_run_covers_hw_kernel_and_papi() {
     let json = chrome_trace_json(&tracks);
     assert!(jsonw::validate(&json), "chrome trace JSON invalid");
     assert!(json.contains("\"thread_name\""));
-    assert!(json.contains(&format!("\"cpu{}\"", n - 1)));
+    for i in 0..n {
+        assert!(
+            json.contains(&format!("\"cpu{i}\"")),
+            "export missing per-CPU track cpu{i}"
+        );
+    }
     assert!(json.contains("\"fault_cpu_offline\""));
 }
 
@@ -329,6 +334,70 @@ fn daemon_trace_and_self_metrics_over_the_wire() {
         .count();
     assert_eq!(serves as u64, reads, "one serve event per read");
     assert!(jsonw::validate(&chrome_trace_json(&tracks)));
+}
+
+/// Causal tracing end to end: a client traced at `sample_every = 1`
+/// against an in-process daemon. Every traced read leaves a linked span
+/// on both sides of the wire, and the export renders them as
+/// `rpc:client` / `rpc:serve` slices stitched by flow arrows.
+#[test]
+fn traced_reads_link_client_and_serve_spans() {
+    let kernel = Kernel::boot_handle(MachineSpec::skylake_quad(), traced_cfg());
+    spawn_mixed(&mut kernel.lock());
+    let mut daemon = Daemon::new(kernel, DaemonConfig::default());
+    let mut c = MetricsClient::new(daemon.connector().connect());
+    c.enable_tracing(&traced_cfg().trace, 1);
+
+    c.post(&Request::Hello {
+        proto: PROTO_VERSION,
+    })
+    .unwrap();
+    daemon.pump();
+    while let Ok(Some(_)) = c.try_take() {}
+    c.post(&Request::Subscribe {
+        cpu_mask: u64::MAX,
+        metrics: metricsd::wire::metrics::ALL,
+    })
+    .unwrap();
+    daemon.pump();
+    let Some(Response::Subscribed { sub_id, .. }) = c.try_take().unwrap() else {
+        panic!("wanted Subscribed");
+    };
+
+    let mut trace_ids = Vec::new();
+    for _ in 0..6 {
+        let trace_id = c
+            .post_traced(&Request::Read {
+                sub_id,
+                submit_ns: 0,
+            })
+            .unwrap();
+        assert_ne!(trace_id, 0, "every RPC is sampled at sample_every = 1");
+        trace_ids.push(trace_id);
+        daemon.pump();
+        while let Ok(Some(_)) = c.try_take() {}
+    }
+
+    let mut tracks = daemon.trace_tracks();
+    tracks.push(c.trace_track());
+    for (side, hop) in [("client", span::CLIENT), ("serve", span::SERVE)] {
+        let events = &track(&tracks, side).events;
+        for &id in &trace_ids {
+            for kind in [EventKind::SpanBegin, EventKind::SpanEnd] {
+                assert!(
+                    events
+                        .iter()
+                        .any(|e| e.kind == kind && e.code == hop && e.a == id),
+                    "{side} track has no {kind:?} for trace {id:#x}"
+                );
+            }
+        }
+    }
+    let json = chrome_trace_json(&tracks);
+    assert!(jsonw::validate(&json), "span export invalid");
+    for needle in ["\"ph\":\"s\"", "\"ph\":\"f\"", "rpc:client", "rpc:serve"] {
+        assert!(json.contains(needle), "span export missing {needle}");
+    }
 }
 
 /// A disabled recorder stays invisible: no tracks carry events and the
