@@ -31,6 +31,7 @@
 use crate::wire::{agg, series, SloHealth, MAX_RANGE_POINTS};
 use simtrace::metrics::Histogram;
 use std::collections::VecDeque;
+use std::ops::Range;
 
 /// Downsampling tiers: 0 = per-pump, 1 = per-8-pumps, 2 = per-64-pumps.
 pub const TIERS: usize = 3;
@@ -116,10 +117,6 @@ impl Rollup {
             series::CLUSTER1_CYCLES => self.cluster_cycles[1],
             _ => 0,
         }
-    }
-
-    fn overlaps(&self, start_tick: u64, end_tick: u64) -> bool {
-        self.first_tick <= end_tick && self.last_tick >= start_tick
     }
 }
 
@@ -250,6 +247,14 @@ impl History {
     }
 
     fn push_tier(&mut self, t: usize, r: Rollup) {
+        // `query` binary-searches each tier, so both tick bounds must
+        // ascend from frame to frame.
+        debug_assert!(
+            self.tiers[t]
+                .back()
+                .is_none_or(|p| p.first_tick <= r.first_tick && p.last_tick <= r.last_tick),
+            "tier {t}: frame ticks fell below the previous frame's"
+        );
         self.tiers[t].push_back(r);
         if self.tiers[t].len() > self.cap {
             self.tiers[t].pop_front();
@@ -257,10 +262,10 @@ impl History {
         self.pushed[t] += 1;
         if t + 1 < TIERS && self.pushed[t].is_multiple_of(TIER_FANOUT) {
             let n = self.tiers[t].len();
-            let mut merged = self.tiers[t][n - TIER_FANOUT as usize].clone();
-            for i in (n - TIER_FANOUT as usize + 1)..n {
-                let frame = self.tiers[t][i].clone();
-                merged.merge(&frame);
+            let mut frames = self.tiers[t].range(n - TIER_FANOUT as usize..);
+            let mut merged = frames.next().expect("cap >= fanout").clone();
+            for f in frames {
+                merged.merge(f);
             }
             self.push_tier(t + 1, merged);
         }
@@ -331,6 +336,11 @@ impl History {
     /// retained horizon still covers the range start (coarser tiers
     /// remember further back); when no tier covers, the coarsest
     /// non-empty tier serves its newest `max_points` frames.
+    ///
+    /// Frames are pushed in tick order, so both tick bounds ascend
+    /// through a tier and the frames overlapping a range are one
+    /// contiguous run, found by two binary searches: a query costs
+    /// O(log cap) plus the frames it aggregates.
     pub fn query(
         &self,
         s: u8,
@@ -361,11 +371,156 @@ impl History {
         // tier choice; SUM replies one point per frame and must also
         // fit `max_points`.
         let single_point = a != agg::SUM;
+        let mut chosen: Option<(usize, Range<usize>)> = None;
+        for (t, tier) in self.tiers.iter().enumerate() {
+            // The first frame ending at or after the start, and the
+            // first starting after the end.
+            let lo = tier.partition_point(|r| r.last_tick < start_tick);
+            let hi = tier.partition_point(|r| r.first_tick <= end_tick);
+            if lo >= hi {
+                continue;
+            }
+            // A tier that does not fit is remembered as the fallback.
+            chosen = Some((t, lo..hi));
+            let covers = tier[lo].first_tick <= want_start;
+            if covers && (single_point || hi - lo <= max_points) {
+                break;
+            }
+        }
+        let (t, mut run) = chosen.ok_or("empty range")?;
+        if !single_point && run.len() > max_points {
+            run.start = run.end - max_points;
+        }
+        let tier = &self.tiers[t];
+        let (first, last) = (&tier[run.start], &tier[run.end - 1]);
+        let frames = tier.range(run.clone());
+        Ok(match a {
+            agg::SUM => {
+                let points: Vec<(u64, u64)> = frames.map(|r| (r.last_tick, r.counter(s))).collect();
+                let min = points.iter().map(|p| p.1).min().unwrap_or(0);
+                let max = points.iter().map(|p| p.1).max().unwrap_or(0);
+                RangeResult {
+                    tier: t as u8,
+                    count: run.len() as u64,
+                    min,
+                    max,
+                    points,
+                }
+            }
+            agg::RATE => {
+                let total: u64 = frames.map(|r| r.counter(s)).sum();
+                let span_ns = last.last_time_ns.saturating_sub(first.first_time_ns);
+                let rate = if span_ns == 0 {
+                    total
+                } else {
+                    (total as u128 * 1_000_000_000 / span_ns as u128) as u64
+                };
+                RangeResult {
+                    tier: t as u8,
+                    count: run.len() as u64,
+                    min: rate,
+                    max: rate,
+                    points: vec![(last.last_tick, rate)],
+                }
+            }
+            _ => {
+                let mut hist = Histogram::new();
+                for r in frames {
+                    hist.merge(&r.latency);
+                }
+                let p = match a {
+                    agg::P50 => 0.50,
+                    agg::P90 => 0.90,
+                    _ => 0.99,
+                };
+                RangeResult {
+                    tier: t as u8,
+                    count: hist.count(),
+                    min: hist.min(),
+                    max: hist.max(),
+                    points: vec![(last.last_tick, hist.percentile(p))],
+                }
+            }
+        })
+    }
+
+    /// FNV-1a digest over every resident frame — the golden-digest
+    /// handle for the determinism tests.
+    pub fn digest(&self) -> u64 {
+        let mut bytes = Vec::new();
+        let put = |v: u64, bytes: &mut Vec<u8>| bytes.extend_from_slice(&v.to_le_bytes());
+        for tier in &self.tiers {
+            for r in tier {
+                for v in [
+                    r.pump,
+                    r.first_tick,
+                    r.last_tick,
+                    r.first_time_ns,
+                    r.last_time_ns,
+                    r.reads,
+                    r.stale_reads,
+                    r.evictions,
+                    r.sheds,
+                    r.cluster_instructions[0],
+                    r.cluster_instructions[1],
+                    r.cluster_cycles[0],
+                    r.cluster_cycles[1],
+                    r.latency.count(),
+                    r.latency.min(),
+                    r.latency.max(),
+                    r.latency.percentile(0.5),
+                    r.latency.percentile(0.99),
+                    r.slow_ns,
+                    r.exemplar,
+                ] {
+                    put(v, &mut bytes);
+                }
+            }
+        }
+        crate::wire::fnv64(&bytes)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn overlaps(r: &Rollup, start_tick: u64, end_tick: u64) -> bool {
+        r.first_tick <= end_tick && r.last_tick >= start_tick
+    }
+
+    /// The planner before the binary search, kept as the oracle: filter
+    /// every frame of every tier for overlap, collect, then aggregate.
+    fn query_by_scan(
+        h: &History,
+        s: u8,
+        a: u8,
+        start_tick: u64,
+        end_tick: u64,
+        max_points: u32,
+    ) -> Result<RangeResult, &'static str> {
+        if s >= series::COUNT || a >= agg::COUNT || start_tick > end_tick || max_points == 0 {
+            return Err("bad series/agg/range");
+        }
+        let percentile = matches!(a, agg::P50 | agg::P90 | agg::P99);
+        if percentile != (s == series::LATENCY_NS) {
+            return Err("aggregation does not fit series");
+        }
+        let max_points = (max_points as usize).min(MAX_RANGE_POINTS);
+        let oldest = h
+            .tiers
+            .iter()
+            .filter_map(|t| t.front().map(|r| r.first_tick))
+            .min()
+            .unwrap_or(0);
+        let want_start = start_tick.max(oldest);
+        let single_point = a != agg::SUM;
         let mut chosen: Option<(usize, Vec<&Rollup>)> = None;
         for t in 0..TIERS {
-            let frames: Vec<&Rollup> = self.tiers[t]
+            let frames: Vec<&Rollup> = h.tiers[t]
                 .iter()
-                .filter(|r| r.overlaps(start_tick, end_tick))
+                .filter(|r| overlaps(r, start_tick, end_tick))
                 .collect();
             if frames.is_empty() {
                 continue;
@@ -375,7 +530,6 @@ impl History {
                 chosen = Some((t, frames));
                 break;
             }
-            // Remember the coarsest non-empty tier as the fallback.
             chosen = Some((t, frames));
         }
         let (tier, mut frames) = chosen.ok_or("empty range")?;
@@ -434,47 +588,6 @@ impl History {
             }
         })
     }
-
-    /// FNV-1a digest over every resident frame — the golden-digest
-    /// handle for the determinism tests.
-    pub fn digest(&self) -> u64 {
-        let mut bytes = Vec::new();
-        let put = |v: u64, bytes: &mut Vec<u8>| bytes.extend_from_slice(&v.to_le_bytes());
-        for tier in &self.tiers {
-            for r in tier {
-                for v in [
-                    r.pump,
-                    r.first_tick,
-                    r.last_tick,
-                    r.first_time_ns,
-                    r.last_time_ns,
-                    r.reads,
-                    r.stale_reads,
-                    r.evictions,
-                    r.sheds,
-                    r.cluster_instructions[0],
-                    r.cluster_instructions[1],
-                    r.cluster_cycles[0],
-                    r.cluster_cycles[1],
-                    r.latency.count(),
-                    r.latency.min(),
-                    r.latency.max(),
-                    r.latency.percentile(0.5),
-                    r.latency.percentile(0.99),
-                    r.slow_ns,
-                    r.exemplar,
-                ] {
-                    put(v, &mut bytes);
-                }
-            }
-        }
-        crate::wire::fnv64(&bytes)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     fn frame(pump: u64, tick: u64, reads: u64, lat: u64) -> Rollup {
         let mut latency = Histogram::new();
@@ -650,5 +763,73 @@ mod tests {
         };
         assert_eq!(build(100), build(100));
         assert_ne!(build(100), build(101));
+    }
+
+    /// First tick of the generated histories, so ranges can start
+    /// before them.
+    const FIRST_TICK: u64 = 100;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The binary-searching planner answers every query exactly as
+        /// the scan does, typed errors included.
+        ///
+        /// Histories: cap 8-64 and 0-600 pushes, half of them at cap 8
+        /// and 576+ pushes, which wraps tier 2. The tick steps by 0-3
+        /// per push; 0 is a quiescent pump's repeated tick.
+        ///
+        /// Queries: every series × aggregation pair, a quarter of them
+        /// drawn from all pairs, so the invalid ones too. A quarter keep
+        /// their ends in drawn order, so some are reversed; a quarter
+        /// fall near the newest frames, where tier 0 can serve; the rest
+        /// span the history and its margins, so ranges lie before,
+        /// inside, across and after it. `max_points` runs 0 to one past
+        /// `MAX_RANGE_POINTS`, often small enough to force a coarser
+        /// tier.
+        #[test]
+        fn query_search_equals_scan(
+            shape in (0u32..2, 8usize..65, 0usize..601).prop_map(|(wrap, cap, n)| {
+                if wrap == 1 { (8, 576 + n % 25) } else { (cap, n) }
+            }),
+            steps in proptest::collection::vec((0u64..4, 0u64..6, 1u64..5_000), 600),
+            queries in proptest::collection::vec(
+                (
+                    (0u32..4, 0u8..series::COUNT + 1, 0u8..agg::COUNT + 1).prop_map(
+                        |(any, s, a)| match (any, s) {
+                            (0, _) => (s, a),
+                            (_, series::LATENCY_NS) => (s, agg::P50 + a % 3),
+                            _ => (s % series::COUNT, a % 2),
+                        },
+                    ),
+                    (0u32..4, 0u64..1_000, 0u64..1_000),
+                    (0u32..2, 0u32..MAX_RANGE_POINTS as u32 + 2)
+                        .prop_map(|(small, m)| if small == 1 { m % 17 } else { m }),
+                ),
+                64,
+            ),
+        ) {
+            let (cap, n) = shape;
+            let mut h = History::new(cap, vec![]);
+            let mut tick = FIRST_TICK;
+            for (p, &(step, reads, lat)) in steps[..n].iter().enumerate() {
+                tick += step;
+                h.push(frame(p as u64, tick, reads, lat));
+            }
+            let whole = (FIRST_TICK - 50, tick + 50);
+            let newest = (tick.saturating_sub(cap as u64).max(whole.0), tick + 2);
+            for &((s, a), (mode, x, y), max_points) in &queries {
+                let (lo, hi) = if mode == 1 { newest } else { whole };
+                let at = |v: u64| lo + v * (hi - lo + 1) / 1_000;
+                let (x, y) = if mode == 0 { (x, y) } else { (x.min(y), x.max(y)) };
+                let (start, end) = (at(x), at(y));
+                prop_assert_eq!(
+                    h.query(s, a, start, end, max_points),
+                    query_by_scan(&h, s, a, start, end, max_points),
+                    "cap {} pushes {} query ({}, {}, {}, {}, {})",
+                    cap, n, s, a, start, end, max_points
+                );
+            }
+        }
     }
 }

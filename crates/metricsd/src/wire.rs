@@ -18,7 +18,7 @@
 //! without the bit has exactly the layout above.
 
 /// Protocol version spoken by this build.
-pub const PROTO_VERSION: u16 = 3;
+pub const PROTO_VERSION: u16 = 4;
 
 /// Tag bit marking a frame that carries the [`Header`], on requests and
 /// replies alike. No message tag has it set.
@@ -192,13 +192,15 @@ fn fnv64_extend(mut h: u64, bytes: &[u8]) -> u64 {
 /// mirror recomputes this after applying every [`Response::TickDelta`]
 /// or [`Response::TickKeyframe`], so a desynchronised mirror (lost or
 /// corrupted delta) is detected immediately instead of drifting.
+///
+/// FNV-1a with one step per 64-bit word of the state. Each step is a
+/// bijection of the running state, so a change confined to any one word
+/// changes the checksum.
 pub fn stream_crc(tick: u64, energy_uj: u64, cpus: &[(u64, u64)]) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     let mut mix = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
+        h ^= v;
+        h = h.wrapping_mul(0x100000001b3);
     };
     mix(tick);
     mix(energy_uj);
@@ -1527,6 +1529,42 @@ mod tests {
         assert_ne!(base, stream_crc(11, 500, &[(100, 200), (7, 9)]));
         assert_ne!(base, stream_crc(10, 501, &[(100, 200), (7, 9)]));
         assert_ne!(base, stream_crc(10, 500, &[(101, 200), (7, 9)]));
+    }
+
+    /// A fixed raptor-sized state: the tick, the energy and 24 CPUs'
+    /// (instructions, cycles), 50 words in checksum order.
+    fn raptor_state_words() -> Vec<u64> {
+        let cpus =
+            (0..24u64).flat_map(|i| [1_000_003 * (i + 1) * (i + 1), 7_919 * (i + 1) + (i << 40)]);
+        [123_456, 8_943_752_134].into_iter().chain(cpus).collect()
+    }
+
+    fn crc_of_words(w: &[u64]) -> u64 {
+        let cpus: Vec<(u64, u64)> = w[2..].chunks(2).map(|p| (p[0], p[1])).collect();
+        stream_crc(w[0], w[1], &cpus)
+    }
+
+    #[test]
+    fn stream_crc_known_answer() {
+        // FNV-1a over the 50 words, computed outside this crate.
+        assert_eq!(crc_of_words(&raptor_state_words()), 0x98d7_ab24_e2c0_2b1b);
+    }
+
+    #[test]
+    fn stream_crc_changes_with_every_single_bit_flip() {
+        let mut words = raptor_state_words();
+        assert_eq!(words.len(), 50);
+        let base = crc_of_words(&words);
+        let mut flips = 0;
+        for w in 0..words.len() {
+            for bit in 0..64 {
+                words[w] ^= 1 << bit;
+                assert_ne!(crc_of_words(&words), base, "word {w} bit {bit}");
+                words[w] ^= 1 << bit;
+                flips += 1;
+            }
+        }
+        assert_eq!(flips, 3_200);
     }
 
     #[test]

@@ -16,11 +16,6 @@ pub fn stash(dump: String) {
     *SLOT.lock().unwrap() = Some(dump);
 }
 
-/// Take the stashed dump, leaving the slot empty.
-pub fn take() -> Option<String> {
-    SLOT.lock().unwrap().take()
-}
-
 /// Chain a panic hook that prints the stashed dump after the default
 /// report. Safe to call more than once; only the first call installs.
 pub fn install() {
@@ -48,7 +43,6 @@ mod tests {
     fn stash_take_roundtrip() {
         stash("dump A\n".into());
         stash("dump B\n".into());
-        assert_eq!(take().as_deref(), Some("dump B\n"));
-        assert_eq!(take(), None);
+        assert_eq!(SLOT.lock().unwrap().take().as_deref(), Some("dump B\n"));
     }
 }
