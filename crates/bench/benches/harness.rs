@@ -82,20 +82,6 @@ fn bench_group_split(c: &mut Criterion) {
     group.finish();
 }
 
-/// Kernel tick throughput with a realistic load (16 HPL-ish workers).
-fn bench_kernel_tick(c: &mut Criterion) {
-    let mut group = c.benchmark_group("kernel_tick");
-    for (label, ntasks) in [("idle", 0usize), ("8tasks", 8), ("24tasks", 24)] {
-        let kernel =
-            Kernel::boot_handle(MachineSpec::raptor_lake_i7_13700(), KernelConfig::default());
-        for i in 0..ntasks {
-            forever_task(&kernel, CpuMask::from_cpus([i % 24]));
-        }
-        group.bench_function(label, |b| b.iter(|| kernel.lock().tick()));
-    }
-    group.finish();
-}
-
 /// Raw set-associative cache simulator throughput (accesses/second).
 fn bench_cache_sim(c: &mut Criterion) {
     let mut group = c.benchmark_group("cache_sim");
@@ -130,7 +116,6 @@ criterion_group!(
     benches,
     bench_papi_read,
     bench_group_split,
-    bench_kernel_tick,
     bench_cache_sim,
     bench_miss_profile
 );

@@ -16,7 +16,7 @@
 use bench_harness::common::*;
 use simcpu::machine::MachineSpec;
 use simcpu::types::CpuMask;
-use simos::kernel::{Kernel, KernelConfig};
+use simos::kernel::{run_with_hooks, Kernel, KernelConfig};
 use workloads::hpl::{run_to_completion, spawn_hpl_tuned, HplTuning, HplVariant};
 
 fn hpl_with(tuning: HplTuning, variant: HplVariant) -> (f64, f64) {
@@ -125,21 +125,7 @@ fn main() {
                 ..workloads::micro::HybridTestConfig::paper(24)
             },
         );
-        loop {
-            let hooks = {
-                let mut k = kernel.lock();
-                if k.task_state(pid) == Some(simos::task::TaskState::Exited)
-                    || k.time_ns() > 600_000_000_000
-                {
-                    break;
-                }
-                k.tick();
-                k.take_pending_hooks()
-            };
-            for (p, _) in hooks {
-                kernel.lock().resume(p).unwrap();
-            }
-        }
+        run_with_hooks(&kernel, pid, 600_000_000_000, |_, _, _| {});
         noise.stop();
         let st = kernel.lock().task_stats(pid).unwrap();
         let p_share = st.instructions_by_type[0] as f64

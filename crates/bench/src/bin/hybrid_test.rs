@@ -40,7 +40,7 @@ fn run_patched(cpus: CpuMask, with_noise: bool) -> (f64, f64, usize) {
     papi.add_named(es, "adl_glc::INST_RETIRED:ANY").unwrap();
     papi.add_named(es, "adl_grt::INST_RETIRED:ANY").unwrap();
     let results = papi
-        .run_instrumented_task(es, HOOK_START, HOOK_STOP, pid, 600_000_000_000)
+        .run_instrumented(es, HOOK_START, HOOK_STOP, pid, 600_000_000_000)
         .expect("run");
     if let Some(n) = noise {
         n.stop();
@@ -84,7 +84,7 @@ fn run_legacy(cpus: CpuMask, label: &str, with_noise: bool) {
     // The defining legacy failure: the E-core event cannot join.
     let err = papi.add_named(es, "adl_grt::INST_RETIRED:ANY").unwrap_err();
     let results = papi
-        .run_instrumented_task(es, HOOK_START, HOOK_STOP, pid, 600_000_000_000)
+        .run_instrumented(es, HOOK_START, HOOK_STOP, pid, 600_000_000_000)
         .expect("run");
     if let Some(n) = noise {
         n.stop();

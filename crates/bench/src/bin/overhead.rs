@@ -132,7 +132,7 @@ fn main() {
     papi.add_named(es, "adl_glc::INST_RETIRED:ANY").unwrap();
     papi.add_named(es, "adl_grt::INST_RETIRED:ANY").unwrap();
     let _ = papi
-        .run_instrumented_task(
+        .run_instrumented(
             es,
             workloads::HOOK_START,
             workloads::HOOK_STOP,

@@ -24,7 +24,9 @@
 //! `PAPI_start()` / `PAPI_stop()` around arbitrary code regions — is
 //! [`Papi::start`]/[`Papi::stop`] driven from instrumentation hooks;
 //! [`Papi::run_instrumented`] is the canonical loop. As in real PAPI,
-//! `start` and `reset` issue only reset/enable ioctls, no reads.
+//! `start` and `reset` issue only reset/enable ioctls, no reads. Named,
+//! nested regions over one running EventSet are [`regions`], LIKWID's
+//! marker API.
 //!
 //! The library never sees the 48-bit hardware counter width: the
 //! kernel's `read()` returns 64-bit counts, and the rdpmc path of
@@ -35,16 +37,15 @@
 pub mod avail;
 pub mod error;
 pub mod eventset;
-pub mod highlevel;
 pub mod hwinfo;
 pub mod metrics;
 pub mod preset_table;
 pub mod presets;
+pub mod regions;
 pub mod sysdetect;
 
 pub use error::PapiError;
 pub use eventset::{Attach, Component, EsState, EventSet, EventSetId};
-pub use highlevel::HighLevel;
 pub use hwinfo::HardwareInfo;
 pub use preset_table::{parse_preset_csv, PresetDef, PresetTableError};
 pub use presets::Preset;
@@ -54,7 +55,7 @@ use eventset::{plan_groups, Entry, NativeRef};
 use pfmlib::{Pfm, PfmOptions};
 use simcpu::phase::Phase;
 use simcpu::types::{CpuId, Nanos};
-use simos::kernel::KernelHandle;
+use simos::kernel::{run_with_hooks, KernelHandle};
 use simos::perf::{EventFd, PerfError, PmuKind, ReadValue};
 use simos::task::{HookId, Op, Pid};
 use simtrace::{EventKind, TraceSink, Track};
@@ -1018,68 +1019,40 @@ impl Papi {
 
     // ---- instrumented (calipered) runs --------------------------------------
 
-    /// Drive the kernel until all tasks exit, treating `start_hook` /
-    /// `stop_hook` as `PAPI_start`/`PAPI_stop` calipers on `es`. Returns
-    /// the values captured at each stop — the §IV.F test harness.
+    /// Drive the kernel until task `pid` exits (background tasks may
+    /// outlive it), treating `start_hook` / `stop_hook` as
+    /// `PAPI_start`/`PAPI_stop` calipers on `es`. Returns the values
+    /// captured at each stop — the §IV.F test harness. The first start or
+    /// stop error is returned once the run ends; later hooks are resumed
+    /// untouched.
     pub fn run_instrumented(
         &mut self,
         es: EventSetId,
         start_hook: HookId,
         stop_hook: HookId,
+        pid: Pid,
         max_ns: Nanos,
     ) -> Result<Vec<Values>, PapiError> {
-        self.run_instrumented_inner(es, start_hook, stop_hook, max_ns, None)
-    }
-
-    /// Like [`Papi::run_instrumented`], but stops once `watched` exits —
-    /// for scenarios with background (noise) tasks that outlive the
-    /// instrumented one.
-    pub fn run_instrumented_task(
-        &mut self,
-        es: EventSetId,
-        start_hook: HookId,
-        stop_hook: HookId,
-        watched: Pid,
-        max_ns: Nanos,
-    ) -> Result<Vec<Values>, PapiError> {
-        self.run_instrumented_inner(es, start_hook, stop_hook, max_ns, Some(watched))
-    }
-
-    fn run_instrumented_inner(
-        &mut self,
-        es: EventSetId,
-        start_hook: HookId,
-        stop_hook: HookId,
-        max_ns: Nanos,
-        watched: Option<Pid>,
-    ) -> Result<Vec<Values>, PapiError> {
+        let kernel = self.kernel.clone();
         let mut results = Vec::new();
-        let deadline = {
-            let k = self.kernel.lock();
-            k.time_ns() + max_ns
-        };
-        loop {
-            let hooks = {
-                let mut k = self.kernel.lock();
-                let watched_done = watched
-                    .map(|p| k.task_state(p) == Some(simos::task::TaskState::Exited))
-                    .unwrap_or(false);
-                if k.all_exited() || watched_done || k.time_ns() >= deadline {
-                    break;
-                }
-                k.tick();
-                k.take_pending_hooks()
-            };
-            for (pid, hook) in hooks {
-                if hook == start_hook {
-                    self.start(es)?;
-                } else if hook == stop_hook {
-                    results.push(self.stop(es)?);
-                }
-                self.kernel.lock().resume(pid)?;
+        let mut err = None;
+        run_with_hooks(&kernel, pid, max_ns, |_, _, hook| {
+            if err.is_some() {
+                return;
             }
+            let r = if hook == start_hook {
+                self.start(es)
+            } else if hook == stop_hook {
+                self.stop(es).map(|v| results.push(v))
+            } else {
+                Ok(())
+            };
+            err = r.err();
+        });
+        match err {
+            Some(e) => Err(e),
+            None => Ok(results),
         }
-        Ok(results)
     }
 }
 
@@ -1376,19 +1349,60 @@ mod tests {
             CpuMask::from_cpus([0]),
             0,
         );
-        let mut papi = Papi::init(kernel).unwrap();
+        // Background load that never exits: the run ends with `pid`.
+        kernel.lock().spawn(
+            "noise",
+            Box::new(|_: &simos::task::ProgCtx| Op::Compute(Phase::scalar(1_000_000))),
+            CpuMask::from_cpus([1]),
+            0,
+        );
+        let mut papi = Papi::init(kernel.clone()).unwrap();
         let es = papi.create_eventset();
         papi.attach(es, Attach::Task(pid)).unwrap();
         papi.add_named(es, "adl_glc::INST_RETIRED:ANY").unwrap();
         papi.add_named(es, "adl_grt::INST_RETIRED:ANY").unwrap();
         let results = papi
-            .run_instrumented(es, HookId(1), HookId(2), 60_000_000_000)
+            .run_instrumented(es, HookId(1), HookId(2), pid, 60_000_000_000)
             .unwrap();
         assert_eq!(results.len(), 1);
         let p = results[0][0].1;
         let e = results[0][1].1;
         assert_eq!(p + e, 1_000_000 + 4_300);
         assert_eq!(e, 0, "pinned to a P core");
+        assert!(kernel.lock().time_ns() < 1_000_000_000, "ran past the exit");
+    }
+
+    #[test]
+    fn instrumented_run_keeps_the_first_error_and_drives_the_task_out() {
+        // Start, start again (an error), stop: the second start's error
+        // is returned, the stop after it is ignored, and the task still
+        // runs to its exit rather than staying parked.
+        let kernel = boot(MachineSpec::raptor_lake_i7_13700());
+        let pid = kernel.lock().spawn(
+            "double-start",
+            Box::new(ScriptedProgram::new([
+                Op::Call(HookId(1)),
+                Op::Call(HookId(1)),
+                Op::Compute(Phase::scalar(1_000_000)),
+                Op::Call(HookId(2)),
+                Op::Exit,
+            ])),
+            CpuMask::from_cpus([0]),
+            0,
+        );
+        let mut papi = Papi::init(kernel.clone()).unwrap();
+        let es = papi.create_eventset();
+        papi.attach(es, Attach::Task(pid)).unwrap();
+        papi.add_named(es, "adl_glc::INST_RETIRED:ANY").unwrap();
+        let r = papi.run_instrumented(es, HookId(1), HookId(2), pid, 60_000_000_000);
+        assert!(
+            matches!(r, Err(PapiError::State("EventSet already running"))),
+            "{r:?}"
+        );
+        let k = kernel.lock();
+        assert_eq!(k.task_state(pid), Some(simos::task::TaskState::Exited));
+        assert_eq!(k.task_stats(pid).unwrap().instructions, 1_000_000 + 4_300);
+        assert!(k.time_ns() < 1_000_000_000, "ran to the deadline");
     }
 
     #[test]

@@ -20,8 +20,14 @@
 //! — `Op::Call` hooks built with [`begin_hook`]/[`end_hook`], serviced
 //! by [`Regions::run_marked`]. Begins and ends are recorded to the
 //! flight recorder as `region_begin`/`region_end` events.
+//!
+//! The EventSet starts once, at [`Regions::init`], and regions attribute
+//! counts by read deltas. So PAPI's injected start overhead
+//! ([`crate::PapiConfig::overhead_instructions`]) is charged once per
+//! session, not per region: it is the task's next work after `init`,
+//! ahead of any in-workload marker.
 
-use papi::{Attach, EventSetId, Papi, PapiConfig, PapiError, Preset};
+use crate::{Attach, EventSetId, Papi, PapiError, Preset};
 use simcpu::types::{CoreType, Nanos};
 use simos::kernel::{run_with_hooks, KernelHandle};
 use simos::task::{HookId, Pid};
@@ -53,25 +59,6 @@ pub fn decode_hook(h: HookId) -> Option<(RegionId, bool)> {
     }
     let low = h.0 & 0xFFFF;
     Some((RegionId(low >> 1), low & 1 == 1))
-}
-
-/// Configuration for a region session.
-#[derive(Debug, Clone)]
-pub struct RegionConfig {
-    /// Events to count in every region: `PAPI_*` preset names (hardware
-    /// presets expand per core-type PMU) or fully-qualified natives.
-    pub events: Vec<String>,
-    /// Override PAPI's injected start overhead (`None` = library default).
-    pub overhead_instructions: Option<u64>,
-}
-
-impl Default for RegionConfig {
-    fn default() -> RegionConfig {
-        RegionConfig {
-            events: vec!["PAPI_TOT_INS".into(), "PAPI_TOT_CYC".into()],
-            overhead_instructions: None,
-        }
-    }
 }
 
 /// Region API errors.
@@ -110,8 +97,9 @@ impl From<PapiError> for RegionError {
     }
 }
 
-/// One counter row of a region: a user-facing event, the native that
-/// implements it, and (for core PMUs) which core type it counts on.
+/// One counter row of a region: a user-facing event (a preset's `PAPI_*`
+/// name, or a native as given), the native that implements it, and (for
+/// core PMUs) which core type it counts on.
 #[derive(Debug, Clone)]
 pub struct RegionCounter {
     pub event: String,
@@ -250,31 +238,29 @@ pub struct Regions {
 }
 
 impl Regions {
-    /// `region_init` half one: build the session. Opens one hybrid
-    /// EventSet attached to `pid`, expands hardware presets per
-    /// core-type PMU, and starts counting (regions only *attribute*
-    /// counts; the set runs for the whole session).
-    pub fn init(
-        kernel: &KernelHandle,
+    /// `region_init` half one: build the session over `papi`. Opens one
+    /// hybrid EventSet attached to `pid` counting `events` (`PAPI_*`
+    /// preset names, which expand per core-type PMU, or fully-qualified
+    /// natives), and starts counting (regions only *attribute* counts;
+    /// the set runs for the whole session).
+    pub fn init<S: AsRef<str>>(
+        mut papi: Papi,
         pid: Pid,
-        cfg: &RegionConfig,
+        events: &[S],
     ) -> Result<Regions, RegionError> {
-        let pcfg = PapiConfig {
-            overhead_instructions: cfg.overhead_instructions.unwrap_or(4_300),
-            ..Default::default()
-        };
-        let mut papi = Papi::init_with(kernel.clone(), pcfg)?;
+        let kernel = papi.kernel();
         let es = papi.create_eventset();
         papi.attach(es, Attach::Task(pid))?;
         let mut row_meta = Vec::new();
-        for name in &cfg.events {
-            let natives = match Preset::from_papi_name(name) {
-                Some(p) => papi.preset_native_names(p)?,
-                None => vec![name.clone()],
+        for name in events {
+            let name = name.as_ref();
+            let (label, natives) = match Preset::from_papi_name(name) {
+                Some(p) => (p.papi_name(), papi.preset_native_names(p)?),
+                None => (name, vec![name.to_string()]),
             };
             for native in natives {
                 papi.add_named(es, &native)?;
-                row_meta.push((name.to_ascii_uppercase(), None));
+                row_meta.push((label.to_string(), None));
             }
         }
         let natives = papi.native_names(es)?;
@@ -287,7 +273,7 @@ impl Regions {
             TraceSink::new(&k.config().trace)
         };
         Ok(Regions {
-            kernel: kernel.clone(),
+            kernel,
             papi,
             es,
             pid,
@@ -404,15 +390,15 @@ impl Regions {
             .collect())
     }
 
-    /// Drive the kernel to completion, servicing in-workload markers:
-    /// [`begin_hook`]/[`end_hook`] calls from the instrumented task open
-    /// and close regions; hooks from other namespaces (and other tasks)
-    /// are resumed untouched.
+    /// Drive the kernel until the instrumented task exits (or `max_ns`
+    /// elapses), servicing in-workload markers: [`begin_hook`]/[`end_hook`]
+    /// calls from the instrumented task open and close regions; hooks from
+    /// other namespaces (and other tasks) are resumed untouched.
     pub fn run_marked(&mut self, max_ns: Nanos) -> Result<(), RegionError> {
         let kernel = self.kernel.clone();
         let me = self.pid;
         let mut err = None;
-        run_with_hooks(&kernel, max_ns, |_, pid, hook| {
+        run_with_hooks(&kernel, me, max_ns, |_, pid, hook| {
             if err.is_some() || pid != me {
                 return;
             }
@@ -482,14 +468,25 @@ fn core_type_of(papi: &Papi, fq_name: &str) -> Option<CoreType> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PapiConfig;
     use simcpu::machine::MachineSpec;
     use simcpu::phase::Phase;
     use simcpu::types::CpuMask;
+    use simcpu::uarch::GOLDEN_COVE;
     use simos::kernel::{Kernel, KernelConfig};
     use simos::task::{Op, ScriptedProgram};
 
     fn boot(spec: MachineSpec) -> KernelHandle {
         Kernel::boot_handle(spec, KernelConfig::default())
+    }
+
+    /// PAPI without its injected start overhead.
+    fn papi_without_overhead(kernel: &KernelHandle) -> Papi {
+        let cfg = PapiConfig {
+            overhead_instructions: 0,
+            ..Default::default()
+        };
+        Papi::init_with(kernel.clone(), cfg).unwrap()
     }
 
     #[test]
@@ -526,11 +523,8 @@ mod tests {
             CpuMask::from_cpus([0]),
             0,
         );
-        let cfg = RegionConfig {
-            events: vec!["PAPI_TOT_INS".into(), "PAPI_CTX_SW".into()],
-            overhead_instructions: Some(0),
-        };
-        let mut regions = Regions::init(&kernel, pid, &cfg).unwrap();
+        let papi = papi_without_overhead(&kernel);
+        let mut regions = Regions::init(papi, pid, &["PAPI_TOT_INS", "PAPI_CTX_SW"]).unwrap();
         assert_eq!(regions.region_init("compute"), a);
         assert_eq!(regions.region_init("reduce"), b);
         regions.run_marked(60_000_000_000).unwrap();
@@ -572,11 +566,8 @@ mod tests {
             CpuMask::from_cpus([0]),
             0,
         );
-        let cfg = RegionConfig {
-            events: vec!["PAPI_TOT_INS".into()],
-            overhead_instructions: Some(0),
-        };
-        let mut regions = Regions::init(&kernel, pid, &cfg).unwrap();
+        let papi = papi_without_overhead(&kernel);
+        let mut regions = Regions::init(papi, pid, &["PAPI_TOT_INS"]).unwrap();
         regions.region_init("outer");
         regions.region_init("inner");
         regions.run_marked(60_000_000_000).unwrap();
@@ -607,11 +598,8 @@ mod tests {
             CpuMask::from_cpus([0]),
             0,
         );
-        let cfg = RegionConfig {
-            events: vec!["PAPI_TOT_INS".into()],
-            overhead_instructions: Some(0),
-        };
-        let mut regions = Regions::init(&kernel, pid, &cfg).unwrap();
+        let papi = papi_without_overhead(&kernel);
+        let mut regions = Regions::init(papi, pid, &["PAPI_TOT_INS"]).unwrap();
         regions.region_init("a");
         regions.region_init("b");
         assert!(matches!(regions.end("a"), Err(RegionError::NotActive(_))));
@@ -627,5 +615,105 @@ mod tests {
             regions.begin("nope"),
             Err(RegionError::UnknownRegion(_))
         ));
+    }
+
+    /// Region `a` runs twice and `b` once. PAPI's start overhead (the
+    /// library default here) runs once, before the first region, so each
+    /// region counts exactly its own work.
+    #[test]
+    fn regions_accumulate_per_name() {
+        let kernel = boot(MachineSpec::raptor_lake_i7_13700());
+        let a = RegionId(0);
+        let b = RegionId(1);
+        let pid = kernel.lock().spawn(
+            "marked",
+            Box::new(ScriptedProgram::new([
+                Op::Call(begin_hook(a)),
+                Op::Compute(Phase::scalar(200_000)),
+                Op::Call(end_hook(a)),
+                Op::Call(begin_hook(b)),
+                Op::Compute(Phase::scalar(500_000)),
+                Op::Call(end_hook(b)),
+                Op::Call(begin_hook(a)),
+                Op::Compute(Phase::scalar(200_000)),
+                Op::Call(end_hook(a)),
+                Op::Exit,
+            ])),
+            CpuMask::from_cpus([0, 16]),
+            0,
+        );
+        let papi = Papi::init(kernel.clone()).unwrap();
+        let mut regions = Regions::init(papi, pid, &["PAPI_TOT_INS", "PAPI_TOT_CYC"]).unwrap();
+        assert_eq!(regions.region_init("a"), a);
+        assert_eq!(regions.region_init("b"), b);
+        regions.run_marked(120_000_000_000).unwrap();
+        let report = regions.finish().unwrap();
+        let ra = report.region("a").unwrap();
+        let rb = report.region("b").unwrap();
+        assert_eq!((ra.count, rb.count), (2, 1));
+        assert_eq!(ra.value("PAPI_TOT_INS"), 400_000);
+        assert_eq!(rb.value("PAPI_TOT_INS"), 500_000);
+        assert!(ra.value("PAPI_TOT_CYC") > 0, "cycles counted");
+        let text = report.render();
+        assert!(text.contains("Region a | count 2"), "{text}");
+    }
+
+    /// Presets and fully qualified natives share one session: a hardware
+    /// preset gets a row per core type, a core-PMU native one row on its
+    /// core type, and a software native one kernel-wide row. Each is
+    /// looked up by the name it was given.
+    #[test]
+    fn mixed_native_and_preset_events() {
+        let kernel = boot(MachineSpec::raptor_lake_i7_13700());
+        let r = RegionId(0);
+        let pid = kernel.lock().spawn(
+            "mixed",
+            Box::new(ScriptedProgram::new([
+                Op::Call(begin_hook(r)),
+                Op::Compute(Phase::scalar(2_000_000)),
+                Op::Call(end_hook(r)),
+                Op::Exit,
+            ])),
+            CpuMask::from_cpus([0]),
+            0,
+        );
+        let events = [
+            "PAPI_TOT_INS",
+            "PAPI_TOT_CYC",
+            "adl_glc::TOPDOWN:SLOTS",
+            "perf_sw::CPU_MIGRATIONS",
+        ];
+        let papi = Papi::init(kernel.clone()).unwrap();
+        let mut regions = Regions::init(papi, pid, &events).unwrap();
+        regions.region_init("mixed");
+        regions.run_marked(60_000_000_000).unwrap();
+        let report = regions.finish().unwrap();
+        let region = report.region("mixed").unwrap();
+        let rows = |event: &str| -> Vec<Option<CoreType>> {
+            region
+                .counters
+                .iter()
+                .filter(|c| c.event == event)
+                .map(|c| c.core_type)
+                .collect()
+        };
+        let per_type = vec![Some(CoreType::Performance), Some(CoreType::Efficiency)];
+        assert_eq!(rows("PAPI_TOT_INS"), per_type);
+        assert_eq!(rows("PAPI_TOT_CYC"), per_type);
+        assert_eq!(
+            rows("adl_glc::TOPDOWN:SLOTS"),
+            vec![Some(CoreType::Performance)]
+        );
+        assert_eq!(rows("perf_sw::CPU_MIGRATIONS"), vec![None]);
+        assert_eq!(region.counters.len(), 6);
+        assert_eq!(region.value("PAPI_TOT_INS"), 2_000_000);
+        // Slots are the P core's pipeline width × its cycles.
+        let cycles = region.value_on("PAPI_TOT_CYC", CoreType::Performance);
+        assert!(cycles > 0);
+        assert_eq!(
+            region.value("adl_glc::TOPDOWN:SLOTS"),
+            GOLDEN_COVE.ipc_base.round() as u64 * cycles
+        );
+        assert_eq!(region.value("perf_sw::CPU_MIGRATIONS"), 0, "pinned");
     }
 }

@@ -178,7 +178,7 @@ fn boot_and_spawn(args: &Args) -> (KernelHandle, Pid) {
 /// `simperf stat --regions`: run the workload inside a LIKWID-style
 /// marker region and print the per-region, per-core-type table.
 fn run_region_stat(args: &Args) {
-    use perftool::regions::{begin_hook, end_hook, RegionId, Regions};
+    use papi::regions::{begin_hook, end_hook, RegionError, RegionId, Regions};
     let kernel = Kernel::boot_handle(machine(&args.machine), kernel_config(args));
     let mask = match &args.cpus {
         Some(s) => CpuMask::parse_cpulist(s).unwrap_or_else(|e| {
@@ -206,22 +206,22 @@ fn run_region_stat(args: &Args) {
         mask,
         0,
     );
-    let rcfg = perftool::RegionConfig {
-        events: if args.events.is_empty() {
-            vec![
-                "PAPI_TOT_INS".into(),
-                "PAPI_TOT_CYC".into(),
-                "PAPI_CTX_SW".into(),
-            ]
-        } else {
-            args.events.clone()
-        },
-        overhead_instructions: None,
+    let events = if args.events.is_empty() {
+        vec![
+            "PAPI_TOT_INS".into(),
+            "PAPI_TOT_CYC".into(),
+            "PAPI_CTX_SW".into(),
+        ]
+    } else {
+        args.events.clone()
     };
-    let mut regions = Regions::init(&kernel, pid, &rcfg).unwrap_or_else(|e| {
-        eprintln!("simperf: {e}");
-        std::process::exit(1);
-    });
+    let mut regions = papi::Papi::init(kernel.clone())
+        .map_err(RegionError::from)
+        .and_then(|papi| Regions::init(papi, pid, &events))
+        .unwrap_or_else(|e| {
+            eprintln!("simperf: {e}");
+            std::process::exit(1);
+        });
     regions.region_init(&name);
     regions.run_marked(3_600_000_000_000).unwrap_or_else(|e| {
         eprintln!("simperf: {e}");

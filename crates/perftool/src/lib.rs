@@ -17,14 +17,14 @@
 //!   per-core-type / per-CPU sample profile.
 //!
 //! The table-III binary uses the same pattern; this crate packages it as
-//! a reusable tool with a CLI (`simperf`).
+//! a reusable tool with a CLI (`simperf`). Region calipers are PAPI's,
+//! not perf's: `simperf stat --regions` measures through
+//! `papi::regions`.
 
 pub mod record;
-pub mod regions;
 pub mod stat;
 
 pub use record::{RecordConfig, RecordSession, Report};
-pub use regions::{RegionConfig, RegionId, RegionReport, Regions};
 pub use stat::{StatConfig, StatResult, StatRow};
 
 use simcpu::events::ArchEvent;

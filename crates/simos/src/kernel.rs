@@ -749,8 +749,9 @@ impl Kernel {
             .all(|t| t.state == TaskState::Exited)
     }
 
-    /// Drain instrumentation hooks that fired since the last drain.
-    pub fn take_pending_hooks(&mut self) -> Vec<(Pid, HookId)> {
+    /// Drain instrumentation hooks that fired since the last drain
+    /// (only [`run_with_hooks`] services them).
+    fn take_pending_hooks(&mut self) -> Vec<(Pid, HookId)> {
         std::mem::take(&mut self.pending_hooks)
     }
 
@@ -2016,12 +2017,14 @@ fn record_plan_stats(seat: &mut CoreSeat, now: Nanos, cpu: CpuId, before: Option
     }
 }
 
-/// Drive a kernel handle until all tasks exit, dispatching instrumentation
-/// hooks to `handler`. The handler may issue PAPI-style syscalls through the
-/// same handle; the hooked task stays parked until `handler` returns, after
-/// which it is resumed automatically.
+/// Drive a kernel handle, dispatching instrumentation hooks to `handler`,
+/// until task `watched` has exited (other tasks may outlive it) or
+/// `max_ns` elapses. The handler may issue PAPI-style syscalls through
+/// the same handle; the hooked task stays parked until `handler` returns,
+/// after which it is resumed automatically.
 pub fn run_with_hooks(
     handle: &KernelHandle,
+    watched: Pid,
     max_ns: Nanos,
     mut handler: impl FnMut(&KernelHandle, Pid, HookId),
 ) {
@@ -2032,7 +2035,8 @@ pub fn run_with_hooks(
     loop {
         let hooks = {
             let mut k = handle.lock();
-            if k.all_exited() || k.time_ns() >= deadline {
+            let watched_done = k.task_state(watched).is_none_or(|s| s == TaskState::Exited);
+            if watched_done || k.time_ns() >= deadline {
                 return;
             }
             k.tick();
@@ -2264,12 +2268,51 @@ mod tests {
             0,
         );
         let mut seen = Vec::new();
-        run_with_hooks(&handle, 1_000_000_000, |_, p, h| {
+        run_with_hooks(&handle, pid, 1_000_000_000, |_, p, h| {
             assert_eq!(p, pid);
             seen.push(h.0);
         });
         assert_eq!(seen, vec![1, 2]);
         assert!(handle.lock().all_exited());
+    }
+
+    #[test]
+    fn hooks_stop_when_the_watched_task_exits() {
+        // A task that never exits on CPU 0 beside a short hooked task on
+        // CPU 1: the run ends with the short one.
+        let handle =
+            Kernel::boot_handle(MachineSpec::raptor_lake_i7_13700(), KernelConfig::default());
+        let forever = handle.lock().spawn(
+            "forever",
+            Box::new(|_: &ProgCtx| Op::Compute(Phase::scalar(1_000_000))),
+            CpuMask::from_cpus([0]),
+            0,
+        );
+        let short = handle.lock().spawn(
+            "short",
+            Box::new(ScriptedProgram::new([
+                Op::Call(HookId(1)),
+                Op::Compute(Phase::scalar(1_000_000)),
+                Op::Call(HookId(2)),
+                Op::Exit,
+            ])),
+            CpuMask::from_cpus([1]),
+            0,
+        );
+        let mut seen = Vec::new();
+        run_with_hooks(&handle, short, 10_000_000_000, |_, p, h| {
+            assert_eq!(p, short);
+            seen.push(h.0);
+        });
+        assert_eq!(seen, vec![1, 2]);
+        let k = handle.lock();
+        assert_eq!(k.task_state(short), Some(TaskState::Exited));
+        assert_ne!(k.task_state(forever), Some(TaskState::Exited));
+        assert!(
+            k.time_ns() < 10_000_000,
+            "returned at {} ns, not when the watched task exited",
+            k.time_ns()
+        );
     }
 
     #[test]

@@ -104,7 +104,7 @@ pub enum EventKind {
     /// protection). `code` = shed reason (0 = pump budget exhausted,
     /// 1 = inbox deadline exceeded), `a` = session id.
     LoadShed,
-    /// A marker region opened (`perftool::regions`). `code` = region id,
+    /// A marker region opened (`papi::regions`). `code` = region id,
     /// `a` = nesting depth after the begin.
     RegionBegin,
     /// A marker region closed. `code` = region id, `a` = nesting depth

@@ -48,7 +48,7 @@ impl HybridTestConfig {
 }
 
 /// Spawn the instrumented loop: `Call(HOOK_START); work; Call(HOOK_STOP)`
-/// repeated; drive it with `Papi::run_instrumented_task`.
+/// repeated; drive it with `Papi::run_instrumented`.
 pub fn spawn_hybrid_test(kernel: &KernelHandle, cfg: &HybridTestConfig) -> Pid {
     let reps = cfg.repetitions;
     let inst = cfg.instructions;
@@ -367,7 +367,7 @@ impl Analytic {
 
     /// Spawn the kernel with marker hooks around the measured region:
     /// `begin; burst (sleep burst)*; end; exit`. The caller supplies the
-    /// hook ids (e.g. `perftool::regions::{begin_hook, end_hook}`) so
+    /// hook ids (e.g. `papi::regions::{begin_hook, end_hook}`) so
     /// this crate stays independent of the region library.
     pub fn spawn_marked(
         &self,
@@ -432,7 +432,7 @@ mod tests {
         };
         let pid = spawn_hybrid_test(&kernel, &cfg);
         let mut hooks = Vec::new();
-        simos::kernel::run_with_hooks(&kernel, 60_000_000_000, |_, p, h| {
+        simos::kernel::run_with_hooks(&kernel, pid, 60_000_000_000, |_, p, h| {
             assert_eq!(p, pid);
             hooks.push(h);
         });
@@ -487,20 +487,8 @@ mod tests {
             gap_ns: 1_000_000,
         };
         let pid = spawn_hybrid_test(&kernel, &cfg);
-        // Drive manually (hooks just resumed, no PAPI here).
-        loop {
-            let hooks = {
-                let mut k = kernel.lock();
-                if k.task_state(pid) == Some(TaskState::Exited) || k.time_ns() > 120_000_000_000 {
-                    break;
-                }
-                k.tick();
-                k.take_pending_hooks()
-            };
-            for (p, _) in hooks {
-                kernel.lock().resume(p).unwrap();
-            }
-        }
+        // Hooks are just resumed (no PAPI here); the noise never exits.
+        simos::kernel::run_with_hooks(&kernel, pid, 120_000_000_000, |_, _, _| {});
         let st = kernel.lock().task_stats(pid).unwrap();
         assert_eq!(st.instructions, 40_000_000);
         assert!(
@@ -522,7 +510,7 @@ mod tests {
             let kernel = raptor();
             let pid = a.spawn_marked(&kernel, CpuMask::from_cpus([0]), begin, end);
             let mut hooks = Vec::new();
-            simos::kernel::run_with_hooks(&kernel, 120_000_000_000, |_, p, h| {
+            simos::kernel::run_with_hooks(&kernel, pid, 120_000_000_000, |_, p, h| {
                 assert_eq!(p, pid);
                 hooks.push(h);
             });

@@ -44,7 +44,7 @@ fn main() {
     papi.add_named(es, "adl_grt::INST_RETIRED:ANY").unwrap();
 
     let results = papi
-        .run_instrumented_task(es, HOOK_START, HOOK_STOP, pid, 600_000_000_000)
+        .run_instrumented(es, HOOK_START, HOOK_STOP, pid, 600_000_000_000)
         .unwrap();
     noise.stop();
 

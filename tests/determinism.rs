@@ -352,50 +352,81 @@ fn conformance(name: &str, spec: fn() -> MachineSpec) {
     let golden = run_case(spec());
     let replay = run_case(spec());
     assert_eq!(golden, replay, "{name}: replay with the same seed diverged");
-    region_conformance(name, spec);
 }
 
 /// Marker-region conformance: a full `Regions` measurement (hybrid
 /// hardware presets per core type + the software presets, region hooks,
-/// report rendering) folded into a digest must replay bit-identically on
-/// every preset.
-fn region_conformance(name: &str, spec: fn() -> MachineSpec) {
-    use perftool::regions::{begin_hook, end_hook, RegionConfig, RegionId, Regions};
+/// report rendering) folded into a digest.
+fn region_case(spec: MachineSpec) -> u64 {
+    use papi::regions::{begin_hook, end_hook, RegionId, Regions};
     use workloads::micro::Analytic;
-    let run = || -> u64 {
-        let kernel = Kernel::boot_handle(spec(), KernelConfig::default());
-        let r = RegionId(0);
-        let kern = Analytic::server(2_000_000, 4, 2_000_000);
-        let n_cpus = kernel.lock().machine().n_cpus();
-        let pid = kern.spawn_marked(
-            &kernel,
-            CpuMask::first_n(n_cpus),
-            begin_hook(r),
-            end_hook(r),
-        );
-        let cfg = RegionConfig {
-            events: Analytic::events(),
-            overhead_instructions: None,
-        };
-        let mut regions = Regions::init(&kernel, pid, &cfg).unwrap();
-        regions.region_init(kern.name());
-        regions.run_marked(600_000_000_000).unwrap();
-        let report = regions.finish().unwrap();
-        let mut h = Fnv::new();
-        for reg in &report.regions {
-            h.str(&reg.name);
-            h.u64(reg.count);
-            h.u64(reg.time_ns);
-            for c in &reg.counters {
-                h.str(&c.event);
-                h.str(&c.native);
-                h.u64(c.value);
-            }
+    let kernel = Kernel::boot_handle(spec, KernelConfig::default());
+    let r = RegionId(0);
+    let kern = Analytic::server(2_000_000, 4, 2_000_000);
+    let n_cpus = kernel.lock().machine().n_cpus();
+    let pid = kern.spawn_marked(
+        &kernel,
+        CpuMask::first_n(n_cpus),
+        begin_hook(r),
+        end_hook(r),
+    );
+    let papi = papi::Papi::init(kernel.clone()).unwrap();
+    let mut regions = Regions::init(papi, pid, &Analytic::events()).unwrap();
+    regions.region_init(kern.name());
+    regions.run_marked(600_000_000_000).unwrap();
+    let report = regions.finish().unwrap();
+    let mut h = Fnv::new();
+    for reg in &report.regions {
+        h.str(&reg.name);
+        h.u64(reg.count);
+        h.u64(reg.time_ns);
+        for c in &reg.counters {
+            h.str(&c.event);
+            h.str(&c.native);
+            h.u64(c.value);
         }
-        h.str(&report.render());
-        h.0
-    };
-    assert_eq!(run(), run(), "{name}: marker-region replay diverged");
+    }
+    h.str(&report.render());
+    h.0
+}
+
+/// Every preset's marker-region digest ([`region_case`]) reproduces the
+/// value recorded before the region API moved from perftool into papi.
+#[test]
+fn region_conformance_matches_golden() {
+    let presets: [(&str, SpecFn, u64); 4] = [
+        (
+            "raptor_lake_i7_13700",
+            MachineSpec::raptor_lake_i7_13700,
+            0x22fa_36be_2341_ff4f,
+        ),
+        (
+            "orangepi_800",
+            MachineSpec::orangepi_800,
+            0x3eb0_cb7a_56d3_5143,
+        ),
+        (
+            "skylake_quad",
+            MachineSpec::skylake_quad,
+            0xe2b8_2e94_c252_4f4f,
+        ),
+        (
+            "alder_lake_mobile",
+            MachineSpec::alder_lake_mobile,
+            0xfd2d_b070_7d60_094c,
+        ),
+    ];
+    let moved: Vec<String> = presets
+        .into_iter()
+        .filter_map(|(name, spec, golden)| {
+            let h = region_case(spec());
+            (h != golden).then(|| format!("{name}: {h:#018x} (golden {golden:#018x})"))
+        })
+        .collect();
+    assert!(
+        moved.is_empty(),
+        "marker-region digest diverged from the golden on: {moved:#?}"
+    );
 }
 
 /// The flight recorder is a pure observer: running the full conformance

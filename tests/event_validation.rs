@@ -20,8 +20,8 @@
 //! deltas) for the tier-1 ledger. `VALIDATION_QUICK=1` shrinks the
 //! instruction count, keeping the full matrix shape.
 
+use papi::regions::{begin_hook, end_hook, RegionId, RegionSummary, Regions};
 use papi::{Attach, Papi, PapiConfig, ReadQuality};
-use perftool::regions::{begin_hook, end_hook, RegionConfig, RegionId, Regions};
 use simcpu::machine::MachineSpec;
 use simcpu::phase::Phase;
 use simcpu::types::{CoreType, CpuMask};
@@ -42,6 +42,15 @@ fn instructions() -> u64 {
 
 fn boot(spec: MachineSpec) -> KernelHandle {
     Kernel::boot_handle(spec, KernelConfig::default())
+}
+
+/// PAPI without its injected start overhead.
+fn papi_without_overhead(kernel: &KernelHandle) -> Papi {
+    let cfg = PapiConfig {
+        overhead_instructions: 0,
+        ..Default::default()
+    };
+    Papi::init_with(kernel.clone(), cfg).unwrap()
 }
 
 /// One matrix target: a machine and a pinned CPU of a known core type.
@@ -88,7 +97,7 @@ fn targets() -> Vec<Target> {
 
 /// Run one analytic kernel pinned to `target`, measured through marker
 /// regions, and return the finished region summary.
-fn run_kernel(target: &Target, kernel_spec: &Analytic) -> perftool::regions::RegionSummary {
+fn run_kernel(target: &Target, kernel_spec: &Analytic) -> RegionSummary {
     let kernel = boot((target.spec)());
     let r = RegionId(0);
     let pid = kernel_spec.spawn_marked(
@@ -97,11 +106,8 @@ fn run_kernel(target: &Target, kernel_spec: &Analytic) -> perftool::regions::Reg
         begin_hook(r),
         end_hook(r),
     );
-    let cfg = RegionConfig {
-        events: Analytic::events(),
-        overhead_instructions: Some(0),
-    };
-    let mut regions = Regions::init(&kernel, pid, &cfg).unwrap();
+    let papi = papi_without_overhead(&kernel);
+    let mut regions = Regions::init(papi, pid, &Analytic::events()).unwrap();
     assert_eq!(regions.region_init(kernel_spec.name()), r);
     regions.run_marked(600_000_000_000).unwrap();
     let report = regions.finish().unwrap();
@@ -199,14 +205,7 @@ fn software_events_stay_exact_under_hotplug_and_nmi_theft() {
         CpuMask::from_cpus([0, 1]),
         0,
     );
-    let mut papi = Papi::init_with(
-        kernel.clone(),
-        PapiConfig {
-            overhead_instructions: 0,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let mut papi = papi_without_overhead(&kernel);
     let es = papi.create_eventset();
     papi.attach(es, Attach::Task(pid)).unwrap();
     papi.add_named(es, "adl_glc::INST_RETIRED:ANY").unwrap();
@@ -293,11 +292,8 @@ fn validation_survives_hotplug_with_software_events_exact() {
             begin_hook(r),
             end_hook(r),
         );
-        let cfg = RegionConfig {
-            events: Analytic::events(),
-            overhead_instructions: Some(0),
-        };
-        let mut regions = Regions::init(&kernel, pid, &cfg).unwrap();
+        let papi = papi_without_overhead(&kernel);
+        let mut regions = Regions::init(papi, pid, &Analytic::events()).unwrap();
         regions.region_init(kernel_spec.name());
         kernel.lock().install_faults(&FaultPlan::new(7).at(
             5_000_000,

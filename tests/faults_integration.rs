@@ -54,7 +54,7 @@ fn hybrid_run_under(plan: Option<&FaultPlan>, reps: u32) -> (Vec<(u64, u64)>, Ve
     papi.add_named(es, "adl_glc::INST_RETIRED:ANY").unwrap();
     papi.add_named(es, "adl_grt::INST_RETIRED:ANY").unwrap();
     let results = papi
-        .run_instrumented_task(es, HOOK_START, HOOK_STOP, pid, 600_000_000_000)
+        .run_instrumented(es, HOOK_START, HOOK_STOP, pid, 600_000_000_000)
         .unwrap();
     noise.stop();
     let log = kernel

@@ -30,7 +30,7 @@ fn hybrid_100x1m_counts_sum_to_one_million() {
     papi.add_named(es, "adl_glc::INST_RETIRED:ANY").unwrap();
     papi.add_named(es, "adl_grt::INST_RETIRED:ANY").unwrap();
     let results = papi
-        .run_instrumented_task(es, HOOK_START, HOOK_STOP, pid, 600_000_000_000)
+        .run_instrumented(es, HOOK_START, HOOK_STOP, pid, 600_000_000_000)
         .unwrap();
     noise.stop();
     assert_eq!(results.len(), 30);

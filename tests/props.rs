@@ -379,7 +379,7 @@ fn caliper_boundaries_are_exact() {
     papi.attach(es, Attach::Task(pid)).unwrap();
     papi.add_named(es, "adl_glc::INST_RETIRED:ANY").unwrap();
     let results = papi
-        .run_instrumented(es, HookId(1), HookId(2), 600_000_000_000)
+        .run_instrumented(es, HookId(1), HookId(2), pid, 600_000_000_000)
         .unwrap();
     assert_eq!(results.len(), 2);
     assert_eq!(results[0][0].1, 111_111);
